@@ -4,9 +4,7 @@ with over-specified rank."""
 from .errors import DivergenceError, InputError, NumericError
 from .gradient import (
     FactorState,
-    StepSize,
     deviation_matrix,
-    fgd_step,
     loss_value,
     op_MU,
     op_MV,

@@ -16,6 +16,7 @@ from . import concentration as conc
 from .csvio import read_trajectory_csv, write_trajectory_csv
 from .errors import InputError, NumericError
 from .figures import reproduce_figures
+from .gradient import theory_step_size
 from .harness import ExperimentConfig, detect_phases, run_experiment, sweep
 from .problem import generate_ground_truth
 from .rng import stream
@@ -78,7 +79,7 @@ def _cmd_verify_pop(args):
     gt = generate_ground_truth(
         DEFAULT_SPECTRUM["d"], DEFAULT_SPECTRUM["r"], DEFAULT_SPECTRUM["ds"], "zeros", args.seed
     )
-    eta = 1.0 / (100.0 * gt.sigma1)
+    eta = theory_step_size(gt.sigma1)
     counts = {}
     worst = {}
     all_pass = 0

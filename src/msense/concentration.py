@@ -16,23 +16,35 @@ import numpy as np
 
 from .errors import InputError
 from .linalg import as_symmetric, spectral_norm
+from .problem import _draw
 from .rng import stream
 
 _MC_BLOCK = 512
 
 
-def _draw(rng, count, d, distribution):
-    if distribution == "gaussian":
-        g = rng.standard_normal((count, d, d))
-    elif distribution == "rademacher":
-        g = rng.integers(0, 2, size=(count, d, d)).astype(float) * 2.0 - 1.0
-    else:
-        raise InputError(f"unknown distribution {distribution!r}")
-    upper = np.triu(g, 1)
-    a = upper + np.transpose(upper, (0, 2, 1))
-    idx = np.arange(d)
-    a[:, idx, idx] = g[:, idx, idx]
-    return a
+def _trial_blocks(seed, tag, trial, n, d, distribution):
+    """Yield (rng, A_block) over the n draws of one trial, in blocks of at
+    most _MC_BLOCK from the trial's own stream.  The caller may draw more
+    from ``rng`` before asking for the next block."""
+    rng = stream(seed, tag, trial)
+    for done in range(0, n, _MC_BLOCK):
+        yield rng, _draw(rng, min(_MC_BLOCK, n - done), d, distribution)
+
+
+def _mc_matrix_moment(stat, d, trials, seed, tag, distribution):
+    """Mean of the d x d statistic ``stat`` over ``trials`` sensing draws,
+    with its per-entry standard error; each block of _MC_BLOCK draws comes
+    from its own stream.  ``stat`` maps an (m, d, d) block to (m, d, d)."""
+    acc = np.zeros((d, d))
+    acc_sq = np.zeros((d, d))
+    for block, done in enumerate(range(0, trials, _MC_BLOCK)):
+        a = _draw(stream(seed, tag, block), min(_MC_BLOCK, trials - done), d, distribution)
+        x = stat(a)
+        acc += x.sum(axis=0)
+        acc_sq += (x**2).sum(axis=0)
+    est = acc / trials
+    var = acc_sq / trials - est**2
+    return est, np.sqrt(np.clip(var, 0.0, None) / trials)
 
 
 @dataclass(frozen=True)
@@ -106,15 +118,11 @@ def mc_noise_term(d, sigma, n, trials, seed, distribution="gaussian"):
         raise InputError(f"sigma must be nonnegative, got {sigma}")
     vals = np.empty(trials)
     for trial in range(trials):
-        rng = stream(seed, "mc_noise", trial)
         acc = np.zeros((d, d))
-        done = 0
-        while done < n:
-            count = min(_MC_BLOCK, n - done)
-            a = _draw(rng, count, d, distribution)
+        for rng, a in _trial_blocks(seed, "mc_noise", trial, n, d, distribution):
+            count = a.shape[0]
             eps = sigma * rng.standard_normal(count)
             acc += (eps @ a.reshape(count, -1)).reshape(d, d)
-            done += count
         vals[trial] = spectral_norm(acc / n)
     return MCReport(
         statistic="noise_term_spectral_norm",
@@ -146,18 +154,13 @@ def mc_sensing_deviation(u, n, trials, seed, distribution="gaussian"):
     acc_mean = np.zeros((d, d))
     acc_sq = np.zeros((d, d))
     for trial in range(trials):
-        rng = stream(seed, "mc_deviation", trial)
         acc = np.zeros((d, d))
-        done = 0
-        while done < n:
-            count = min(_MC_BLOCK, n - done)
-            a = _draw(rng, count, d, distribution)
-            flat = a.reshape(count, -1)
+        for _, a in _trial_blocks(seed, "mc_deviation", trial, n, d, distribution):
+            flat = a.reshape(a.shape[0], -1)
             inner = flat @ u.ravel()
             term = inner[:, None] * flat
             acc += term.sum(axis=0).reshape(d, d)
             acc_sq += (term**2).sum(axis=0).reshape(d, d)
-            done += count
         acc_mean += acc
         vals[trial] = spectral_norm(acc / n - u)
     total = trials * n
@@ -234,25 +237,14 @@ def mc_second_moment(u, trials, seed, distribution="gaussian"):
     u = as_symmetric(u)
     if trials < 1:
         raise InputError("trials must be positive")
-    d = u.shape[0]
-    acc = np.zeros((d, d))
-    acc_sq = np.zeros((d, d))
-    done = 0
-    trial = 0
-    while done < trials:
-        count = min(_MC_BLOCK, trials - done)
-        rng = stream(seed, "mc_moment", trial)
-        a = _draw(rng, count, d, distribution)
-        inner = np.einsum("nij,ij->n", a, u)
-        m = inner[:, None, None] * a - u
-        msq = np.einsum("nij,njk->nik", m, m)
-        acc += msq.sum(axis=0)
-        acc_sq += (msq**2).sum(axis=0)
-        done += count
-        trial += 1
-    est = acc / trials
-    var = acc_sq / trials - est**2
-    stderr = np.sqrt(np.clip(var, 0.0, None) / trials)
+
+    def centered_square(a):
+        m = np.einsum("nij,ij->n", a, u)[:, None, None] * a - u
+        return np.einsum("nij,njk->nik", m, m)
+
+    est, stderr = _mc_matrix_moment(
+        centered_square, u.shape[0], trials, seed, "mc_moment", distribution
+    )
     exact = second_moment_exact_gaussian(u) if distribution == "gaussian" else None
     return MomentComparison(
         statistic="second_moment_of_centered_sensing_term",
@@ -268,22 +260,9 @@ def mc_A_squared(d, trials, seed, distribution="gaussian"):
     """Monte Carlo estimate of E[A^2] against d I."""
     if d < 1 or trials < 1:
         raise InputError("d and trials must be positive")
-    acc = np.zeros((d, d))
-    acc_sq = np.zeros((d, d))
-    done = 0
-    trial = 0
-    while done < trials:
-        count = min(_MC_BLOCK, trials - done)
-        rng = stream(seed, "mc_asq", trial)
-        a = _draw(rng, count, d, distribution)
-        asq = np.einsum("nij,njk->nik", a, a)
-        acc += asq.sum(axis=0)
-        acc_sq += (asq**2).sum(axis=0)
-        done += count
-        trial += 1
-    est = acc / trials
-    var = acc_sq / trials - est**2
-    stderr = np.sqrt(np.clip(var, 0.0, None) / trials)
+    est, stderr = _mc_matrix_moment(
+        lambda a: np.einsum("nij,njk->nik", a, a), d, trials, seed, "mc_asq", distribution
+    )
     return MomentComparison(
         statistic="sensing_matrix_square",
         trials=trials,

@@ -1,15 +1,17 @@
 """Reproduction of the reference simulation plots.
 
-Six runs at the d=20, r=3, n=200, noiseless, eta=0.1 configuration with
+Six figures at the d=20, r=3, n=200, noiseless, eta=0.1 configuration with
 spectrum (1, 0.9, 0.8): exact rank (k=3) and over-specified rank (k=4),
 each from the planted basin initialization and from random initialization
-near the origin, plus the two four-curve subspace-decomposition views.
-Each run emits a trajectory CSV and a log-y SVG plot.
+near the origin, plus the two four-curve subspace-decomposition views of
+the planted runs.  Four distinct runs feed them; each figure emits a
+trajectory CSV and a log-y SVG plot.
 """
 
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 from .csvio import write_trajectory_csv
 from .errors import InputError
@@ -48,7 +50,7 @@ def _figure_config(fig, seed):
 
 
 def reproduce_figures(out_dir, seed=2020):
-    """Run the six reference configurations into ``out_dir``.
+    """Write the six reference figures, from four runs, into ``out_dir``.
 
     Returns the list of files written (a CSV and an SVG per figure).
     """
@@ -60,23 +62,19 @@ def reproduce_figures(out_dir, seed=2020):
         raise InputError(f"output directory {out_dir} is not writable")
 
     names = sorted(FIGURES)
-    trajectories = {}
-    from concurrent.futures import ThreadPoolExecutor
-
-    def _run(name):
-        return name, run_experiment(_figure_config(FIGURES[name], seed))
-
-    workers = min(worker_count(), len(names))
+    configs = {name: _figure_config(FIGURES[name], seed) for name in names}
+    unique = list(dict.fromkeys(configs.values()))
+    workers = min(worker_count(), len(unique))
     if workers == 1:
-        results = [_run(n) for n in names]
+        runs = [run_experiment(c) for c in unique]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run, names))
-    trajectories.update(results)
+            runs = list(pool.map(run_experiment, unique))
+    trajectories = dict(zip(unique, runs))
 
     written = []
     for name in names:
-        traj = trajectories[name]
+        traj = trajectories[configs[name]]
         fig = FIGURES[name]
         csv_path = os.path.join(out_dir, f"{name}.csv")
         svg_path = os.path.join(out_dir, f"{name}.svg")

@@ -1,4 +1,4 @@
-"""Sample and population gradients, the factored gradient step, and the
+"""Sample and population gradients, the analysis step size, and the
 population coefficient operators.
 
 The loss is L(F) = (1/4n) sum_i (y_i - <A_i, F F^T>)^2, whose gradient for
@@ -17,9 +17,6 @@ import numpy as np
 from .errors import InputError
 from .linalg import as_symmetric
 
-STEP_MODES = ("explicit", "theory")
-
-
 @dataclass(frozen=True)
 class FactorState:
     """Current factor F (d x k) plus iteration counter."""
@@ -36,27 +33,11 @@ class FactorState:
         object.__setattr__(self, "F", f)
 
 
-@dataclass(frozen=True)
-class StepSize:
-    """Constant step size; zero is allowed in explicit mode for no-op steps."""
-
-    eta: float
-    mode: str = "explicit"
-
-    def __post_init__(self):
-        if self.mode not in STEP_MODES:
-            raise InputError(f"step mode must be one of {STEP_MODES}")
-        if self.mode == "theory" and not self.eta > 0:
-            raise InputError(f"theory step size must be positive, got {self.eta}")
-        if not self.eta >= 0:
-            raise InputError(f"step size must be nonnegative, got {self.eta}")
-
-
-def theory_step_size(gt):
+def theory_step_size(sigma1):
     """eta = 1/(100 sigma_1), the constant step size of the analysis."""
-    if gt.sigma1 <= 0:
+    if not sigma1 > 0:
         raise InputError("sigma1 must be positive")
-    return StepSize(eta=1.0 / (100.0 * gt.sigma1), mode="theory")
+    return 1.0 / (100.0 * sigma1)
 
 
 def _check_factor(f, d, what="factor"):
@@ -117,14 +98,6 @@ def deviation_matrix(f, gt, s):
         raise InputError(f"sensing dimension {s.d} != ground truth {gt.d}")
     delta = _weighted_sensing_sum(f, s) - (f @ f.T - gt.Xstar)
     return as_symmetric(delta, tol=1e-9)
-
-
-def fgd_step(state, grad, step):
-    """One factored gradient descent update F' = F - eta * grad."""
-    grad = np.asarray(grad, dtype=float)
-    if grad.shape != state.F.shape:
-        raise InputError(f"gradient shape {grad.shape} != factor {state.F.shape}")
-    return FactorState(F=state.F - step.eta * grad, iter=state.iter + 1)
 
 
 def op_MU(s_coef, t_coef, ds, eta):

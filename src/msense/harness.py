@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DivergenceError, InputError
-from .gradient import population_gradient
+from .gradient import population_gradient, theory_step_size
 from .linalg import frobenius_norm, spectral_norm
 from .problem import DISTRIBUTIONS, MEMORY_MODES, generate_ground_truth, generate_sensing
 from .rng import stable_hash64
@@ -111,8 +111,9 @@ class ExperimentConfig:
             raise InputError("planted initialization requires k >= r")
         if self.init.mode == "spectral" and self.gradient_mode == "population":
             raise InputError("spectral initialization needs a sensing set (sample mode)")
-        if not (self.eta == "theory" or (isinstance(self.eta, (int, float)) and self.eta > 0)):
-            raise InputError(f"eta must be a positive number or 'theory', got {self.eta!r}")
+        numeric = isinstance(self.eta, (int, float)) and not isinstance(self.eta, bool)
+        if not (self.eta == "theory" or (numeric and np.isfinite(self.eta) and self.eta > 0)):
+            raise InputError(f"eta must be a positive finite number or 'theory', got {self.eta!r}")
 
     @property
     def sigma1(self):
@@ -124,7 +125,7 @@ class ExperimentConfig:
 
     def eta_value(self):
         if self.eta == "theory":
-            return 1.0 / (100.0 * self.sigma1)
+            return theory_step_size(self.sigma1)
         return float(self.eta)
 
     @classmethod

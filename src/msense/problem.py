@@ -98,15 +98,12 @@ def generate_ground_truth(d, r, ds, dt, seed):
     )
 
 
-def _draw_block(d, lo, hi, distribution, seed):
-    """Sensing matrices for block-aligned indices [lo, hi)."""
-    assert lo % BLOCK == 0 and hi - lo <= BLOCK
-    rng = stream(seed, "sensing", lo // BLOCK)
-    span = hi - lo
+def _draw(rng, count, d, distribution):
+    """``count`` symmetric d x d sensing matrices drawn from ``rng``."""
     if distribution == "gaussian":
-        g = rng.standard_normal((span, d, d))
+        g = rng.standard_normal((count, d, d))
     elif distribution == "rademacher":
-        g = rng.integers(0, 2, size=(span, d, d)).astype(float) * 2.0 - 1.0
+        g = rng.integers(0, 2, size=(count, d, d)).astype(float) * 2.0 - 1.0
     else:
         raise InputError(f"unknown distribution {distribution!r}")
     upper = np.triu(g, 1)
@@ -114,6 +111,12 @@ def _draw_block(d, lo, hi, distribution, seed):
     idx = np.arange(d)
     a[:, idx, idx] = g[:, idx, idx]
     return a
+
+
+def _draw_block(d, lo, hi, distribution, seed):
+    """Sensing matrices for block-aligned indices [lo, hi)."""
+    assert lo % BLOCK == 0 and hi - lo <= BLOCK
+    return _draw(stream(seed, "sensing", lo // BLOCK), hi - lo, d, distribution)
 
 
 def _noise_block(lo, hi, sigma, seed):

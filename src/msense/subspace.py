@@ -21,6 +21,7 @@ from .gradient import (
     op_MV,
     population_gradient,
     sample_gradient,
+    theory_step_size,
 )
 from .linalg import frobenius_norm, spectral_norm
 from .rng import stream
@@ -311,7 +312,7 @@ def verify_population_contraction(s, t, gt, eta):
             "verification hypotheses unmet: region norms "
             f"({ss:.4g}, {tt_err:.4g}, {st:.4g}) exceed {limit:.4g}"
         )
-    if eta > 1.0 / (100.0 * gt.sigma1) * (1 + 1e-12):
+    if eta > theory_step_size(gt.sigma1) * (1 + 1e-12):
         raise InputError("verification hypotheses unmet: eta exceeds 1/(100 sigma_1)")
 
     sr = gt.sigma_r
@@ -376,13 +377,6 @@ class SampleContractionReport:
         return all(c.status != "fail" for c in self.checks)
 
 
-def _resolve_eta(config):
-    eta = config.eta
-    if eta == "theory":
-        return 1.0 / (100.0 * float(np.asarray(config.ds, dtype=float)[0]))
-    return float(eta)
-
-
 def verify_sample_contraction(m_before, m_after, scales, config):
     """Check the finite-sample one-step contraction statements between two
     consecutive iterates.
@@ -391,14 +385,14 @@ def verify_sample_contraction(m_before, m_after, scales, config):
     A' <= (1 - eta A / 2) A, conditioned on the deviation hypothesis
     |Delta|_2 <= 10 sqrt(k d log d / n) D + 4 sqrt(d log d / n) sigma.
     A failed inequality whose hypothesis does not hold is vacuous.
+    ``config`` is the run's ExperimentConfig.
     """
     if m_before.delta_norm is None:
         raise InputError("sample contraction check needs delta_norm on the before-iterate")
     if m_after.t != m_before.t + 1:
         raise InputError("iterates must be consecutive")
-    ds = np.asarray(config.ds, dtype=float)
-    sr = float(ds[-1])
-    eta = _resolve_eta(config)
+    sr = config.sigma_r
+    eta = config.eta_value()
     d, k, n, sigma = config.d, config.k, config.n, config.sigma
     c_kd = np.sqrt(k * d * np.log(d) / n)
     c_d = np.sqrt(d * np.log(d) / n)

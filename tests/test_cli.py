@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import msense.figures
 from msense.cli import main
 
 
@@ -26,9 +27,11 @@ def test_run_command(tmp_path, capsys):
 
 
 def test_run_invalid_config_exits_1(tmp_path, capsys):
-    cfg = write_config(tmp_path, bogus_knob=1)
-    assert main(["run", "--config", str(cfg)]) == 1
-    assert "bogus_knob" in capsys.readouterr().err
+    for field, bad in (("bogus_knob", 1), ("eta", True), ("eta", float("inf"))):
+        cfg = write_config(tmp_path, **{field: bad})
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert field in err and err.count("\n") == 1
 
 
 def test_run_missing_config_file_exits_1(tmp_path):
@@ -112,10 +115,19 @@ def test_phases_missing_file_exits_1(tmp_path):
     assert main(["phases", "--traj", str(tmp_path / "none.csv")]) == 1
 
 
-def test_figures_command(tmp_path):
+def test_figures_command(tmp_path, monkeypatch):
+    runs = []
+    real_run = msense.figures.run_experiment
+
+    def counting_run(config, *args, **kwargs):
+        runs.append(config)
+        return real_run(config, *args, **kwargs)
+
+    monkeypatch.setattr(msense.figures, "run_experiment", counting_run)
     out_dir = tmp_path / "figs"
     rc = main(["figures", "--out", str(out_dir), "--seed", "11"])
     assert rc == 0
+    assert len(runs) == 4  # fig2a/fig2b replot the fig1a/fig1b runs
     names = sorted(p.name for p in out_dir.iterdir())
     expected = []
     for stem in ("fig1a", "fig1b", "fig1c", "fig1d", "fig2a", "fig2b"):
@@ -126,6 +138,8 @@ def test_figures_command(tmp_path):
         assert col in header
     svg = (out_dir / "fig2a.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+    for decomp, err in (("fig2a", "fig1a"), ("fig2b", "fig1b")):
+        assert (out_dir / f"{decomp}.csv").read_bytes() == (out_dir / f"{err}.csv").read_bytes()
 
 
 def test_console_entry_point_runs(tmp_path):

@@ -51,6 +51,13 @@ def test_noise_term_determinism():
     assert_array_equal(a.values, b.values)
 
 
+def test_monte_carlo_uses_the_sensing_draw_helper():
+    import msense.concentration
+    import msense.problem
+
+    assert msense.concentration._draw is msense.problem._draw
+
+
 def test_deviation_homogeneous_in_u(rng):
     u = _sym(rng, 6)
     a = mc_sensing_deviation(u, n=100, trials=6, seed=2)

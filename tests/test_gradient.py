@@ -3,11 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from msense import (
-    FactorState,
-    InputError,
-    StepSize,
     deviation_matrix,
-    fgd_step,
     generate_ground_truth,
     generate_sensing,
     loss_value,
@@ -125,18 +121,6 @@ def test_finite_difference_gradient():
             assert fd == pytest.approx(g[i, j], rel=1e-5, abs=1e-9)
 
 
-def test_fgd_step_mechanics(gt20):
-    state = FactorState(F=np.ones((20, 3)), iter=5)
-    grad = np.full((20, 3), 2.0)
-    out = fgd_step(state, grad, StepSize(eta=0.0))
-    assert_allclose(out.F, state.F)
-    assert out.iter == 6
-    out = fgd_step(state, np.zeros((20, 3)), StepSize(eta=0.3))
-    assert_allclose(out.F, state.F)
-    with pytest.raises(InputError):
-        fgd_step(state, np.zeros((20, 4)), StepSize(eta=0.1))
-
-
 def test_population_step_equals_operator_recomposition(gt20):
     """One population-gradient step acts on the subspace coefficients only."""
     eta = 1.0 / (100.0 * gt20.sigma1)
@@ -199,6 +183,4 @@ def test_op_MV_contraction_spot_check(gt20):
 def test_theory_step_size():
     for s1, expected in ((1.0, 0.01), (2.0, 0.005), (0.8, 0.0125)):
         gt = generate_ground_truth(4, 1, [s1], "zeros", seed=1)
-        step = theory_step_size(gt)
-        assert step.eta == pytest.approx(expected, rel=1e-12)
-        assert step.mode == "theory"
+        assert theory_step_size(gt.sigma1) == pytest.approx(expected, rel=1e-12)

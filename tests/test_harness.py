@@ -56,6 +56,9 @@ def test_config_field_validation_names_field():
         small_config(iters=0)
     with pytest.raises(InputError, match="eta"):
         small_config(eta=-0.1)
+    for bad_eta in (True, float("inf")):  # bool is an int subclass; JSON allows Infinity
+        with pytest.raises(InputError, match="eta"):
+            ExperimentConfig.from_dict({**small_config().to_dict(), "eta": bad_eta})
     with pytest.raises(InputError, match="k"):
         small_config(k=0)
     with pytest.raises(InputError, match="ds"):

@@ -4,10 +4,12 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from msense import (
     InputError,
+    deviation_matrix,
     frobenius_norm,
     generate_ground_truth,
     generate_sensing,
     inner_product,
+    sample_gradient,
     spectral_norm,
 )
 
@@ -105,6 +107,24 @@ def test_noise_reproducible_from_seed(gt20):
     )
     assert_allclose(s.observations - clean, s.epsilon, atol=1e-12)
     assert np.std(s.epsilon) == pytest.approx(0.7, rel=0.5)
+
+
+@pytest.mark.parametrize("memory_mode", ["dense", "regenerate"])
+@pytest.mark.parametrize("distribution", ["gaussian", "rademacher"])
+def test_quadratic_model_matches_streaming_gradient(memory_mode, distribution, rng):
+    """The precomputed operator that runs step with agrees with the
+    streaming sum over sensing blocks it was built from."""
+    gt = generate_ground_truth(6, 2, [1.0, 0.6], "zeros", seed=21)
+    s = generate_sensing(
+        gt, n=700, sigma=0.3, distribution=distribution, seed=22, memory_mode=memory_mode
+    )
+    model = s.quadratic_model()
+    for _ in range(3):
+        f = rng.standard_normal((6, 3))
+        g = sample_gradient(f, s)
+        assert frobenius_norm(model.gradient(f) - g) <= 1e-10 * frobenius_norm(g)
+        dev = deviation_matrix(f, gt, s)
+        assert frobenius_norm(model.deviation(f, gt.Xstar) - dev) <= 1e-10 * frobenius_norm(dev)
 
 
 def test_inner_product_examples():
