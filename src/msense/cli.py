@@ -7,13 +7,14 @@ phases, figures.  Exit codes: 0 success, 1 validation error, 2 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
 from . import concentration as conc
-from .csvio import read_trajectory_csv, write_trajectory_csv
+from .csvio import check_output_path, read_trajectory_csv, write_trajectory_csv
 from .errors import InputError, NumericError
 from .figures import reproduce_figures
 from .gradient import theory_step_size
@@ -43,8 +44,10 @@ def _load_config(path):
 
 def _cmd_run(args):
     config = _load_config(args.config)
-    traj = run_experiment(config, write_output=False)
     out = args.out or config.output
+    if out:
+        check_output_path(out)
+    traj = run_experiment(config, write_output=False)
     if out:
         write_trajectory_csv(traj, out, timing=args.timing)
         print(f"wrote {out} ({len(traj.metrics)} rows)")
@@ -119,6 +122,8 @@ def _cmd_verify_init(args):
 
 
 def _cmd_conc(args):
+    if args.out:
+        check_output_path(args.out)
     if args.kind == "noise":
         report = conc.mc_noise_term(args.d, args.sigma, args.n, args.trials, args.seed)
         print(conc.mc_summary_json(report))
@@ -150,17 +155,7 @@ def _cmd_conc(args):
 def _cmd_phases(args):
     metrics = read_trajectory_csv(args.traj)
     report = detect_phases(metrics, eta=args.eta)
-    out = {
-        "head_window": report.head_window,
-        "head_slope": report.head_slope,
-        "head_r2": report.head_r2,
-        "tail_c": report.tail_c,
-        "tail_residual": report.tail_residual,
-        "recursion_pass_rate": report.recursion_pass_rate,
-        "envelope_pass": report.envelope_pass,
-        "eta": report.eta,
-    }
-    print(json.dumps(out, indent=2, sort_keys=True))
+    print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
     return 0
 
 

@@ -9,6 +9,8 @@ across reruns.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .errors import InputError
@@ -37,6 +39,14 @@ def trajectory_rows(traj, timing=False):
         )
 
 
+def check_output_path(path):
+    """Raise InputError unless ``path`` can be written as a file; called
+    before any compute so a bad path fails fast."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise InputError(f"cannot write output {path}: not a file in a writable directory")
+
+
 def write_trajectory_csv(traj, path, timing=False):
     with open(path, "w", newline="") as fh:
         for row in trajectory_rows(traj, timing=timing):
@@ -57,21 +67,8 @@ def read_trajectory_csv(path):
         parts = ln.split(",")
         if len(parts) != 12:
             raise InputError(f"{path}: expected 12 cells per row, got {len(parts)}")
-        metrics.append(
-            IterateMetrics(
-                t=int(parts[0]),
-                ss_err=float(parts[1]),
-                st_norm=float(parts[2]),
-                tt_norm=float(parts[3]),
-                tt_err=float(parts[4]),
-                D=float(parts[5]),
-                A=float(parts[6]),
-                err_spec=float(parts[7]),
-                err_fro=float(parts[8]),
-                grad_norm=float(parts[9]),
-                delta_norm=float(parts[10]) if parts[10] else None,
-            )
-        )
+        delta = float(parts[10]) if parts[10] else None
+        metrics.append(IterateMetrics(int(parts[0]), *map(float, parts[1:10]), delta))
     return metrics
 
 

@@ -11,11 +11,10 @@ trajectory CSV and a log-y SVG plot.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 from .csvio import write_trajectory_csv
 from .errors import InputError
-from .harness import ExperimentConfig, InitSpec, run_experiment, worker_count
+from .harness import ExperimentConfig, InitSpec, map_in_order, run_experiment
 from .svgplot import write_line_chart
 
 BASE = dict(d=20, r=3, n=200, sigma=0.0, ds=(1.0, 0.9, 0.8), dt="zeros", eta=0.1)
@@ -64,13 +63,7 @@ def reproduce_figures(out_dir, seed=2020):
     names = sorted(FIGURES)
     configs = {name: _figure_config(FIGURES[name], seed) for name in names}
     unique = list(dict.fromkeys(configs.values()))
-    workers = min(worker_count(), len(unique))
-    if workers == 1:
-        runs = [run_experiment(c) for c in unique]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(run_experiment, unique))
-    trajectories = dict(zip(unique, runs))
+    trajectories = dict(zip(unique, map_in_order(run_experiment, unique)))
 
     written = []
     for name in names:

@@ -9,25 +9,22 @@ merge results in grid order regardless of worker count.
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from .csvio import check_output_path, metrics_column, write_sweep_csv, write_trajectory_csv
 from .errors import DivergenceError, InputError
 from .gradient import population_gradient, theory_step_size
-from .linalg import frobenius_norm, spectral_norm
+from .linalg import spectral_norms
 from .problem import DISTRIBUTIONS, MEMORY_MODES, generate_ground_truth, generate_sensing
 from .rng import stable_hash64
-from .subspace import (
-    derived_scales,
-    metrics_from_parts,
-    planted_init,
-    random_init,
-    spectral_init,
-)
+from .subspace import batch_metrics, derived_scales, planted_init, random_init, spectral_init
 
 INIT_MODES = ("planted", "spectral", "random")
 GRADIENT_MODES = ("sample", "population")
@@ -36,6 +33,23 @@ SWEEP_PARAMS = ("n", "k", "sigma", "d")
 DIVERGENCE_FACTOR = 1e6  # abort when err_spec > 1e6 * sigma_1
 PLATEAU_FRACTION = 0.10  # final fraction of iterations defining the plateau
 BURN_IN_FRACTION = 0.05  # iterations skipped before the envelope check
+
+
+# Integer config fields and their smallest allowed value.
+INT_FIELDS = dict(d=1, r=1, k=1, n=1, iters=1, seed=0, delta_every=1)
+
+
+def _is_finite_number(x):
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _finite_numbers(name, values):
+    """``values`` as a tuple of floats, or an InputError naming ``name``."""
+    iterable = hasattr(values, "__iter__") and not isinstance(values, str)
+    values = tuple(values) if iterable else values
+    if not iterable or not all(_is_finite_number(x) for x in values):
+        raise InputError(f"{name} must be a list of finite numbers, got {values!r}")
+    return tuple(float(x) for x in values)
 
 
 def worker_count():
@@ -51,6 +65,15 @@ def worker_count():
     return max(1, min(default, cap))
 
 
+def map_in_order(fn, items):
+    """``[fn(x) for x in items]``, computed on up to worker_count() threads."""
+    workers = min(worker_count(), len(items))
+    if workers == 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 @dataclass(frozen=True)
 class InitSpec:
     mode: str = "planted"
@@ -60,10 +83,10 @@ class InitSpec:
     def __post_init__(self):
         if self.mode not in INIT_MODES:
             raise InputError(f"init.mode must be one of {INIT_MODES}, got {self.mode!r}")
-        if self.rho <= 0:
-            raise InputError(f"init.rho must be positive, got {self.rho}")
-        if self.scale <= 0:
-            raise InputError(f"init.scale must be positive, got {self.scale}")
+        for name in ("rho", "scale"):
+            value = getattr(self, name)
+            if not _is_finite_number(value) or value <= 0:
+                raise InputError(f"init.{name} must be a positive finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -89,30 +112,32 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
-        if self.k < 1:
-            raise InputError(f"k must be >= 1, got {self.k}")
-        if self.iters < 1:
-            raise InputError(f"iters must be >= 1, got {self.iters}")
-        if self.n < 1:
-            raise InputError(f"n must be >= 1, got {self.n}")
-        if self.sigma < 0:
-            raise InputError(f"sigma must be >= 0, got {self.sigma}")
+        for name, low in INT_FIELDS.items():
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+                raise InputError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not _is_finite_number(self.sigma) or self.sigma < 0:
+            raise InputError(f"sigma must be a finite number >= 0, got {self.sigma!r}")
+        object.__setattr__(self, "ds", _finite_numbers("ds", self.ds))
+        if not isinstance(self.dt, str):
+            object.__setattr__(self, "dt", _finite_numbers("dt", self.dt))
+        elif self.dt != "zeros":
+            raise InputError(f"dt must be a list of numbers or 'zeros', got {self.dt!r}")
+        if not isinstance(self.track_delta, bool):
+            raise InputError(f"track_delta must be true or false, got {self.track_delta!r}")
+        if not (self.output is None or isinstance(self.output, (str, os.PathLike))):
+            raise InputError(f"output must be a path or null, got {self.output!r}")
         if len(self.ds) != self.r:
             raise InputError(f"ds must have length r={self.r}, got {len(self.ds)}")
-        if self.gradient_mode not in GRADIENT_MODES:
-            raise InputError(f"gradient_mode must be one of {GRADIENT_MODES}")
-        if self.distribution not in DISTRIBUTIONS:
-            raise InputError(f"distribution must be one of {DISTRIBUTIONS}")
-        if self.memory_mode not in MEMORY_MODES:
-            raise InputError(f"memory_mode must be one of {MEMORY_MODES}")
-        if self.delta_every < 1:
-            raise InputError(f"delta_every must be >= 1, got {self.delta_every}")
+        for name, allowed in (("gradient_mode", GRADIENT_MODES),
+                              ("distribution", DISTRIBUTIONS), ("memory_mode", MEMORY_MODES)):
+            if getattr(self, name) not in allowed:
+                raise InputError(f"{name} must be one of {allowed}")
         if self.init.mode == "planted" and self.k < self.r:
             raise InputError("planted initialization requires k >= r")
         if self.init.mode == "spectral" and self.gradient_mode == "population":
             raise InputError("spectral initialization needs a sensing set (sample mode)")
-        numeric = isinstance(self.eta, (int, float)) and not isinstance(self.eta, bool)
-        if not (self.eta == "theory" or (numeric and np.isfinite(self.eta) and self.eta > 0)):
+        if not (self.eta == "theory" or (_is_finite_number(self.eta) and self.eta > 0)):
             raise InputError(f"eta must be a positive finite number or 'theory', got {self.eta!r}")
 
     @property
@@ -132,43 +157,27 @@ class ExperimentConfig:
     def from_dict(cls, data):
         if not isinstance(data, dict):
             raise InputError("config must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
         data = dict(data)
         if "init" in data:
             if not isinstance(data["init"], dict):
                 raise InputError("init must be an object")
-            init_known = {f for f in InitSpec.__dataclass_fields__}
-            init_unknown = set(data["init"]) - init_known
+            init_unknown = set(data["init"]) - set(InitSpec.__dataclass_fields__)
             if init_unknown:
                 raise InputError(f"unknown init keys: {sorted(init_unknown)}")
             data["init"] = InitSpec(**data["init"])
-        if "ds" in data:
-            data["ds"] = tuple(float(x) for x in data["ds"])
-        if "dt" in data and not isinstance(data["dt"], str):
-            data["dt"] = tuple(float(x) for x in data["dt"])
         missing = {"d", "r", "k", "n", "iters", "seed"} - set(data)
         if missing:
             raise InputError(f"missing required config keys: {sorted(missing)}")
         return cls(**data)
 
     def to_dict(self):
-        out = {
-            "d": self.d, "r": self.r, "k": self.k, "n": self.n,
-            "iters": self.iters, "seed": self.seed, "sigma": self.sigma,
-            "ds": list(self.ds),
-            "dt": self.dt if isinstance(self.dt, str) else list(self.dt),
-            "eta": self.eta,
-            "init": {"mode": self.init.mode, "rho": self.init.rho, "scale": self.init.scale},
-            "gradient_mode": self.gradient_mode,
-            "distribution": self.distribution,
-            "track_delta": self.track_delta,
-            "delta_every": self.delta_every,
-            "memory_mode": self.memory_mode,
-            "output": self.output,
-        }
+        out = asdict(self)  # field order; init becomes a nested dict
+        out["ds"] = list(self.ds)
+        if not isinstance(self.dt, str):
+            out["dt"] = list(self.dt)
         return out
 
 
@@ -179,8 +188,6 @@ class Trajectory:
     elapsed_ms: list
 
     def column(self, name):
-        from .csvio import metrics_column
-
         return metrics_column(self.metrics, name)
 
 
@@ -192,17 +199,27 @@ def _initial_factor(config, gt, sensing):
     return random_init(config.d, config.k, config.init.scale, config.seed)
 
 
+def _chunk_rows(d):
+    """Iterates buffered per batch_metrics call: at most 256, and at most
+    2**15 doubles (256 KiB) in the chunk's stack of d x d residuals."""
+    return max(1, min(256, 2**15 // (d * d)))
+
+
 def run_experiment(config, write_output=True):
     """Run one configured experiment and return its Trajectory.
 
     Records metrics for the initial factor (t=0) and after each of the
-    ``iters`` steps.  Aborts with DivergenceError (carrying the partial
-    trajectory) when err_spec exceeds 1e6 sigma_1.
+    ``iters`` steps, one batch_metrics call per chunk of ``_chunk_rows(d)``
+    iterates.  A row's elapsed_ms is its own step time plus an equal share
+    of its chunk's metrics time.  Aborts with DivergenceError, carrying the
+    partial trajectory, at the first row with err_spec > 1e6 sigma_1 or a
+    non-finite value.
     """
+    if write_output and config.output:
+        check_output_path(config.output)
     gt = generate_ground_truth(config.d, config.r, config.ds, config.dt, config.seed)
     population = config.gradient_mode == "population"
-    sensing = None
-    model = None
+    sensing = model = None
     if not population:
         sensing = generate_sensing(
             gt, config.n, config.sigma, config.distribution, config.seed, config.memory_mode
@@ -210,41 +227,55 @@ def run_experiment(config, write_output=True):
         model = sensing.quadratic_model()
     scales = derived_scales(gt, None if population else config.n, config.sigma, config.k)
     eta = config.eta_value()
-    state = _initial_factor(config, gt, sensing)
-    f = state.F
+    f = _initial_factor(config, gt, sensing).F
 
-    metrics = []
-    elapsed = []
     guard = DIVERGENCE_FACTOR * gt.sigma1
-    last = time.perf_counter()
-    for t in range(config.iters + 1):
-        if population:
-            grad = population_gradient(f, gt)
-            delta_norm = 0.0 if config.track_delta and t % config.delta_every == 0 else None
-        else:
-            grad = model.gradient(f)
-            delta_norm = None
-            if config.track_delta and t % config.delta_every == 0:
-                delta_norm = spectral_norm(model.deviation(f, gt.Xstar))
-        row = metrics_from_parts(t, f, gt, scales, frobenius_norm(grad), delta_norm)
-        now = time.perf_counter()
-        metrics.append(row)
-        elapsed.append((now - last) * 1000.0)
-        last = now
-        if not np.isfinite(row.err_spec) or row.err_spec > guard:
-            partial = Trajectory(config=config, metrics=metrics, elapsed_ms=elapsed)
+    # err_spec >= |F|_F^2 / k - sigma_1, so a row past this bound trips the
+    # guard: stepping stops there, long before an iterate could overflow.
+    stop_sq = 2.0 * config.k * (guard + gt.sigma1)
+    fs = np.empty((_chunk_rows(config.d),) + f.shape)
+    grad_norms = np.empty(len(fs))
+    metrics, elapsed, t0 = [], [], 0
+    while t0 <= config.iters:
+        stamps, deviations = [time.perf_counter()], {}
+        for i in range(min(len(fs), config.iters + 1 - t0)):
+            grad = population_gradient(f, gt) if population else model.gradient(f)
+            grad_norms[i] = math.sqrt(grad.ravel().dot(grad.ravel()))
+            fs[i] = f
+            if config.track_delta and (t0 + i) % config.delta_every == 0:
+                # The population operator is exact: Delta = 0.
+                deviations[i] = (np.zeros_like(gt.Xstar) if population
+                                 else model.deviation(f, gt.Xstar))
+            stopped = not (grad_norms[i] < math.inf and np.vdot(f, f) <= stop_sq)
+            if t0 + i < config.iters and not stopped:
+                f = f - eta * grad
+            stamps.append(time.perf_counter())
+            if stopped:
+                break
+        m = len(stamps) - 1
+        norms = {}
+        if deviations:
+            stack = np.stack(list(deviations.values()))
+            norms = dict(zip(deviations, spectral_norms(stack, symmetric=True).tolist()))
+        deltas = [norms.get(i) for i in range(m)]
+        metrics += batch_metrics(t0, fs[:m], gt, scales, grad_norms[:m], deltas)
+        share = (time.perf_counter() - stamps[-1]) / m
+        elapsed += [(b - a + share) * 1000.0 for a, b in zip(stamps, stamps[1:])]
+        err = np.array([row.err_spec for row in metrics[t0:]])
+        bad = ~(err <= guard)
+        bad[-1] |= stopped  # a non-finite gradient norm also stops stepping
+        if bad.any():
+            t = t0 + int(np.argmax(bad))
+            del metrics[t + 1 :], elapsed[t + 1 :]
             raise DivergenceError(
-                f"run diverged at t={t}: err_spec={row.err_spec:.3e} > {guard:.3e}",
-                trajectory=partial,
-                residual=row.err_spec,
+                f"run diverged at t={t}: err_spec={err[t - t0]:.3e} > {guard:.3e}",
+                trajectory=Trajectory(config=config, metrics=metrics, elapsed_ms=elapsed),
+                residual=float(err[t - t0]),
             )
-        if t < config.iters:
-            f = f - eta * grad
+        t0 += m
 
     traj = Trajectory(config=config, metrics=metrics, elapsed_ms=elapsed)
     if write_output and config.output:
-        from .csvio import write_trajectory_csv
-
         write_trajectory_csv(traj, config.output)
     return traj
 
@@ -270,15 +301,10 @@ class SweepResult:
 
 
 def _cell_config(base, param, value):
-    if param == "n":
-        return replace(base, n=int(value), output=None)
-    if param == "k":
-        return replace(base, k=int(value), output=None)
-    if param == "sigma":
-        return replace(base, sigma=float(value), output=None)
-    if param == "d":
-        return replace(base, d=int(value), output=None)
-    raise InputError(f"sweep param must be one of {SWEEP_PARAMS}, got {param!r}")
+    """The cell's config; its value goes through the same validation as a config file."""
+    if param not in SWEEP_PARAMS:
+        raise InputError(f"sweep param must be one of {SWEEP_PARAMS}, got {param!r}")
+    return replace(base, **{param: value}, output=None)
 
 
 def _run_cell(base, param, value):
@@ -305,22 +331,16 @@ def _run_cell(base, param, value):
 def sweep(base_config, param, values, out=None):
     """One run per grid value with derived cell seeds; cells execute
     concurrently and results merge in grid order."""
-    if param not in SWEEP_PARAMS:
-        raise InputError(f"sweep param must be one of {SWEEP_PARAMS}, got {param!r}")
     values = list(values)
     if len(values) < 1:
         raise InputError("sweep needs at least one value")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise InputError("sweep values must be strictly increasing")
     for v in values:
-        _cell_config(base_config, param, v)  # validate every cell up front
-
-    workers = min(worker_count(), len(values))
-    if workers == 1:
-        rows = [_run_cell(base_config, param, v) for v in values]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda v: _run_cell(base_config, param, v), values))
+        _cell_config(base_config, param, v)  # validate param and every cell up front
+    if out:
+        check_output_path(out)
+    rows = map_in_order(lambda v: _run_cell(base_config, param, v), values)
 
     slope = intercept = None
     if param == "n" and base_config.sigma > 0:
@@ -336,8 +356,6 @@ def sweep(base_config, param, values, out=None):
         param=param, values=tuple(values), rows=tuple(rows), slope=slope, intercept=intercept
     )
     if out:
-        from .csvio import write_sweep_csv
-
         write_sweep_csv(result, out)
     return result
 
@@ -374,27 +392,20 @@ def detect_phases(traj, config=None, eta=None):
     metrics = traj.metrics if hasattr(traj, "metrics") else list(traj)
     if len(metrics) < 50:
         raise InputError(f"need at least 50 recorded iterations, got {len(metrics)}")
-    if config is not None:
-        eta = config.eta_value()
-        noisy = config.sigma > 0 and config.gradient_mode == "sample"
-    else:
-        a_col = np.array([m.A for m in metrics])
-        d_col = np.array([m.D for m in metrics])
-        noisy = bool(np.any(a_col < d_col))
-
     t = np.array([m.t for m in metrics], dtype=float)
     ss = np.array([m.ss_err for m in metrics])
     d_vals = np.array([m.D for m in metrics])
     a_vals = np.array([m.A for m in metrics])
+    if config is not None:
+        eta = config.eta_value()
+        noisy = config.sigma > 0 and config.gradient_mode == "sample"
+    else:
+        noisy = bool(np.any(a_vals < d_vals))
 
     # Head fit.
     head_window = head_slope = head_r2 = None
     dec = ss[1:] < ss[:-1]
-    start = None
-    for i, flag in enumerate(dec):
-        if flag:
-            start = i
-            break
+    start = int(np.argmax(dec)) if dec.any() else None
     if start is not None and np.all(ss[start:] > 0):
         end = start + 1
         while end < len(ss) - 1 and ss[end + 1] < ss[end]:

@@ -23,7 +23,7 @@ from .gradient import (
     sample_gradient,
     theory_step_size,
 )
-from .linalg import frobenius_norm, spectral_norm
+from .linalg import frobenius_norm, spectral_norm, spectral_norms
 from .rng import stream
 
 # Noise-floor multiplier in A = D - 50 eps_stat and the (10, 4) pair in the
@@ -82,32 +82,43 @@ class IterateMetrics:
     delta_norm: float | None = None  # |Delta|_2, tracked on request
 
 
+def batch_metrics(t0, fs, gt, scales, grad_norms, delta_norms):
+    """IterateMetrics of the consecutive iterates fs[i] = F_{t0+i} of a
+    (B, d, k) stack, given their gradient norms and (possibly None) |Delta|_2.
+
+    Every metric is one stacked numpy call over the chunk: S = U^T F and
+    T = V^T F as stacked products, eigvalsh for the symmetric blocks
+    SS^T - DS*, TT^T, TT^T - DT* and F F^T - X*, singular values for S T^T,
+    and err_fro straight from the d x d residual.  A row with a non-finite
+    entry never reaches LAPACK; its norms are NaN.
+    """
+    fs = np.asarray(fs, dtype=float)
+    if fs.ndim != 3 or fs.shape[1] != gt.d:
+        raise InputError(f"factors must be B x {gt.d} x k, got {fs.shape}")
+    s = gt.U.T @ fs
+    tc = gt.V.T @ fs
+    ttT = tc @ tc.transpose(0, 2, 1)
+    ss_err = spectral_norms(s @ s.transpose(0, 2, 1) - np.diag(gt.ds), symmetric=True)
+    st_norm = spectral_norms(s @ tc.transpose(0, 2, 1))
+    tt_norm = spectral_norms(ttT, symmetric=True)
+    # With DT* = 0 the two blocks are the same matrix.
+    tt_err = spectral_norms(ttT - np.diag(gt.dt), symmetric=True) if gt.dt.any() else tt_norm
+    resid = fs @ fs.transpose(0, 2, 1)
+    resid -= gt.Xstar
+    err_spec = spectral_norms(resid, symmetric=True)
+    err_fro = np.sqrt(np.einsum("bij,bij->b", resid, resid))
+    d_val = np.maximum(np.maximum(ss_err, tt_norm), st_norm)
+    a_val = np.maximum(d_val - FLOOR_MULTIPLIER * scales.eps_stat, 0.0)
+    cols = (ss_err, st_norm, tt_norm, tt_err, d_val, a_val, err_spec, err_fro,
+            np.asarray(grad_norms, dtype=float))
+    rows = zip(*(c.tolist() for c in cols), delta_norms, strict=True)
+    return [IterateMetrics(int(t0) + i, *row) for i, row in enumerate(rows)]
+
+
 def metrics_from_parts(t, f, gt, scales, grad_norm, delta_norm=None):
-    """Assemble IterateMetrics from an iterate and a precomputed gradient norm."""
-    dec = decompose(f, gt)
-    s, tc = dec.S, dec.T
-    ssT = s @ s.T
-    ttT = tc @ tc.T
-    ss_err = spectral_norm(ssT - np.diag(gt.ds))
-    st_norm = spectral_norm(s @ tc.T)
-    tt_norm = spectral_norm(ttT)
-    tt_err = spectral_norm(ttT - np.diag(gt.dt))
-    m = f @ f.T - gt.Xstar
-    d_val = max(ss_err, tt_norm, st_norm)
-    a_val = max(d_val - FLOOR_MULTIPLIER * scales.eps_stat, 0.0)
-    return IterateMetrics(
-        t=int(t),
-        ss_err=ss_err,
-        st_norm=st_norm,
-        tt_norm=tt_norm,
-        tt_err=tt_err,
-        D=d_val,
-        A=a_val,
-        err_spec=spectral_norm(m),
-        err_fro=frobenius_norm(m),
-        grad_norm=float(grad_norm),
-        delta_norm=delta_norm,
-    )
+    """IterateMetrics of one iterate: a one-row batch_metrics call."""
+    return batch_metrics(t, np.asarray(f, dtype=float)[None], gt, scales, [grad_norm],
+                         [delta_norm])[0]
 
 
 def compute_metrics(f, gt, scales, s=None, track_delta=False, t=0):
@@ -121,9 +132,7 @@ def compute_metrics(f, gt, scales, s=None, track_delta=False, t=0):
         raise InputError("track_delta requires a sensing set")
     f = np.asarray(f, dtype=float)
     grad = sample_gradient(f, s) if s is not None else population_gradient(f, gt)
-    delta_norm = None
-    if track_delta:
-        delta_norm = spectral_norm(deviation_matrix(f, gt, s))
+    delta_norm = spectral_norm(deviation_matrix(f, gt, s)) if track_delta else None
     return metrics_from_parts(t, f, gt, scales, frobenius_norm(grad), delta_norm)
 
 
@@ -223,12 +232,8 @@ def check_initialization(f0, gt, rho):
     """Pure measurement of an initialization against the basin conditions."""
     if rho <= 0:
         raise InputError(f"rho must be positive, got {rho}")
-    f0 = np.asarray(f0, dtype=float)
-    dec = decompose(f0, gt)
-    lhs = spectral_norm(f0 @ f0.T - gt.Xstar)
-    ss0 = spectral_norm(dec.S @ dec.S.T - np.diag(gt.ds))
-    tt0 = spectral_norm(dec.T @ dec.T.T - np.diag(gt.dt))
-    st0 = spectral_norm(dec.S @ dec.T.T)
+    m = metrics_from_parts(0, f0, gt, DerivedScales(0.0, 0.0), grad_norm=0.0)
+    lhs, ss0, tt0, st0 = m.err_spec, m.ss_err, m.tt_err, m.st_norm
     bound = rho * gt.sigma_r
     premise = lhs <= 0.7 * bound
     conclusion = max(ss0, tt0, st0) <= bound

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import msense.cli
 import msense.figures
 from msense.cli import main
 
@@ -32,6 +33,22 @@ def test_run_invalid_config_exits_1(tmp_path, capsys):
         assert main(["run", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert field in err and err.count("\n") == 1
+
+
+def test_run_malformed_config_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("compute started")
+
+    monkeypatch.setattr(msense.cli, "run_experiment", no_compute)
+    cases = (("d", "20"), ("iters", 5.5), ("ds", "abc"), ("n", True), ("sigma", float("nan")),
+             ("output", str(tmp_path / "missing" / "traj.csv")))
+    for field, bad in cases:
+        cfg = write_config(tmp_path, **{field: bad})
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert field in err or "output" in err
+        assert "Traceback" not in err
 
 
 def test_run_missing_config_file_exits_1(tmp_path):

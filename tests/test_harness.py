@@ -69,6 +69,31 @@ def test_config_field_validation_names_field():
         small_config(gradient_mode="population", init=InitSpec(mode="spectral"))
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("d", "20"), ("iters", 5.5), ("n", True), ("seed", -1), ("delta_every", 2.0),
+    ("sigma", float("nan")), ("sigma", "0.1"), ("ds", "abc"), ("ds", [1.0, float("inf"), 0.8]),
+    ("dt", [0.1, "x"]), ("dt", "ones"), ("track_delta", "yes"), ("output", 5),
+])
+def test_config_rejects_malformed_values(field, bad):
+    with pytest.raises(InputError, match=f"^{field} "):
+        ExperimentConfig.from_dict({**small_config().to_dict(), field: bad})
+
+
+@pytest.mark.parametrize("field", ["rho", "scale"])
+def test_config_rejects_non_finite_init_values(field):
+    data = small_config().to_dict()
+    data["init"][field] = float("nan")
+    with pytest.raises(InputError, match=f"init.{field}"):
+        ExperimentConfig.from_dict(data)
+
+
+def test_config_normalizes_spectra_to_float_tuples():
+    cfg = small_config(ds=[1, 0.9, 0.8], dt=np.zeros(17))
+    assert cfg.ds == (1.0, 0.9, 0.8) and all(type(x) is float for x in cfg.ds)
+    assert cfg.dt == (0.0,) * 17
+    hash(cfg)
+
+
 def test_theory_eta_resolution():
     cfg = small_config(eta="theory", ds=(2.0, 1.0, 0.5))
     assert cfg.eta_value() == pytest.approx(1.0 / 200.0)
@@ -190,6 +215,23 @@ def test_csv_byte_identical_across_runs(tmp_path):
     write_trajectory_csv(run_experiment(cfg), p1)
     write_trajectory_csv(run_experiment(cfg), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_unwritable_output_fails_before_compute(tmp_path, monkeypatch):
+    import msense.harness
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("compute started")
+
+    monkeypatch.setattr(msense.harness, "generate_ground_truth", no_compute)
+    for out in (tmp_path / "missing" / "out.csv", tmp_path):
+        with pytest.raises(InputError, match="output"):
+            run_experiment(small_config(output=str(out)))
+        with pytest.raises(InputError, match="output"):
+            sweep(small_config(), "n", [100, 200], out=str(out))
+    with pytest.raises(AssertionError, match="compute started"):  # nothing to write, no check
+        run_experiment(small_config(output=str(tmp_path / "missing" / "out.csv")),
+                       write_output=False)
 
 
 def test_run_writes_configured_output(tmp_path):
