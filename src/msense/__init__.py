@@ -3,7 +3,6 @@ with over-specified rank."""
 
 from .errors import DivergenceError, InputError, NumericError
 from .gradient import (
-    FactorState,
     deviation_matrix,
     loss_value,
     op_MU,
@@ -23,12 +22,10 @@ from .harness import (
     sweep,
 )
 from .linalg import (
-    EigenPairs,
     as_symmetric,
     frobenius_norm,
     orthonormalize,
     spectral_norm,
-    sym_eig,
 )
 from .problem import (
     GroundTruth,
@@ -43,7 +40,6 @@ from .subspace import (
     InitReport,
     IterateMetrics,
     check_initialization,
-    compute_metrics,
     decompose,
     derived_scales,
     planted_init,

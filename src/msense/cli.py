@@ -112,8 +112,8 @@ def _cmd_verify_init(args):
     rho = 0.07
     ok_assumption = ok_lemma = 0
     for trial in range(args.trials):
-        state = planted_init(gt, DEFAULT_SPECTRUM["k"], rho, (args.seed + trial) % 2**64)
-        report = check_initialization(state.F, gt, rho)
+        f0 = planted_init(gt, DEFAULT_SPECTRUM["k"], rho, (args.seed + trial) % 2**64)
+        report = check_initialization(f0, gt, rho)
         ok_assumption += report.assumption_ok
         ok_lemma += report.lemma_ok
     print(f"basin assumption holds: {ok_assumption}/{args.trials}")

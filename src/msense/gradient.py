@@ -5,32 +5,17 @@ The loss is L(F) = (1/4n) sum_i (y_i - <A_i, F F^T>)^2, whose gradient for
 symmetric A_i is G^n(F) = (1/n) sum_i (<A_i, F F^T> - y_i) A_i F.  The
 idealized (population) gradient is G(F) = (F F^T - X*) F, and the deviation
 matrix Delta(F) = (1/n) sum_i (<A_i, F F^T> - y_i) A_i - (F F^T - X*) ties
-them together through G^n - G = Delta F.
+them together through G^n - G = Delta F.  Both sample quantities apply the
+sensing set through its cached QuadraticModel; loss_value sums over the
+sensing blocks directly, so it is an independent check of the gradient.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .linalg import as_symmetric
-
-@dataclass(frozen=True)
-class FactorState:
-    """Current factor F (d x k) plus iteration counter."""
-
-    F: np.ndarray
-    iter: int = 0
-
-    def __post_init__(self):
-        f = np.asarray(self.F, dtype=float)
-        if f.ndim != 2 or f.shape[1] < 1:
-            raise InputError(f"factor must be d x k with k >= 1, got {f.shape}")
-        if not np.all(np.isfinite(f)):
-            raise InputError("factor contains non-finite entries")
-        object.__setattr__(self, "F", f)
 
 
 def theory_step_size(sigma1):
@@ -48,7 +33,7 @@ def _check_factor(f, d, what="factor"):
 
 
 def loss_value(f, s):
-    """Empirical loss (1/4n) sum_i (y_i - <A_i, F F^T>)^2."""
+    """Empirical loss (1/4n) sum_i (y_i - <A_i, F F^T>)^2, streamed block by block."""
     f = _check_factor(f, s.d)
     ffT = f @ f.T
     total = 0.0
@@ -58,27 +43,13 @@ def loss_value(f, s):
     return total / (4.0 * s.n)
 
 
-def _weighted_sensing_sum(f, s):
-    """(1/n) sum_i (<A_i, F F^T> - y_i) A_i, accumulated block by block."""
-    ffT = f @ f.T
-    w = np.zeros((s.d, s.d))
-    for sl, a in s.iter_blocks():
-        flat = a.reshape(a.shape[0], -1)
-        resid = flat @ ffT.ravel() - s.observations[sl]
-        w += (resid @ flat).reshape(s.d, s.d)
-    return w / s.n
-
-
 def sample_gradient(f, s):
-    """Finite-sample gradient of the quartic loss at F.
-
-    Scalar residuals are accumulated first, then the weighted matrix sum,
-    then one multiply by F (O(n d^2) + O(d^2 k)).
-    """
+    """Finite-sample gradient of the quartic loss at F, from the sensing
+    set's cached QuadraticModel: (H(F F^T) - bbar) F."""
     if s.n < 1:
         raise InputError("sensing set is empty")
     f = _check_factor(f, s.d)
-    return _weighted_sensing_sum(f, s) @ f
+    return s.quadratic_model().gradient(f)
 
 
 def population_gradient(f, gt):
@@ -96,8 +67,7 @@ def deviation_matrix(f, gt, s):
     f = _check_factor(f, gt.d)
     if s.d != gt.d:
         raise InputError(f"sensing dimension {s.d} != ground truth {gt.d}")
-    delta = _weighted_sensing_sum(f, s) - (f @ f.T - gt.Xstar)
-    return as_symmetric(delta, tol=1e-9)
+    return as_symmetric(s.quadratic_model().deviation(f, gt.Xstar), tol=1e-9)
 
 
 def op_MU(s_coef, t_coef, ds, eta):

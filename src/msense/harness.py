@@ -22,7 +22,8 @@ from .csvio import check_output_path, metrics_column, write_sweep_csv, write_tra
 from .errors import DivergenceError, InputError
 from .gradient import population_gradient, theory_step_size
 from .linalg import spectral_norms
-from .problem import DISTRIBUTIONS, MEMORY_MODES, generate_ground_truth, generate_sensing
+from .problem import (DISTRIBUTIONS, MEMORY_MODES, check_memory, generate_ground_truth,
+                      generate_sensing)
 from .rng import stable_hash64
 from .subspace import batch_metrics, derived_scales, planted_init, random_init, spectral_init
 
@@ -139,6 +140,10 @@ class ExperimentConfig:
             raise InputError("spectral initialization needs a sensing set (sample mode)")
         if not (self.eta == "theory" or (_is_finite_number(self.eta) and self.eta > 0)):
             raise InputError(f"eta must be a positive finite number or 'theory', got {self.eta!r}")
+        if self.gradient_mode == "sample":
+            # The d^2 x d^2 operator, plus the stacked matrices in dense mode.
+            dense = self.n * self.d**2 if self.memory_mode == "dense" else 0
+            check_memory(8 * (self.d**4 + dense), f"a sample-mode run at d={self.d}, n={self.n}")
 
     @property
     def sigma1(self):
@@ -227,7 +232,7 @@ def run_experiment(config, write_output=True):
         model = sensing.quadratic_model()
     scales = derived_scales(gt, None if population else config.n, config.sigma, config.k)
     eta = config.eta_value()
-    f = _initial_factor(config, gt, sensing).F
+    f = _initial_factor(config, gt, sensing)
 
     guard = DIVERGENCE_FACTOR * gt.sigma1
     # err_spec >= |F|_F^2 / k - sigma_1, so a row past this bound trips the

@@ -1,18 +1,16 @@
 """Dense symmetric/rectangular matrix primitives.
 
-Norms, symmetric eigen-decomposition and orthonormalization used by the
-rest of the package.  Matrices are plain float64 ndarrays; the helpers
+Symmetrization, spectral and Frobenius norms, and orthonormalization used
+by the rest of the package.  Matrices are plain float64 ndarrays; the helpers
 here enforce the contracts (symmetry, finiteness, orthonormal columns)
 rather than wrapping arrays in classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import InputError
 
 SYM_TOL = 1e-12  # absolute asymmetry absorbed by symmetrization
 RANK_TOL = 1e-10  # smallest singular value accepted as full column rank
@@ -71,42 +69,6 @@ def frobenius_norm(m):
     """Square root of the sum of squared entries."""
     m = _check_finite(m)
     return float(np.linalg.norm(m))
-
-
-@dataclass(frozen=True)
-class EigenPairs:
-    """Eigenvalues ordered by descending |value| with aligned orthonormal vectors."""
-
-    values: np.ndarray  # shape (d,)
-    vectors: np.ndarray  # shape (d, d), column i pairs with values[i]
-
-    def reconstruct(self):
-        return (self.vectors * self.values) @ self.vectors.T
-
-
-def sym_eig(m):
-    """Full eigen-decomposition of a symmetric matrix.
-
-    Returns EigenPairs with |values| descending.  Eigenvector signs are
-    normalized (largest-magnitude entry positive) so output is deterministic.
-    """
-    m = as_symmetric(m)
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericError(f"symmetric eigensolver failed: {exc}") from exc
-    order = np.argsort(-np.abs(w), kind="stable")
-    w, v = w[order], v[:, order]
-    if v.size:
-        pivot = np.abs(v).argmax(axis=0)
-        signs = np.sign(v[pivot, np.arange(v.shape[1])])
-        signs[signs == 0] = 1.0
-        v = v * signs
-    pairs = EigenPairs(values=w, vectors=v)
-    resid = frobenius_norm(pairs.reconstruct() - m) / max(1.0, frobenius_norm(m))
-    if resid > 1e-8:
-        raise NumericError("eigen-decomposition residual too large", residual=resid)
-    return pairs
 
 
 def orthonormalize(m):

@@ -10,6 +10,7 @@ bit-identical ensembles.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,6 +99,22 @@ def generate_ground_truth(d, r, ds, dt, seed):
     )
 
 
+def _memory_budget():
+    """Bytes one allocation may take: half of physical memory."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+
+
+def check_memory(nbytes, what):
+    """Reject ``what`` with an InputError, before it is allocated, when it
+    needs more than half of physical memory."""
+    budget = _memory_budget()
+    if nbytes > budget:
+        raise InputError(
+            f"{what} needs {nbytes / 1e9:.2f} GB, more than half of physical memory "
+            f"({budget / 1e9:.2f} GB)"
+        )
+
+
 def _draw(rng, count, d, distribution):
     """``count`` symmetric d x d sensing matrices drawn from ``rng``."""
     if distribution == "gaussian":
@@ -165,8 +182,10 @@ class QuadraticModel:
     """Precomputed sensing operator H(M) = (1/n) sum_i <A_i, M> A_i and
     data term bbar = (1/n) sum_i y_i A_i.
 
-    The sample gradient is (H(F F^T) - bbar) F, so iterating costs O(d^4)
-    per step instead of O(n d^2) once the model is built.
+    The one code path that applies a sensing set to a matrix: the sample
+    gradient (H(F F^T) - bbar) F, the deviation matrix and the spectral
+    initialization (from bbar) all read it.  Building costs O(n d^4) time
+    and 8 d^4 bytes; each step then costs O(d^4) instead of O(n d^2).
     """
 
     def __init__(self, h, bbar):
@@ -177,6 +196,7 @@ class QuadraticModel:
     @classmethod
     def build(cls, s: SensingSet):
         d = s.d
+        check_memory(8 * d**4, f"the d={d} sensing operator")
         h = np.zeros((d * d, d * d))
         bbar = np.zeros(d * d)
         for sl, a in s.iter_blocks():

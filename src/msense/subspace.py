@@ -14,16 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .gradient import (
-    FactorState,
-    deviation_matrix,
-    op_MU,
-    op_MV,
-    population_gradient,
-    sample_gradient,
-    theory_step_size,
-)
-from .linalg import frobenius_norm, spectral_norm, spectral_norms
+from .gradient import op_MU, op_MV, theory_step_size
+from .linalg import spectral_norm, spectral_norms
 from .rng import stream
 
 # Noise-floor multiplier in A = D - 50 eps_stat and the (10, 4) pair in the
@@ -121,21 +113,6 @@ def metrics_from_parts(t, f, gt, scales, grad_norm, delta_norm=None):
                          [delta_norm])[0]
 
 
-def compute_metrics(f, gt, scales, s=None, track_delta=False, t=0):
-    """Measure one iterate.
-
-    Uses the sample gradient when a sensing set is given, otherwise the
-    population gradient.  delta_norm is computed only on request and
-    requires a sensing set.
-    """
-    if track_delta and s is None:
-        raise InputError("track_delta requires a sensing set")
-    f = np.asarray(f, dtype=float)
-    grad = sample_gradient(f, s) if s is not None else population_gradient(f, gt)
-    delta_norm = spectral_norm(deviation_matrix(f, gt, s)) if track_delta else None
-    return metrics_from_parts(t, f, gt, scales, frobenius_norm(grad), delta_norm)
-
-
 def exact_factor(gt, k):
     """Best rank-<=k PSD factor of X* built from its known eigen-split."""
     vals = np.concatenate([gt.ds, gt.dt])
@@ -183,30 +160,30 @@ def planted_init(gt, k, rho, seed):
         raise NumericError("could not bracket the perturbation scale")
     for _ in range(100):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # converged: further halvings leave lo unchanged
+            break
         if dist(mid) < target:
             lo = mid
         else:
             hi = mid
     # lo keeps dist strictly below the target, so the basin premise holds.
-    return FactorState(F=base + lo * pert, iter=0)
+    return base + lo * pert
 
 
 def spectral_init(s, k):
     """Initialization from the spectrum of the data surrogate.
 
-    M = (1/n) sum_i y_i A_i is symmetrized; F0 keeps the top-k eigenpairs by
+    M = (1/n) sum_i y_i A_i, the bbar of the sensing set's cached
+    QuadraticModel, is symmetrized; F0 keeps the top-k eigenpairs by
     algebraic value with negative eigenvalues clipped to zero.
     """
     if not 1 <= k <= s.d:
         raise InputError(f"need 1 <= k <= d, got k={k}, d={s.d}")
-    m = np.zeros((s.d, s.d))
-    for sl, a in s.iter_blocks():
-        m += (s.observations[sl] @ a.reshape(a.shape[0], -1)).reshape(s.d, s.d)
-    m = 0.5 * (m + m.T) / s.n
-    w, v = np.linalg.eigh(m)
+    m = s.quadratic_model().bbar
+    w, v = np.linalg.eigh(0.5 * (m + m.T))
     idx = np.argsort(-w, kind="stable")[:k]
     lam = np.clip(w[idx], 0.0, None)
-    return FactorState(F=v[:, idx] * np.sqrt(lam), iter=0)
+    return v[:, idx] * np.sqrt(lam)
 
 
 def random_init(d, k, scale, seed):
@@ -214,7 +191,7 @@ def random_init(d, k, scale, seed):
     if scale <= 0:
         raise InputError(f"scale must be positive, got {scale}")
     rng = stream(seed, "init")
-    return FactorState(F=scale * rng.standard_normal((d, k)), iter=0)
+    return scale * rng.standard_normal((d, k))
 
 
 @dataclass(frozen=True)

@@ -164,8 +164,7 @@ def test_criterion_5_initialization_implication():
     bound = rho * gt.sigma_r
     premise_ok = conclusion_ok = 0
     for trial in range(200):
-        state = planted_init(gt, 4, rho, seed=SEED + trial)
-        rep = check_initialization(state.F, gt, rho)
+        rep = check_initialization(planted_init(gt, 4, rho, seed=SEED + trial), gt, rho)
         premise_ok += rep.lhs <= 0.7 * bound
         conclusion_ok += max(rep.ss0, rep.tt0, rep.st0) <= bound
     ok = premise_ok == 200 and conclusion_ok == 200

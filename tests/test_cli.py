@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import msense.cli
+import msense.harness
+import msense.problem
 import msense.figures
 from msense.cli import main
 
@@ -49,6 +51,24 @@ def test_run_malformed_config_exits_1_with_one_line(tmp_path, capsys, monkeypatc
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert field in err or "output" in err
         assert "Traceback" not in err
+
+
+def test_oversized_operator_exits_1_before_compute(tmp_path, capsys, monkeypatch):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("compute started")
+
+    monkeypatch.setattr(msense.cli, "run_experiment", no_compute)
+    monkeypatch.setattr(msense.harness, "run_experiment", no_compute)
+    cfg = write_config(tmp_path)  # d=20, n=200, dense
+    # The run's config is over budget; in the sweep only the n=400 cell is.
+    for budget, argv in ((8 * 20**4, ["run", "--config", str(cfg)]),
+                         (8 * (20**4 + 200 * 20**2),
+                          ["sweep", "--config", str(cfg), "--param", "n", "--values", "100,400"])):
+        monkeypatch.setattr(msense.problem, "_memory_budget", lambda: budget)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "physical memory" in err and "Traceback" not in err
 
 
 def test_run_missing_config_file_exits_1(tmp_path):

@@ -10,6 +10,7 @@ from msense import (
     run_experiment,
     sweep,
 )
+from msense import problem
 from msense.csvio import read_trajectory_csv, write_trajectory_csv
 from msense.subspace import IterateMetrics
 
@@ -170,6 +171,22 @@ def test_regenerate_memory_mode_matches_dense():
     b = run_experiment(small_config(iters=30, sigma=0.2, memory_mode="regenerate"))
     for ma, mb in zip(a.metrics, b.metrics):
         assert ma == mb
+
+
+def test_spectral_init_run_reuses_the_operator(monkeypatch):
+    """A regenerate-mode spectral-init run draws each sensing block twice:
+    once to generate the observations and once to build the operator."""
+    calls = []
+    draw_block = problem._draw_block
+
+    def counting(d, lo, hi, distribution, seed):
+        calls.append(lo)
+        return draw_block(d, lo, hi, distribution, seed)
+
+    monkeypatch.setattr(problem, "_draw_block", counting)
+    run_experiment(small_config(n=700, iters=5, init=InitSpec(mode="spectral"),
+                                memory_mode="regenerate"))
+    assert sorted(calls) == [0, 0, problem.BLOCK, problem.BLOCK]
 
 
 # --- trajectory CSV -------------------------------------------------------

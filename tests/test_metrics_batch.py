@@ -54,7 +54,7 @@ def oracle_run(config):
         )
         model = sensing.quadratic_model()
     scales = derived_scales(gt, None if population else config.n, config.sigma, config.k)
-    f = _initial_factor(config, gt, sensing).F
+    f = _initial_factor(config, gt, sensing)
     rows = []
     for t in range(config.iters + 1):
         tracked = config.track_delta and t % config.delta_every == 0

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from msense import (
+    ExperimentConfig,
     InputError,
     deviation_matrix,
     frobenius_norm,
@@ -12,6 +13,7 @@ from msense import (
     sample_gradient,
     spectral_norm,
 )
+from msense import problem
 
 
 def test_reference_ground_truth(gt20):
@@ -112,19 +114,51 @@ def test_noise_reproducible_from_seed(gt20):
 @pytest.mark.parametrize("memory_mode", ["dense", "regenerate"])
 @pytest.mark.parametrize("distribution", ["gaussian", "rademacher"])
 def test_quadratic_model_matches_streaming_gradient(memory_mode, distribution, rng):
-    """The precomputed operator that runs step with agrees with the
-    streaming sum over sensing blocks it was built from."""
+    """The operator every run steps with agrees with the definitional
+    per-matrix sums (1/n) sum_i (<A_i, F F^T> - y_i) A_i and (1/n) sum_i y_i A_i."""
     gt = generate_ground_truth(6, 2, [1.0, 0.6], "zeros", seed=21)
     s = generate_sensing(
         gt, n=700, sigma=0.3, distribution=distribution, seed=22, memory_mode=memory_mode
     )
     model = s.quadratic_model()
+    bbar = sum(y * a for sl, block in s.iter_blocks()
+               for y, a in zip(s.observations[sl], block)) / s.n
+    assert frobenius_norm(model.bbar - bbar) <= 1e-10 * frobenius_norm(bbar)
     for _ in range(3):
         f = rng.standard_normal((6, 3))
-        g = sample_gradient(f, s)
+        ffT = f @ f.T
+        w = sum((np.vdot(a, ffT) - y) * a for sl, block in s.iter_blocks()
+                for y, a in zip(s.observations[sl], block)) / s.n
+        g = w @ f
         assert frobenius_norm(model.gradient(f) - g) <= 1e-10 * frobenius_norm(g)
-        dev = deviation_matrix(f, gt, s)
+        assert_array_equal(sample_gradient(f, s), model.gradient(f))
+        dev = w - (ffT - gt.Xstar)
         assert frobenius_norm(model.deviation(f, gt.Xstar) - dev) <= 1e-10 * frobenius_norm(dev)
+        assert frobenius_norm(deviation_matrix(f, gt, s) - dev) <= 1e-10 * frobenius_norm(dev)
+
+
+def test_operator_memory_checked_before_build(gt20, monkeypatch):
+    s = generate_sensing(gt20, n=10, sigma=0.0, seed=3)
+    monkeypatch.setattr(problem, "_memory_budget", lambda: 8 * 20**4 - 1)
+    with pytest.raises(InputError, match="sensing operator needs"):
+        s.quadratic_model()
+    assert s._model is None
+    monkeypatch.setattr(problem, "_memory_budget", lambda: 8 * 20**4)
+    assert s.quadratic_model().h.nbytes == 8 * 20**4
+
+
+def test_config_memory_check_counts_operator_and_dense_matrices(monkeypatch):
+    base = dict(d=20, r=3, k=4, n=100, iters=5, seed=1)
+    monkeypatch.setattr(problem, "_memory_budget", lambda: 8 * (20**4 + 100 * 20**2))
+    ExperimentConfig(**base)
+    with pytest.raises(InputError, match="more than half of physical memory"):
+        ExperimentConfig(**dict(base, n=101))
+    monkeypatch.setattr(problem, "_memory_budget", lambda: 8 * 20**4)
+    ExperimentConfig(**base, memory_mode="regenerate")
+    with pytest.raises(InputError):
+        ExperimentConfig(**base)
+    monkeypatch.setattr(problem, "_memory_budget", lambda: 0)
+    ExperimentConfig(**base, gradient_mode="population")
 
 
 def test_inner_product_examples():

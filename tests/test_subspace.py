@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
+
+import msense.subspace
 
 from msense import (
     InputError,
     check_initialization,
-    compute_metrics,
     decompose,
     derived_scales,
-    deviation_matrix,
     frobenius_norm,
     generate_sensing,
     planted_init,
@@ -20,7 +20,12 @@ from msense import (
     verify_sample_contraction,
 )
 from msense.problem import SensingSet
+from msense.rng import stream
 from msense.subspace import exact_factor, metrics_from_parts
+
+
+def _metrics(f, gt, scales, t=0):
+    return metrics_from_parts(t, f, gt, scales, grad_norm=0.0)
 
 
 def test_decompose_reconstructs(gt20, rng):
@@ -56,7 +61,7 @@ def test_derived_scales(gt20):
 
 def test_metrics_exact_factor(gt20):
     scales = derived_scales(gt20, n=200, sigma=0.0, k=3)
-    m = compute_metrics(exact_factor(gt20, 3), gt20, scales)
+    m = _metrics(exact_factor(gt20, 3), gt20, scales)
     assert m.D < 1e-12
     assert m.err_spec < 1e-12 and m.err_fro < 1e-12
     assert m.A < 1e-12
@@ -64,7 +69,7 @@ def test_metrics_exact_factor(gt20):
 
 def test_metrics_zero_factor(gt20):
     scales = derived_scales(gt20, n=200, sigma=0.0, k=4)
-    m = compute_metrics(np.zeros((20, 4)), gt20, scales)
+    m = _metrics(np.zeros((20, 4)), gt20, scales)
     assert m.err_spec == pytest.approx(1.0)  # sigma_1
     assert m.ss_err == pytest.approx(1.0)
     assert m.tt_norm == 0.0 and m.st_norm == 0.0
@@ -72,24 +77,8 @@ def test_metrics_zero_factor(gt20):
 
 def test_metrics_planted_init_is_in_region(gt20):
     scales = derived_scales(gt20, n=200, sigma=0.0, k=4)
-    state = planted_init(gt20, 4, 0.07, seed=2)
-    m = compute_metrics(state.F, gt20, scales, t=0)
+    m = _metrics(planted_init(gt20, 4, 0.07, seed=2), gt20, scales)
     assert m.D <= 0.07 * 0.8
-
-
-def test_metrics_track_delta_requires_sensing(gt20):
-    scales = derived_scales(gt20, n=200, sigma=0.0, k=4)
-    with pytest.raises(InputError):
-        compute_metrics(np.zeros((20, 4)), gt20, scales, s=None, track_delta=True)
-
-
-def test_metrics_delta_matches_operation(gt20, sensing20, rng):
-    scales = derived_scales(gt20, n=200, sigma=0.0, k=4)
-    f = rng.standard_normal((20, 4))
-    m = compute_metrics(f, gt20, scales, s=sensing20, track_delta=True)
-    assert m.delta_norm == pytest.approx(
-        spectral_norm(deviation_matrix(f, gt20, sensing20)), rel=1e-12
-    )
 
 
 def test_metrics_rotation_invariance(gt20, rng):
@@ -97,8 +86,8 @@ def test_metrics_rotation_invariance(gt20, rng):
     f = exact_factor(gt20, 4) + 0.1 * rng.standard_normal((20, 4))
     q, r_ = np.linalg.qr(rng.standard_normal((4, 4)))
     rot = q * np.sign(np.diag(r_))
-    a = compute_metrics(f, gt20, scales)
-    b = compute_metrics(f @ rot, gt20, scales)
+    a = _metrics(f, gt20, scales)
+    b = _metrics(f @ rot, gt20, scales)
     for name in ("ss_err", "st_norm", "tt_norm", "tt_err", "D", "A", "err_spec", "err_fro"):
         assert getattr(a, name) == pytest.approx(getattr(b, name), abs=1e-10)
 
@@ -107,21 +96,55 @@ def test_metrics_triangle_inequality(gt20, rng):
     scales = derived_scales(gt20, n=200, sigma=0.0, k=4)
     for _ in range(20):
         f = exact_factor(gt20, 4) + 0.2 * rng.standard_normal((20, 4))
-        m = compute_metrics(f, gt20, scales)
+        m = _metrics(f, gt20, scales)
         assert m.err_spec <= m.ss_err + m.tt_err + 2 * m.st_norm + 1e-10
 
 
 def test_planted_init_small_rho_limit(gt20):
-    state = planted_init(gt20, 4, rho=1e-6, seed=5)
-    assert spectral_norm(state.F @ state.F.T - gt20.Xstar) <= 0.7 * 1e-6 * 0.8
+    f0 = planted_init(gt20, 4, rho=1e-6, seed=5)
+    assert spectral_norm(f0 @ f0.T - gt20.Xstar) <= 0.7 * 1e-6 * 0.8
 
 
 def test_planted_init_satisfies_assumption(gt20):
     for seed in range(50):
-        state = planted_init(gt20, 4, 0.07, seed=seed)
-        report = check_initialization(state.F, gt20, 0.07)
+        report = check_initialization(planted_init(gt20, 4, 0.07, seed=seed), gt20, 0.07)
         assert report.assumption_ok
         assert report.lemma_ok
+
+
+def _planted_init_fixed_halvings(gt, k, rho, seed):
+    """planted_init with its bisection run for all 100 halvings."""
+    rng = stream(seed, "init")
+    base = exact_factor(gt, k)
+    pert = rng.standard_normal((gt.d, k))
+    target = 0.7 * rho * gt.sigma_r * (1.0 - 0.5 * rng.uniform())
+
+    def dist(c):
+        f = base + c * pert
+        return spectral_norm(f @ f.T - gt.Xstar)
+
+    lo, hi = 0.0, 1.0
+    while dist(hi) < target:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if dist(mid) < target else (lo, mid)
+    return base + lo * pert
+
+
+def test_planted_init_bisection_stops_once_converged(gt20, monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(1)
+        return spectral_norm(m)
+
+    monkeypatch.setattr(msense.subspace, "spectral_norm", counting)
+    for seed in range(50):
+        calls.clear()
+        f0 = planted_init(gt20, 4, 0.07, seed=seed)
+        assert len(calls) <= 70
+        assert_array_equal(f0, _planted_init_fixed_halvings(gt20, 4, 0.07, seed))
 
 
 def test_planted_init_rejects_k_below_r(gt20):
@@ -142,20 +165,19 @@ def test_spectral_init_zero_observations(gt20):
         epsilon=np.zeros(16),
         matrices=np.zeros((16, 20, 20)),
     )
-    state = spectral_init(zero, 4)
-    assert np.max(np.abs(state.F)) == 0.0
+    assert np.max(np.abs(spectral_init(zero, 4))) == 0.0
 
 
 def test_spectral_init_k_equals_d_keeps_nonnegative_part(gt20):
     s = generate_sensing(gt20, n=64, sigma=0.0, seed=44)
-    state = spectral_init(s, 20)
+    f0 = spectral_init(s, 20)
     m = np.zeros((20, 20))
     for sl, a in s.iter_blocks():
         m += (s.observations[sl] @ a.reshape(a.shape[0], -1)).reshape(20, 20)
     m = 0.5 * (m + m.T) / s.n
     w, v = np.linalg.eigh(m)
     psd_part = (v * np.clip(w, 0, None)) @ v.T
-    assert_allclose(state.F @ state.F.T, psd_part, atol=1e-10)
+    assert_allclose(f0 @ f0.T, psd_part, atol=1e-10)
 
 
 def test_spectral_init_error_shrinks_with_n(gt20):
@@ -164,8 +186,8 @@ def test_spectral_init_error_shrinks_with_n(gt20):
         errs = []
         for seed in range(20):
             s = generate_sensing(gt20, n=n, sigma=0.0, seed=7000 + 13 * seed + n)
-            state = spectral_init(s, 4)
-            errs.append(spectral_norm(state.F @ state.F.T - gt20.Xstar))
+            f0 = spectral_init(s, 4)
+            errs.append(spectral_norm(f0 @ f0.T - gt20.Xstar))
         meds.append(np.median(errs))
     assert meds[0] > meds[1] > meds[2]
 
@@ -173,12 +195,12 @@ def test_spectral_init_error_shrinks_with_n(gt20):
 def test_random_init(gt20):
     a = random_init(20, 4, scale=0.3, seed=9)
     b = random_init(20, 4, scale=0.3, seed=9)
-    assert_allclose(a.F, b.F)
+    assert_allclose(a, b)
     tiny = random_init(20, 4, scale=1e-12, seed=9)
-    assert np.max(np.abs(tiny.F)) < 1e-10
+    assert np.max(np.abs(tiny)) < 1e-10
     with pytest.raises(InputError):
         random_init(20, 4, scale=0.0, seed=9)
-    assert np.std(random_init(50, 40, scale=0.5, seed=1).F) == pytest.approx(0.5, rel=0.1)
+    assert np.std(random_init(50, 40, scale=0.5, seed=1)) == pytest.approx(0.5, rel=0.1)
 
 
 def test_check_initialization_exact_factor(gt20):
@@ -200,8 +222,7 @@ def test_initialization_implication_many_draws(gt20):
     stay below rho sigma_r (exercised over 200 seeded draws)."""
     rho = 0.07
     for seed in range(200):
-        state = planted_init(gt20, 4, rho, seed=seed)
-        report = check_initialization(state.F, gt20, rho)
+        report = check_initialization(planted_init(gt20, 4, rho, seed=seed), gt20, rho)
         assert report.lhs <= 0.7 * rho * gt20.sigma_r
         assert max(report.ss0, report.tt0, report.st0) <= rho * gt20.sigma_r
 
@@ -327,9 +348,9 @@ def test_sample_contraction_population_run_is_trivial(gt20):
 
 def test_sample_contraction_requires_delta(gt20):
     scales = derived_scales(gt20, n=200, sigma=0.0, k=4)
-    state = planted_init(gt20, 4, 0.07, seed=1)
-    m0 = compute_metrics(state.F, gt20, scales, t=0)
-    m1 = compute_metrics(state.F, gt20, scales, t=1)
+    f0 = planted_init(gt20, 4, 0.07, seed=1)
+    m0 = _metrics(f0, gt20, scales, t=0)
+    m1 = _metrics(f0, gt20, scales, t=1)
 
     class Cfg:
         d, k, n, sigma, ds, eta = 20, 4, 200, 0.0, (1.0, 0.9, 0.8), 0.1
