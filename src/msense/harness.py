@@ -117,6 +117,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
                 raise InputError(f"{name} must be an integer >= {low}, got {value!r}")
+        if self.k > self.d:
+            raise InputError(f"k must be at most d={self.d}, got {self.k}")
         if not _is_finite_number(self.sigma) or self.sigma < 0:
             raise InputError(f"sigma must be a finite number >= 0, got {self.sigma!r}")
         object.__setattr__(self, "ds", _finite_numbers("ds", self.ds))
@@ -141,9 +143,10 @@ class ExperimentConfig:
         if not (self.eta == "theory" or (_is_finite_number(self.eta) and self.eta > 0)):
             raise InputError(f"eta must be a positive finite number or 'theory', got {self.eta!r}")
         if self.gradient_mode == "sample":
-            # The d^2 x d^2 operator, plus the stacked matrices in dense mode.
+            # The p x p operator and its build buffer, plus the matrices in dense mode.
+            p = self.d * (self.d + 1) // 2
             dense = self.n * self.d**2 if self.memory_mode == "dense" else 0
-            check_memory(8 * (self.d**4 + dense), f"a sample-mode run at d={self.d}, n={self.n}")
+            check_memory(8 * (2 * p * p + dense), f"a sample-mode run at d={self.d}, n={self.n}")
 
     @property
     def sigma1(self):

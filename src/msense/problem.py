@@ -6,6 +6,8 @@ with unit variance from the chosen distribution and mirrored below the
 diagonal.  Everything is generated in fixed-size blocks from per-block
 Philox streams, so the dense and regenerate-on-the-fly memory modes produce
 bit-identical ensembles.
+The sensing operator (QuadraticModel) is a p x p matrix over the
+p = d(d+1)/2 upper-triangle coordinates of symmetric matrices.
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ def generate_ground_truth(d, r, ds, dt, seed):
     splitting the first r / last d-r columns; identical arguments give a
     bitwise-identical result.
     """
+    check_memory(8 * d * d, f"the d={d} ground truth")
     ds, dt = _validate_spectrum(d, r, ds, dt)
     rng = stream(seed, "basis")
     basis = orthonormalize(rng.standard_normal((d, d)))
@@ -178,44 +181,62 @@ class SensingSet:
         return self._model
 
 
+def _svec_indices(d):
+    """Row-major flat indices of the upper triangle of a d x d matrix, and
+    each of the d*d entries' position (or its mirror's) in that list."""
+    iu, ju = np.triu_indices(d)
+    pos = np.empty((d, d), dtype=np.intp)
+    pos[iu, ju] = pos[ju, iu] = np.arange(iu.size)
+    return iu * d + ju, pos.ravel()
+
+
 class QuadraticModel:
     """Precomputed sensing operator H(M) = (1/n) sum_i <A_i, M> A_i and
-    data term bbar = (1/n) sum_i y_i A_i.
+    data term bbar = (1/n) sum_i y_i A_i, in symmetric coordinates.
 
     The one code path that applies a sensing set to a matrix: the sample
     gradient (H(F F^T) - bbar) F, the deviation matrix and the spectral
-    initialization (from bbar) all read it.  Building costs O(n d^4) time
-    and 8 d^4 bytes; each step then costs O(d^4) instead of O(n d^2).
+    initialization (from bbar) all read it.  With g_i the p = d(d+1)/2
+    upper-triangle entries of A_i, it stores H_u = (1/n) sum_i g_i g_i^T
+    (8 p^2 bytes, built in O(n p^2) time) and b = (1/n) sum_i y_i g_i.  For
+    symmetric M, H(M) is the d x d mirror of H_u (w * svec(M)): the weight
+    w = 1 on the diagonal and 2 off it is folded into H_u's columns.
     """
 
-    def __init__(self, h, bbar):
-        self.h = h  # (d^2, d^2)
-        self.bbar = bbar  # (d, d)
-        self.d = bbar.shape[0]
+    def __init__(self, d, h, b):
+        self.d, self.h = d, h  # h: (p, p)
+        self._upper, self._mirror = _svec_indices(d)
+        self.bbar = self._sym(b)  # (d, d)
 
     @classmethod
     def build(cls, s: SensingSet):
         d = s.d
-        check_memory(8 * d**4, f"the d={d} sensing operator")
-        h = np.zeros((d * d, d * d))
-        bbar = np.zeros(d * d)
+        upper, _ = _svec_indices(d)
+        p = upper.size
+        check_memory(2 * 8 * p * p, f"the d={d} sensing operator")
+        h, buf, b = np.zeros((p, p)), np.empty((p, p)), np.zeros(p)
         for sl, a in s.iter_blocks():
-            flat = a.reshape(a.shape[0], d * d)
-            h += flat.T @ flat
-            bbar += s.observations[sl] @ flat
-        h /= s.n
-        bbar /= s.n
-        return cls(h, bbar.reshape(d, d))
+            g = a.reshape(len(a), d * d).take(upper, axis=1)
+            h += np.matmul(g.T, g, out=buf)
+            b += s.observations[sl] @ g
+        # Diagonal entries sit at flat indices that are multiples of d + 1.
+        h *= np.where(upper % (d + 1) == 0, 1.0, 2.0) / s.n
+        return cls(d, h, b / s.n)
+
+    def _sym(self, v):
+        """The symmetric d x d matrix whose upper triangle is v."""
+        return v.take(self._mirror).reshape(self.d, self.d)
 
     def apply(self, m):
-        return (self.h @ np.asarray(m).ravel()).reshape(self.d, self.d)
+        """H(M) for a symmetric M; only M's upper triangle is read."""
+        return self._sym(self.h.dot(np.asarray(m).take(self._upper)))
 
     def gradient(self, f):
         return (self.apply(f @ f.T) - self.bbar) @ f
 
     def deviation(self, f, xstar):
-        m = f @ f.T - xstar
-        return self.apply(f @ f.T) - self.bbar - m
+        ffT = f @ f.T
+        return self.apply(ffT) - self.bbar - (ffT - xstar)
 
 
 def generate_sensing(gt, n, sigma, distribution="gaussian", seed=0, memory_mode="dense"):
@@ -228,6 +249,7 @@ def generate_sensing(gt, n, sigma, distribution="gaussian", seed=0, memory_mode=
         raise InputError(f"distribution must be one of {DISTRIBUTIONS}")
     if memory_mode not in MEMORY_MODES:
         raise InputError(f"memory_mode must be one of {MEMORY_MODES}")
+    check_memory(16 * n, f"the n={n} observations")
     d = gt.d
     y = np.empty(n)
     eps = np.empty(n)

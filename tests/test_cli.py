@@ -43,7 +43,7 @@ def test_run_malformed_config_exits_1_with_one_line(tmp_path, capsys, monkeypatc
 
     monkeypatch.setattr(msense.cli, "run_experiment", no_compute)
     cases = (("d", "20"), ("iters", 5.5), ("ds", "abc"), ("n", True), ("sigma", float("nan")),
-             ("output", str(tmp_path / "missing" / "traj.csv")))
+             ("k", 100000000), ("output", str(tmp_path / "missing" / "traj.csv")))
     for field, bad in cases:
         cfg = write_config(tmp_path, **{field: bad})
         assert main(["run", "--config", str(cfg)]) == 1
@@ -51,6 +51,11 @@ def test_run_malformed_config_exits_1_with_one_line(tmp_path, capsys, monkeypatc
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert field in err or "output" in err
         assert "Traceback" not in err
+    monkeypatch.setattr(msense.harness, "run_experiment", no_compute)
+    cfg = write_config(tmp_path)  # d=20: the k=21 cell is rejected before any cell runs
+    assert main(["sweep", "--config", str(cfg), "--param", "k", "--values", "3,21"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: k ") and err.count("\n") == 1, err
 
 
 def test_oversized_operator_exits_1_before_compute(tmp_path, capsys, monkeypatch):

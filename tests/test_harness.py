@@ -74,6 +74,7 @@ def test_config_field_validation_names_field():
     ("d", "20"), ("iters", 5.5), ("n", True), ("seed", -1), ("delta_every", 2.0),
     ("sigma", float("nan")), ("sigma", "0.1"), ("ds", "abc"), ("ds", [1.0, float("inf"), 0.8]),
     ("dt", [0.1, "x"]), ("dt", "ones"), ("track_delta", "yes"), ("output", 5),
+    ("k", 21), ("k", 100000000),
 ])
 def test_config_rejects_malformed_values(field, bad):
     with pytest.raises(InputError, match=f"^{field} "):

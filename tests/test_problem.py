@@ -137,28 +137,88 @@ def test_quadratic_model_matches_streaming_gradient(memory_mode, distribution, r
         assert frobenius_norm(deviation_matrix(f, gt, s) - dev) <= 1e-10 * frobenius_norm(dev)
 
 
+def _full_operator(s):
+    """Oracle: the d^2 x d^2 operator (1/n) sum_i vec(A_i) vec(A_i)^T and
+    bbar = (1/n) sum_i y_i A_i, accumulated over every entry of each A_i."""
+    d = s.d
+    h, bbar = np.zeros((d * d, d * d)), np.zeros(d * d)
+    for sl, a in s.iter_blocks():
+        flat = a.reshape(a.shape[0], d * d)
+        h += flat.T @ flat
+        bbar += s.observations[sl] @ flat
+    return h / s.n, (bbar / s.n).reshape(d, d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 6, 20])
+@pytest.mark.parametrize("memory_mode", ["dense", "regenerate"])
+@pytest.mark.parametrize("distribution", ["gaussian", "rademacher"])
+def test_symmetric_operator_matches_full_operator(d, memory_mode, distribution, rng):
+    r = min(d, 2)
+    gt = generate_ground_truth(d, r, [1.0, 0.6][:r], "zeros", seed=31)
+    s = generate_sensing(gt, n=700, sigma=0.3, distribution=distribution, seed=32,
+                         memory_mode=memory_mode)
+    model = s.quadratic_model()
+    p = d * (d + 1) // 2
+    assert model.h.shape == (p, p)
+    h, bbar = _full_operator(s)
+
+    def close(got, want):
+        assert frobenius_norm(got - want) <= 1e-12 * frobenius_norm(want)
+
+    close(model.bbar, bbar)
+    for k in {1, d}:
+        f = rng.standard_normal((d, k))
+        ffT = f @ f.T
+        m = rng.standard_normal((d, d))
+        m = m + m.T
+        close(model.apply(m), (h @ m.ravel()).reshape(d, d))
+        residual = (h @ ffT.ravel()).reshape(d, d) - bbar
+        close(model.gradient(f), residual @ f)
+        close(model.deviation(f, gt.Xstar), residual - (ffT - gt.Xstar))
+
+
 def test_operator_memory_checked_before_build(gt20, monkeypatch):
     s = generate_sensing(gt20, n=10, sigma=0.0, seed=3)
-    monkeypatch.setattr(problem, "_memory_budget", lambda: 8 * 20**4 - 1)
+    p = 20 * 21 // 2  # the p x p operator and its p x p build buffer
+    monkeypatch.setattr(problem, "_memory_budget", lambda: 2 * 8 * p**2 - 1)
     with pytest.raises(InputError, match="sensing operator needs"):
         s.quadratic_model()
     assert s._model is None
-    monkeypatch.setattr(problem, "_memory_budget", lambda: 8 * 20**4)
-    assert s.quadratic_model().h.nbytes == 8 * 20**4
+    monkeypatch.setattr(problem, "_memory_budget", lambda: 2 * 8 * p**2)
+    assert s.quadratic_model().h.nbytes == 8 * p**2
 
 
 def test_config_memory_check_counts_operator_and_dense_matrices(monkeypatch):
     base = dict(d=20, r=3, k=4, n=100, iters=5, seed=1)
-    monkeypatch.setattr(problem, "_memory_budget", lambda: 8 * (20**4 + 100 * 20**2))
+    operator = 2 * 8 * (20 * 21 // 2) ** 2  # the operator and its build buffer
+    monkeypatch.setattr(problem, "_memory_budget", lambda: operator + 8 * 100 * 20**2)
     ExperimentConfig(**base)
     with pytest.raises(InputError, match="more than half of physical memory"):
         ExperimentConfig(**dict(base, n=101))
-    monkeypatch.setattr(problem, "_memory_budget", lambda: 8 * 20**4)
+    monkeypatch.setattr(problem, "_memory_budget", lambda: operator)
     ExperimentConfig(**base, memory_mode="regenerate")
     with pytest.raises(InputError):
         ExperimentConfig(**base)
+    monkeypatch.setattr(problem, "_memory_budget", lambda: operator - 1)
+    with pytest.raises(InputError):
+        ExperimentConfig(**base, memory_mode="regenerate")
     monkeypatch.setattr(problem, "_memory_budget", lambda: 0)
     ExperimentConfig(**base, gradient_mode="population")
+
+
+def test_d100_regenerate_run_fits_a_2gb_budget(monkeypatch):
+    config = dict(d=100, r=3, k=4, n=2000, iters=5, seed=1, memory_mode="regenerate")
+    monkeypatch.setattr(problem, "_memory_budget", lambda: 2 * 10**9)
+    ExperimentConfig(**config)
+    monkeypatch.setattr(problem, "_memory_budget", lambda: 2 * 8 * 5050**2)  # p = 5050
+    ExperimentConfig(**config)
+
+
+def test_ground_truth_and_observations_checked_before_allocation(gt20):
+    with pytest.raises(InputError, match="ground truth needs"):
+        generate_ground_truth(10**12, 1, [1.0], "zeros", seed=1)
+    with pytest.raises(InputError, match="observations needs"):
+        generate_sensing(gt20, n=10**15, sigma=0.0, seed=1, memory_mode="regenerate")
 
 
 def test_inner_product_examples():
