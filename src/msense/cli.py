@@ -15,7 +15,7 @@ import numpy as np
 
 from . import concentration as conc
 from .csvio import check_output_path, read_trajectory_csv, write_trajectory_csv
-from .errors import InputError, NumericError
+from .errors import DivergenceError, InputError, NumericError
 from .figures import reproduce_figures
 from .gradient import theory_step_size
 from .harness import ExperimentConfig, detect_phases, run_experiment, sweep
@@ -47,7 +47,13 @@ def _cmd_run(args):
     out = args.out or config.output
     if out:
         check_output_path(out)
-    traj = run_experiment(config, write_output=False)
+    try:
+        traj = run_experiment(config, write_output=False)
+    except DivergenceError as exc:
+        if out:  # keep the rows recorded up to the abort
+            write_trajectory_csv(exc.trajectory, out, timing=args.timing)
+            print(f"wrote {out} ({len(exc.trajectory.metrics)} rows)")
+        raise
     if out:
         write_trajectory_csv(traj, out, timing=args.timing)
         print(f"wrote {out} ({len(traj.metrics)} rows)")

@@ -16,19 +16,20 @@ import numpy as np
 
 from .errors import InputError
 from .linalg import as_symmetric, spectral_norm
-from .problem import _draw
+from .problem import _draw, _mirror_indices
 from .rng import stream
 
 _MC_BLOCK = 512
 
 
-def _trial_blocks(seed, tag, trial, n, d, distribution):
+def _trial_blocks(seed, tag, trial, n, d, distribution, raw=False):
     """Yield (rng, A_block) over the n draws of one trial, in blocks of at
     most _MC_BLOCK from the trial's own stream.  The caller may draw more
-    from ``rng`` before asking for the next block."""
+    from ``rng`` before asking for the next block.  ``raw`` is passed to
+    _draw."""
     rng = stream(seed, tag, trial)
     for done in range(0, n, _MC_BLOCK):
-        yield rng, _draw(rng, min(_MC_BLOCK, n - done), d, distribution)
+        yield rng, _draw(rng, min(_MC_BLOCK, n - done), d, distribution, raw=raw)
 
 
 def _mc_matrix_moment(stat, d, trials, seed, tag, distribution):
@@ -118,12 +119,12 @@ def mc_noise_term(d, sigma, n, trials, seed, distribution="gaussian"):
         raise InputError(f"sigma must be nonnegative, got {sigma}")
     vals = np.empty(trials)
     for trial in range(trials):
-        acc = np.zeros((d, d))
-        for rng, a in _trial_blocks(seed, "mc_noise", trial, n, d, distribution):
-            count = a.shape[0]
-            eps = sigma * rng.standard_normal(count)
-            acc += (eps @ a.reshape(count, -1)).reshape(d, d)
-        vals[trial] = spectral_norm(acc / n)
+        # sum_i eps_i A_i is linear in the upper triangles of the raw draws,
+        # so the sum is mirrored once per trial, not every A_i.
+        acc = np.zeros(d * d)
+        for rng, g in _trial_blocks(seed, "mc_noise", trial, n, d, distribution, raw=True):
+            acc += sigma * rng.standard_normal(len(g)) @ g
+        vals[trial] = spectral_norm(acc.take(_mirror_indices(d)).reshape(d, d) / n)
     return MCReport(
         statistic="noise_term_spectral_norm",
         trials=trials,

@@ -213,7 +213,15 @@ def _chunk_rows(d):
     return max(1, min(256, 2**15 // (d * d)))
 
 
-def run_experiment(config, write_output=True):
+def _diverged(config, t, err, guard, metrics, elapsed):
+    return DivergenceError(
+        f"run diverged at t={t}: err_spec={err:.3e} > {guard:.3e}",
+        trajectory=Trajectory(config=config, metrics=metrics, elapsed_ms=elapsed),
+        residual=float(err),
+    )
+
+
+def run_experiment(config, write_output=True, measure_from=0):
     """Run one configured experiment and return its Trajectory.
 
     Records metrics for the initial factor (t=0) and after each of the
@@ -222,7 +230,16 @@ def run_experiment(config, write_output=True):
     of its chunk's metrics time.  Aborts with DivergenceError, carrying the
     partial trajectory, at the first row with err_spec > 1e6 sigma_1 or a
     non-finite value.
+
+    Rows t < ``measure_from`` are stepped but not recorded: the trajectory
+    holds rows measure_from..iters, bit for bit the tail of the full run.
+    Such a row's err_spec is bounded by |F|_F^2 + sigma_1 (|X*|_2 = sigma_1)
+    and measured exactly only when that bound passes the guard, so the run
+    aborts at the same row as the full run would, with no rows recorded.
     """
+    if not (isinstance(measure_from, numbers.Integral) and 0 <= measure_from <= config.iters):
+        raise InputError(f"measure_from must be an integer in [0, {config.iters}], "
+                         f"got {measure_from!r}")
     if write_output and config.output:
         check_output_path(config.output)
     gt = generate_ground_truth(config.d, config.r, config.ds, config.dt, config.seed)
@@ -237,18 +254,32 @@ def run_experiment(config, write_output=True):
     eta = config.eta_value()
     f = _initial_factor(config, gt, sensing)
 
+    def gradient(f):
+        grad = population_gradient(f, gt) if population else model.gradient(f)
+        return grad, math.sqrt(grad.ravel().dot(grad.ravel()))
+
     guard = DIVERGENCE_FACTOR * gt.sigma1
     # err_spec >= |F|_F^2 / k - sigma_1, so a row past this bound trips the
     # guard: stepping stops there, long before an iterate could overflow.
     stop_sq = 2.0 * config.k * (guard + gt.sigma1)
+    # err_spec <= |F|_F^2 + sigma_1, so a row within this bound cannot trip it.
+    safe_sq = guard - gt.sigma1
+    for t in range(measure_from):
+        grad, grad_norm = gradient(f)
+        f_sq = np.vdot(f, f)
+        if not (grad_norm < math.inf and f_sq <= safe_sq):
+            err = batch_metrics(t, f[None], gt, scales, [grad_norm], [None])[0].err_spec
+            if not (grad_norm < math.inf and f_sq <= stop_sq and err <= guard):
+                raise _diverged(config, t, err, guard, [], [])
+        f = f - eta * grad
+
     fs = np.empty((_chunk_rows(config.d),) + f.shape)
     grad_norms = np.empty(len(fs))
-    metrics, elapsed, t0 = [], [], 0
+    metrics, elapsed, t0 = [], [], measure_from
     while t0 <= config.iters:
         stamps, deviations = [time.perf_counter()], {}
         for i in range(min(len(fs), config.iters + 1 - t0)):
-            grad = population_gradient(f, gt) if population else model.gradient(f)
-            grad_norms[i] = math.sqrt(grad.ravel().dot(grad.ravel()))
+            grad, grad_norms[i] = gradient(f)
             fs[i] = f
             if config.track_delta and (t0 + i) % config.delta_every == 0:
                 # The population operator is exact: Delta = 0.
@@ -266,20 +297,18 @@ def run_experiment(config, write_output=True):
             stack = np.stack(list(deviations.values()))
             norms = dict(zip(deviations, spectral_norms(stack, symmetric=True).tolist()))
         deltas = [norms.get(i) for i in range(m)]
-        metrics += batch_metrics(t0, fs[:m], gt, scales, grad_norms[:m], deltas)
+        rows = batch_metrics(t0, fs[:m], gt, scales, grad_norms[:m], deltas)
         share = (time.perf_counter() - stamps[-1]) / m
-        elapsed += [(b - a + share) * 1000.0 for a, b in zip(stamps, stamps[1:])]
-        err = np.array([row.err_spec for row in metrics[t0:]])
+        times = [(b - a + share) * 1000.0 for a, b in zip(stamps, stamps[1:])]
+        err = np.array([row.err_spec for row in rows])
         bad = ~(err <= guard)
         bad[-1] |= stopped  # a non-finite gradient norm also stops stepping
         if bad.any():
-            t = t0 + int(np.argmax(bad))
-            del metrics[t + 1 :], elapsed[t + 1 :]
-            raise DivergenceError(
-                f"run diverged at t={t}: err_spec={err[t - t0]:.3e} > {guard:.3e}",
-                trajectory=Trajectory(config=config, metrics=metrics, elapsed_ms=elapsed),
-                residual=float(err[t - t0]),
-            )
+            i = int(np.argmax(bad))
+            raise _diverged(config, t0 + i, err[i], guard,
+                            metrics + rows[: i + 1], elapsed + times[: i + 1])
+        metrics += rows
+        elapsed += times
         t0 += m
 
     traj = Trajectory(config=config, metrics=metrics, elapsed_ms=elapsed)
@@ -318,13 +347,14 @@ def _cell_config(base, param, value):
 def _run_cell(base, param, value):
     cell_seed = (base.seed ^ stable_hash64(param, value)) % 2**64
     config = replace(_cell_config(base, param, value), seed=cell_seed)
+    # The cell reads only the plateau window, so only that window is measured.
+    window = max(1, math.ceil((config.iters + 1) * PLATEAU_FRACTION))
     try:
-        traj = run_experiment(config, write_output=False)
+        traj = run_experiment(config, write_output=False,
+                              measure_from=config.iters + 1 - window)
     except DivergenceError:
         return CellResult(param, value, cell_seed, None, None, None, "diverged")
-    err = traj.column("err_fro")
-    window = max(1, int(np.ceil(len(err) * PLATEAU_FRACTION)))
-    plateau = float(np.median(err[-window:]))
+    plateau = float(np.median(traj.column("err_fro")))
     return CellResult(
         param=param,
         value=value,

@@ -12,6 +12,7 @@ p = d(d+1)/2 upper-triangle coordinates of symmetric matrices.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -118,19 +119,34 @@ def check_memory(nbytes, what):
         )
 
 
-def _draw(rng, count, d, distribution):
-    """``count`` symmetric d x d sensing matrices drawn from ``rng``."""
+@functools.lru_cache(maxsize=None)
+def _mirror_indices(d):
+    """Flat indices min(i, j) d + max(i, j) for each (i, j) of a d x d
+    matrix: gathering them from a row-major draw mirrors its upper triangle."""
+    i, j = np.divmod(np.arange(d * d), d)
+    idx = np.minimum(i, j) * d + np.maximum(i, j)
+    idx.setflags(write=False)
+    return idx
+
+
+def _draw(rng, count, d, distribution, raw=False):
+    """``count`` symmetric d x d sensing matrices drawn from ``rng``.
+
+    The stream yields ``count * d * d`` values in row-major order; each
+    matrix keeps the upper triangle and diagonal of its d x d block and
+    mirrors the upper triangle below the diagonal, in one gather.  With
+    ``raw=True`` the ``(count, d * d)`` draws are returned unmirrored, for
+    callers that only need linear functionals of the upper triangle.
+    """
     if distribution == "gaussian":
-        g = rng.standard_normal((count, d, d))
+        g = rng.standard_normal((count, d * d))
     elif distribution == "rademacher":
-        g = rng.integers(0, 2, size=(count, d, d)).astype(float) * 2.0 - 1.0
+        g = rng.integers(0, 2, size=(count, d * d)).astype(float) * 2.0 - 1.0
     else:
         raise InputError(f"unknown distribution {distribution!r}")
-    upper = np.triu(g, 1)
-    a = upper + np.transpose(upper, (0, 2, 1))
-    idx = np.arange(d)
-    a[:, idx, idx] = g[:, idx, idx]
-    return a
+    if raw:
+        return g
+    return g.take(_mirror_indices(d), axis=1).reshape(count, d, d)
 
 
 def _draw_block(d, lo, hi, distribution, seed):
@@ -253,16 +269,15 @@ def generate_sensing(gt, n, sigma, distribution="gaussian", seed=0, memory_mode=
     d = gt.d
     y = np.empty(n)
     eps = np.empty(n)
-    dense = [] if memory_mode == "dense" else None
+    matrices = np.empty((n, d, d)) if memory_mode == "dense" else None
     for lo in range(0, n, BLOCK):
         hi = min(lo + BLOCK, n)
         a = _draw_block(d, lo, hi, distribution, seed)
         e = _noise_block(lo, hi, sigma, seed)
         y[lo:hi] = a.reshape(hi - lo, d * d) @ gt.Xstar.ravel() + e
         eps[lo:hi] = e
-        if dense is not None:
-            dense.append(a)
-    matrices = np.concatenate(dense, axis=0) if dense is not None else None
+        if matrices is not None:
+            matrices[lo:hi] = a
     return SensingSet(
         n=n,
         d=d,

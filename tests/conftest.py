@@ -18,3 +18,22 @@ def sensing20(gt20):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+def _triu_transpose_draw(rng_, count, d, distribution):
+    """The sensing draw as first written: triu, its transpose and the diagonal."""
+    if distribution == "gaussian":
+        g = rng_.standard_normal((count, d, d))
+    else:
+        g = rng_.integers(0, 2, size=(count, d, d)).astype(float) * 2.0 - 1.0
+    upper = np.triu(g, 1)
+    a = upper + np.transpose(upper, (0, 2, 1))
+    idx = np.arange(d)
+    a[:, idx, idx] = g[:, idx, idx]
+    return a
+
+
+@pytest.fixture(scope="session")
+def draw_oracle():
+    """``_triu_transpose_draw(rng, count, d, distribution)``, the oracle for problem._draw."""
+    return _triu_transpose_draw

@@ -86,6 +86,16 @@ def test_run_divergence_exits_2(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+def test_run_divergence_writes_the_partial_trajectory(tmp_path, capsys):
+    cfg = write_config(tmp_path, eta=5.0, iters=400)
+    out = tmp_path / "traj.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("numeric failure: run diverged at t=4:") and "\n" not in err
+    lines = out.read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3", "4"]
+
+
 def test_sweep_command(tmp_path, capsys):
     cfg = write_config(tmp_path, iters=60)
     out = tmp_path / "sweep.csv"

@@ -15,6 +15,8 @@ from msense.concentration import (
     write_mc_csv,
 )
 from msense.errors import InputError
+from msense.linalg import spectral_norm
+from msense.rng import stream
 
 
 def _sym(rng, d):
@@ -56,6 +58,30 @@ def test_monte_carlo_uses_the_sensing_draw_helper():
     import msense.problem
 
     assert msense.concentration._draw is msense.problem._draw
+
+
+def _noise_term_per_matrix(d, sigma, n, trials, seed, distribution, draw):
+    """|(1/n) sum_i eps_i A_i|_2 summed over the mirrored A_i, block by block."""
+    vals = []
+    for trial in range(trials):
+        rng_ = stream(seed, "mc_noise", trial)
+        acc = np.zeros((d, d))
+        for done in range(0, n, 512):
+            count = min(512, n - done)
+            a = draw(rng_, count, d, distribution)
+            eps = sigma * rng_.standard_normal(count)
+            acc += (eps @ a.reshape(count, -1)).reshape(d, d)
+        vals.append(spectral_norm(acc / n))
+    return np.array(vals)
+
+
+@pytest.mark.parametrize("distribution", ["gaussian", "rademacher"])
+@pytest.mark.parametrize("d", [1, 20])
+@pytest.mark.parametrize("n", [1, 100, 777])
+def test_noise_term_matches_per_matrix_sum(n, d, distribution, draw_oracle):
+    got = mc_noise_term(d, 0.7, n, 3, 21, distribution).values
+    want = _noise_term_per_matrix(d, 0.7, n, 3, 21, distribution, draw_oracle)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_deviation_homogeneous_in_u(rng):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -14,6 +16,7 @@ from msense import (
     spectral_norm,
 )
 from msense import problem
+from msense.rng import stream
 
 
 def test_reference_ground_truth(gt20):
@@ -100,6 +103,31 @@ def test_regenerate_mode_matches_dense(gt20):
     assert_array_equal(dense.observations, lazy.observations)
     blocks = [a.copy() for _, a in lazy.iter_blocks()]
     assert_array_equal(np.concatenate(blocks), dense.matrices)
+
+
+@pytest.mark.parametrize("distribution", problem.DISTRIBUTIONS)
+@pytest.mark.parametrize("d", [1, 2, 7, 20])
+def test_draw_matches_triu_transpose_formula(d, distribution, draw_oracle):
+    draw = problem._draw(stream(5, "sensing", 3), 37, d, distribution)
+    want = draw_oracle(stream(5, "sensing", 3), 37, d, distribution)
+    assert draw.shape == want.shape == (37, d, d)
+    assert draw.tobytes() == want.tobytes()
+    raw = problem._draw(stream(5, "sensing", 3), 37, d, distribution, raw=True)
+    assert raw.shape == (37, d * d)
+    assert np.triu(raw.reshape(37, d, d)).tobytes() == np.triu(want).tobytes()
+
+
+def test_dense_sensing_set_allocated_once(gt20):
+    n, block_bytes = 8 * problem.BLOCK, 8 * problem.BLOCK * 20**2
+    tracemalloc.start()
+    try:
+        s = generate_sensing(gt20, n=n, sigma=0.1, seed=9, memory_mode="dense")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The stored matrices plus a few blocks of draw temporaries, not two copies.
+    assert s.matrices.nbytes == n * block_bytes // problem.BLOCK
+    assert peak < s.matrices.nbytes + 4 * block_bytes
 
 
 def test_noise_reproducible_from_seed(gt20):
@@ -229,16 +257,7 @@ def test_inner_product_examples():
         inner_product(np.eye(2), np.eye(3))
 
 
-def _draw_sym(rng_, count, d):
-    g = rng_.standard_normal((count, d, d))
-    upper = np.triu(g, 1)
-    a = upper + np.transpose(upper, (0, 2, 1))
-    idx = np.arange(d)
-    a[:, idx, idx] = g[:, idx, idx]
-    return a
-
-
-def test_sensing_mean_and_clt_rate():
+def test_sensing_mean_and_clt_rate(draw_oracle):
     """First moment of <A,B>A for the symmetric unit-variance ensemble.
 
     The ensemble mean is 2B - Diag(B): each off-diagonal variable appears
@@ -253,7 +272,7 @@ def test_sensing_mean_and_clt_rate():
 
     def mc_mean(target, count, seed):
         rng_ = np.random.default_rng(seed)
-        a = _draw_sym(rng_, count, d)
+        a = draw_oracle(rng_, count, d, "gaussian")
         inner = np.einsum("nij,ij->n", a, target)
         return np.einsum("n,nij->ij", inner, a) / count
 
