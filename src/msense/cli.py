@@ -84,7 +84,13 @@ def _cmd_sweep(args):
     return 0
 
 
+def _check_trials(trials):
+    if trials < 1:
+        raise InputError(f"--trials must be at least 1, got {trials}")
+
+
 def _cmd_verify_pop(args):
+    _check_trials(args.trials)
     gt = generate_ground_truth(
         DEFAULT_SPECTRUM["d"], DEFAULT_SPECTRUM["r"], DEFAULT_SPECTRUM["ds"], "zeros", args.seed
     )
@@ -112,6 +118,7 @@ def _cmd_verify_pop(args):
 
 
 def _cmd_verify_init(args):
+    _check_trials(args.trials)
     gt = generate_ground_truth(
         DEFAULT_SPECTRUM["d"], DEFAULT_SPECTRUM["r"], DEFAULT_SPECTRUM["ds"], "zeros", args.seed
     )
@@ -130,6 +137,8 @@ def _cmd_verify_init(args):
 def _cmd_conc(args):
     if args.out:
         check_output_path(args.out)
+    if args.kind in ("deviation", "moment"):  # before the d x d matrix U is drawn
+        conc.check_mc_memory(args.d, args.n if args.kind == "deviation" else args.trials)
     if args.kind == "noise":
         report = conc.mc_noise_term(args.d, args.sigma, args.n, args.trials, args.seed)
         print(conc.mc_summary_json(report))

@@ -10,16 +10,24 @@ probabilities are reported as empirical exceedance frequencies only.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .linalg import as_symmetric, spectral_norm
-from .problem import _draw, _mirror_indices
+from .problem import _draw, _mirror_indices, check_memory
 from .rng import stream
 
 _MC_BLOCK = 512
+
+
+def check_mc_memory(d, rows):
+    """Reject, before any draw, a Monte Carlo run whose d x d accumulators
+    (at most four) and one block of min(rows, _MC_BLOCK) draws exceed the
+    memory budget."""
+    check_memory(8 * d * d * (4 + min(rows, _MC_BLOCK)), f"the d={d} Monte Carlo draws")
 
 
 def _trial_blocks(seed, tag, trial, n, d, distribution, raw=False):
@@ -36,6 +44,7 @@ def _mc_matrix_moment(stat, d, trials, seed, tag, distribution):
     """Mean of the d x d statistic ``stat`` over ``trials`` sensing draws,
     with its per-entry standard error; each block of _MC_BLOCK draws comes
     from its own stream.  ``stat`` maps an (m, d, d) block to (m, d, d)."""
+    check_mc_memory(d, trials)
     acc = np.zeros((d, d))
     acc_sq = np.zeros((d, d))
     for block, done in enumerate(range(0, trials, _MC_BLOCK)):
@@ -115,8 +124,9 @@ def mc_noise_term(d, sigma, n, trials, seed, distribution="gaussian"):
     """
     if d < 1 or n < 1 or trials < 1:
         raise InputError("d, n and trials must be positive")
-    if sigma < 0:
-        raise InputError(f"sigma must be nonnegative, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise InputError(f"sigma must be a finite number >= 0, got {sigma!r}")
+    check_mc_memory(d, n)
     vals = np.empty(trials)
     for trial in range(trials):
         # sum_i eps_i A_i is linear in the upper triangles of the raw draws,
@@ -151,6 +161,7 @@ def mc_sensing_deviation(u, n, trials, seed, distribution="gaussian"):
     if n < 1 or trials < 1:
         raise InputError("n and trials must be positive")
     d = u.shape[0]
+    check_mc_memory(d, n)
     vals = np.empty(trials)
     acc_mean = np.zeros((d, d))
     acc_sq = np.zeros((d, d))

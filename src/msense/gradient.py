@@ -6,8 +6,8 @@ symmetric A_i is G^n(F) = (1/n) sum_i (<A_i, F F^T> - y_i) A_i F.  The
 idealized (population) gradient is G(F) = (F F^T - X*) F, and the deviation
 matrix Delta(F) = (1/n) sum_i (<A_i, F F^T> - y_i) A_i - (F F^T - X*) ties
 them together through G^n - G = Delta F.  Both sample quantities apply the
-sensing set through its cached QuadraticModel; loss_value sums over the
-sensing blocks directly, so it is an independent check of the gradient.
+sensing set through its QuadraticModel; loss_value sums over the
+regenerated sensing blocks, so it is an independent check of the gradient.
 """
 
 from __future__ import annotations
@@ -45,11 +45,11 @@ def loss_value(f, s):
 
 def sample_gradient(f, s):
     """Finite-sample gradient of the quartic loss at F, from the sensing
-    set's cached QuadraticModel: (H(F F^T) - bbar) F."""
+    set's QuadraticModel: (H(F F^T) - bbar) F."""
     if s.n < 1:
         raise InputError("sensing set is empty")
     f = _check_factor(f, s.d)
-    return s.quadratic_model().gradient(f)
+    return s.model.gradient(f)
 
 
 def population_gradient(f, gt):
@@ -67,7 +67,7 @@ def deviation_matrix(f, gt, s):
     f = _check_factor(f, gt.d)
     if s.d != gt.d:
         raise InputError(f"sensing dimension {s.d} != ground truth {gt.d}")
-    return as_symmetric(s.quadratic_model().deviation(f, gt.Xstar), tol=1e-9)
+    return as_symmetric(s.model.deviation(f, gt.Xstar), tol=1e-9)
 
 
 def op_MU(s_coef, t_coef, ds, eta):

@@ -109,7 +109,7 @@ class ExperimentConfig:
     distribution: str = "gaussian"
     track_delta: bool = False
     delta_every: int = 1
-    memory_mode: str = "dense"
+    memory_mode: str = "dense"  # validated; no mode stores the sensing matrices
     output: str | None = None
 
     def __post_init__(self):
@@ -143,10 +143,9 @@ class ExperimentConfig:
         if not (self.eta == "theory" or (_is_finite_number(self.eta) and self.eta > 0)):
             raise InputError(f"eta must be a positive finite number or 'theory', got {self.eta!r}")
         if self.gradient_mode == "sample":
-            # The p x p operator and its build buffer, plus the matrices in dense mode.
+            # The p x p operator and its build buffer; no sensing matrix is stored.
             p = self.d * (self.d + 1) // 2
-            dense = self.n * self.d**2 if self.memory_mode == "dense" else 0
-            check_memory(8 * (2 * p * p + dense), f"a sample-mode run at d={self.d}, n={self.n}")
+            check_memory(16 * p * p, f"a sample-mode run at d={self.d}, n={self.n}")
 
     @property
     def sigma1(self):
@@ -246,10 +245,8 @@ def run_experiment(config, write_output=True, measure_from=0):
     population = config.gradient_mode == "population"
     sensing = model = None
     if not population:
-        sensing = generate_sensing(
-            gt, config.n, config.sigma, config.distribution, config.seed, config.memory_mode
-        )
-        model = sensing.quadratic_model()
+        sensing = generate_sensing(gt, config.n, config.sigma, config.distribution, config.seed)
+        model = sensing.model
     scales = derived_scales(gt, None if population else config.n, config.sigma, config.k)
     eta = config.eta_value()
     f = _initial_factor(config, gt, sensing)
@@ -372,10 +369,10 @@ def sweep(base_config, param, values, out=None):
     values = list(values)
     if len(values) < 1:
         raise InputError("sweep needs at least one value")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise InputError("sweep values must be strictly increasing")
     for v in values:
         _cell_config(base_config, param, v)  # validate param and every cell up front
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise InputError("sweep values must be strictly increasing")
     if out:
         check_output_path(out)
     rows = map_in_order(lambda v: _run_cell(base_config, param, v), values)

@@ -4,10 +4,11 @@ The observation model is y_i = <A_i, X*> + eps_i with <A, X> = sum_ij A_ij X_ij.
 Each A_i is symmetric: upper-triangle and diagonal entries are drawn i.i.d.
 with unit variance from the chosen distribution and mirrored below the
 diagonal.  Everything is generated in fixed-size blocks from per-block
-Philox streams, so the dense and regenerate-on-the-fly memory modes produce
-bit-identical ensembles.
-The sensing operator (QuadraticModel) is a p x p matrix over the
-p = d(d+1)/2 upper-triangle coordinates of symmetric matrices.
+Philox streams, so any block can be regenerated bit for bit from
+(seed, block index).  The sensing operator (QuadraticModel) is a p x p
+matrix over the p = d(d+1)/2 upper-triangle coordinates of symmetric
+matrices, built in the same pass that draws the observations; no sensing
+matrix is kept.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .rng import stream
 BLOCK = 512
 
 DISTRIBUTIONS = ("gaussian", "rademacher")
-MEMORY_MODES = ("dense", "regenerate")
+MEMORY_MODES = ("dense", "regenerate")  # config values; both run generate_sensing's one pass
 
 
 @dataclass(frozen=True)
@@ -129,12 +130,13 @@ def _mirror_indices(d):
     return idx
 
 
-def _draw(rng, count, d, distribution, raw=False):
+def _draw(rng, count, d, distribution, raw=False, out=None):
     """``count`` symmetric d x d sensing matrices drawn from ``rng``.
 
     The stream yields ``count * d * d`` values in row-major order; each
     matrix keeps the upper triangle and diagonal of its d x d block and
-    mirrors the upper triangle below the diagonal, in one gather.  With
+    mirrors the upper triangle below the diagonal, in one gather into
+    ``out`` (a ``(count, d * d)`` array) when one is given.  With
     ``raw=True`` the ``(count, d * d)`` draws are returned unmirrored, for
     callers that only need linear functionals of the upper triangle.
     """
@@ -146,55 +148,14 @@ def _draw(rng, count, d, distribution, raw=False):
         raise InputError(f"unknown distribution {distribution!r}")
     if raw:
         return g
-    return g.take(_mirror_indices(d), axis=1).reshape(count, d, d)
+    # The indices are in range; mode="clip" lets take write to out unbuffered.
+    return g.take(_mirror_indices(d), axis=1, out=out, mode="clip").reshape(count, d, d)
 
 
-def _draw_block(d, lo, hi, distribution, seed):
-    """Sensing matrices for block-aligned indices [lo, hi)."""
+def _draw_block(d, lo, hi, distribution, seed, out=None):
+    """Sensing matrices for block-aligned indices [lo, hi), optionally into ``out``."""
     assert lo % BLOCK == 0 and hi - lo <= BLOCK
-    return _draw(stream(seed, "sensing", lo // BLOCK), hi - lo, d, distribution)
-
-
-def _noise_block(lo, hi, sigma, seed):
-    rng = stream(seed, "noise", lo // BLOCK)
-    return sigma * rng.standard_normal(hi - lo)
-
-
-@dataclass
-class SensingSet:
-    """n sensing matrices with observations y_i = <A_i, X*> + eps_i.
-
-    In dense mode ``matrices`` stacks all A_i; in regenerate mode it is None
-    and blocks are recomputed from (seed, block index) on demand.
-    """
-
-    n: int
-    d: int
-    sigma: float
-    distribution: str
-    seed: int
-    observations: np.ndarray
-    epsilon: np.ndarray
-    memory_mode: str = "dense"
-    matrices: np.ndarray | None = None
-    _model: "QuadraticModel | None" = field(default=None, repr=False)
-
-    def iter_blocks(self):
-        """Yield (slice, A_block) pairs in fixed index order."""
-        for lo in range(0, self.n, BLOCK):
-            hi = min(lo + BLOCK, self.n)
-            if self.matrices is not None:
-                yield slice(lo, hi), self.matrices[lo:hi]
-            else:
-                yield slice(lo, hi), _draw_block(
-                    self.d, lo, hi, self.distribution, self.seed
-                )
-
-    def quadratic_model(self):
-        """Cache and return the empirical quadratic model of the loss."""
-        if self._model is None:
-            self._model = QuadraticModel.build(self)
-        return self._model
+    return _draw(stream(seed, "sensing", lo // BLOCK), hi - lo, d, distribution, out=out)
 
 
 def _svec_indices(d):
@@ -207,37 +168,23 @@ def _svec_indices(d):
 
 
 class QuadraticModel:
-    """Precomputed sensing operator H(M) = (1/n) sum_i <A_i, M> A_i and
-    data term bbar = (1/n) sum_i y_i A_i, in symmetric coordinates.
+    """Sensing operator H(M) = (1/n) sum_i <A_i, M> A_i and data term
+    bbar = (1/n) sum_i y_i A_i, in symmetric coordinates.
 
     The one code path that applies a sensing set to a matrix: the sample
     gradient (H(F F^T) - bbar) F, the deviation matrix and the spectral
     initialization (from bbar) all read it.  With g_i the p = d(d+1)/2
-    upper-triangle entries of A_i, it stores H_u = (1/n) sum_i g_i g_i^T
-    (8 p^2 bytes, built in O(n p^2) time) and b = (1/n) sum_i y_i g_i.  For
-    symmetric M, H(M) is the d x d mirror of H_u (w * svec(M)): the weight
-    w = 1 on the diagonal and 2 off it is folded into H_u's columns.
+    upper-triangle entries of A_i, it holds H_u = (1/n) sum_i g_i g_i^T
+    (8 p^2 bytes) and b = (1/n) sum_i y_i g_i, both accumulated by
+    generate_sensing as it draws.  For symmetric M, H(M) is the d x d mirror
+    of H_u (w * svec(M)): the weight w = 1 on the diagonal and 2 off it is
+    folded into H_u's columns.
     """
 
     def __init__(self, d, h, b):
         self.d, self.h = d, h  # h: (p, p)
         self._upper, self._mirror = _svec_indices(d)
         self.bbar = self._sym(b)  # (d, d)
-
-    @classmethod
-    def build(cls, s: SensingSet):
-        d = s.d
-        upper, _ = _svec_indices(d)
-        p = upper.size
-        check_memory(2 * 8 * p * p, f"the d={d} sensing operator")
-        h, buf, b = np.zeros((p, p)), np.empty((p, p)), np.zeros(p)
-        for sl, a in s.iter_blocks():
-            g = a.reshape(len(a), d * d).take(upper, axis=1)
-            h += np.matmul(g.T, g, out=buf)
-            b += s.observations[sl] @ g
-        # Diagonal entries sit at flat indices that are multiples of d + 1.
-        h *= np.where(upper % (d + 1) == 0, 1.0, 2.0) / s.n
-        return cls(d, h, b / s.n)
 
     def _sym(self, v):
         """The symmetric d x d matrix whose upper triangle is v."""
@@ -255,29 +202,64 @@ class QuadraticModel:
         return self.apply(ffT) - self.bbar - (ffT - xstar)
 
 
-def generate_sensing(gt, n, sigma, distribution="gaussian", seed=0, memory_mode="dense"):
-    """Draw a SensingSet against a GroundTruth; reproducible from seed."""
+@dataclass
+class SensingSet:
+    """n sensing matrices with observations y_i = <A_i, X*> + eps_i.
+
+    The matrices are not stored: ``model`` summarizes them for every run,
+    and ``iter_blocks`` recomputes them from (seed, block index).
+    """
+
+    n: int
+    d: int
+    sigma: float
+    distribution: str
+    seed: int
+    observations: np.ndarray
+    epsilon: np.ndarray
+    model: QuadraticModel = field(repr=False)
+
+    def iter_blocks(self):
+        """Yield (slice, A_block) pairs in fixed index order."""
+        for lo in range(0, self.n, BLOCK):
+            hi = min(lo + BLOCK, self.n)
+            yield slice(lo, hi), _draw_block(self.d, lo, hi, self.distribution, self.seed)
+
+
+def generate_sensing(gt, n, sigma, distribution="gaussian", seed=0):
+    """Draw a SensingSet against a GroundTruth; reproducible from seed.
+
+    One pass over the blocks draws each A_i once, forms its observations
+    and accumulates the QuadraticModel through one reused p x p buffer.
+    The block-sized arrays are reused too: a fresh pair per block lets the
+    allocator return their pages and fault them in again on every block.
+    """
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
     if sigma < 0:
         raise InputError(f"need sigma >= 0, got {sigma}")
     if distribution not in DISTRIBUTIONS:
         raise InputError(f"distribution must be one of {DISTRIBUTIONS}")
-    if memory_mode not in MEMORY_MODES:
-        raise InputError(f"memory_mode must be one of {MEMORY_MODES}")
     check_memory(16 * n, f"the n={n} observations")
     d = gt.d
-    y = np.empty(n)
-    eps = np.empty(n)
-    matrices = np.empty((n, d, d)) if memory_mode == "dense" else None
+    upper, _ = _svec_indices(d)
+    p = upper.size
+    check_memory(2 * 8 * p * p, f"the d={d} sensing operator")
+    y, eps = np.empty(n), np.empty(n)
+    h, buf, b = np.zeros((p, p)), np.empty((p, p)), np.zeros(p)
+    a_buf, g_buf = np.empty((min(n, BLOCK), d * d)), np.empty((min(n, BLOCK), p))
     for lo in range(0, n, BLOCK):
         hi = min(lo + BLOCK, n)
-        a = _draw_block(d, lo, hi, distribution, seed)
-        e = _noise_block(lo, hi, sigma, seed)
-        y[lo:hi] = a.reshape(hi - lo, d * d) @ gt.Xstar.ravel() + e
+        a = _draw_block(d, lo, hi, distribution, seed, out=a_buf[: hi - lo])
+        a = a.reshape(hi - lo, d * d)
+        e = sigma * stream(seed, "noise", lo // BLOCK).standard_normal(hi - lo)
+        y[lo:hi] = a @ gt.Xstar.ravel() + e
         eps[lo:hi] = e
-        if matrices is not None:
-            matrices[lo:hi] = a
+        g = a.take(upper, axis=1, out=g_buf[: hi - lo], mode="clip")
+        h += np.matmul(g.T, g, out=buf)
+        b += y[lo:hi] @ g
+    # Diagonal entries sit at flat indices that are multiples of d + 1.
+    h *= np.where(upper % (d + 1) == 0, 1.0, 2.0) / n
     return SensingSet(
         n=n,
         d=d,
@@ -286,8 +268,7 @@ def generate_sensing(gt, n, sigma, distribution="gaussian", seed=0, memory_mode=
         seed=int(seed),
         observations=y,
         epsilon=eps,
-        memory_mode=memory_mode,
-        matrices=matrices,
+        model=QuadraticModel(d, h, b / n),
     )
 
 

@@ -173,13 +173,13 @@ def planted_init(gt, k, rho, seed):
 def spectral_init(s, k):
     """Initialization from the spectrum of the data surrogate.
 
-    M = (1/n) sum_i y_i A_i, the bbar of the sensing set's cached
-    QuadraticModel, is symmetrized; F0 keeps the top-k eigenpairs by
+    M = (1/n) sum_i y_i A_i, the bbar of the sensing set's QuadraticModel,
+    is symmetrized; F0 keeps the top-k eigenpairs by
     algebraic value with negative eigenvalues clipped to zero.
     """
     if not 1 <= k <= s.d:
         raise InputError(f"need 1 <= k <= d, got k={k}, d={s.d}")
-    m = s.quadratic_model().bbar
+    m = s.model.bbar
     w, v = np.linalg.eigh(0.5 * (m + m.T))
     idx = np.argsort(-w, kind="stable")[:k]
     lam = np.clip(w[idx], 0.0, None)

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import msense.cli
+import msense.concentration
 import msense.harness
 import msense.problem
 import msense.figures
@@ -56,6 +57,11 @@ def test_run_malformed_config_exits_1_with_one_line(tmp_path, capsys, monkeypatc
     assert main(["sweep", "--config", str(cfg), "--param", "k", "--values", "3,21"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: k ") and err.count("\n") == 1, err
+    # Each cell is validated before the grid's order is compared.
+    for values in ('100,"a"', "100,null", "100,true"):
+        assert main(["sweep", "--config", str(cfg), "--param", "n", "--values", values]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: n must be an integer") and err.count("\n") == 1, err
 
 
 def test_oversized_operator_exits_1_before_compute(tmp_path, capsys, monkeypatch):
@@ -65,10 +71,11 @@ def test_oversized_operator_exits_1_before_compute(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(msense.cli, "run_experiment", no_compute)
     monkeypatch.setattr(msense.harness, "run_experiment", no_compute)
     cfg = write_config(tmp_path)  # d=20, n=200, dense
-    # The run's config is over budget; in the sweep only the n=400 cell is.
-    for budget, argv in ((8 * 20**4, ["run", "--config", str(cfg)]),
-                         (8 * (20**4 + 200 * 20**2),
-                          ["sweep", "--config", str(cfg), "--param", "n", "--values", "100,400"])):
+    operator = 2 * 8 * (20 * 21 // 2) ** 2  # the d=20 operator and its build buffer
+    # The run's config is over budget; in the sweep only the d=40 cell is.
+    for budget, argv in ((operator - 1, ["run", "--config", str(cfg)]),
+                         (operator,
+                          ["sweep", "--config", str(cfg), "--param", "d", "--values", "20,40"])):
         monkeypatch.setattr(msense.problem, "_memory_budget", lambda: budget)
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -121,6 +128,15 @@ def test_verify_pop_command(capsys):
     assert "ss_contraction" in out
 
 
+def test_verify_trials_below_one_exit_1_with_one_line(capsys):
+    for what in ("pop", "init"):
+        for trials in ("0", "-1"):
+            assert main(["verify", what, "--trials", trials]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"error: --trials must be at least 1, got {trials}\n"
+            assert captured.out == ""
+
+
 def test_verify_init_command(capsys):
     assert main(["verify", "init", "--trials", "10", "--seed", "3"]) == 0
     out = capsys.readouterr().out
@@ -138,6 +154,24 @@ def test_conc_noise_command(tmp_path, capsys):
     blob = json.loads(capsys.readouterr().out.split("wrote")[0])
     assert blob["trials"] == 5
     assert out.exists()
+
+
+def test_conc_rejects_oversized_d_and_non_finite_sigma_before_drawing(capsys, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew sensing matrices")
+
+    monkeypatch.setattr(msense.concentration, "_draw", no_draw)
+    for argv in (["conc", "noise", "--d", "100000000"],
+                 ["conc", "deviation", "--d", "100000000"],
+                 ["conc", "moment", "--d", "100000000"],
+                 ["conc", "asq", "--d", "100000000"],
+                 ["conc", "noise", "--sigma", "nan"],
+                 ["conc", "noise", "--sigma", "inf"],
+                 ["conc", "noise", "--sigma", "-1"]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert ("physical memory" if "--d" in argv else "sigma must be a finite") in err
 
 
 def test_conc_asq_command(capsys):

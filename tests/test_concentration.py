@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from msense import concentration, problem
 from msense.concentration import (
     mc_A_squared,
     mc_noise_term,
@@ -82,6 +83,40 @@ def test_noise_term_matches_per_matrix_sum(n, d, distribution, draw_oracle):
     got = mc_noise_term(d, 0.7, n, 3, 21, distribution).values
     want = _noise_term_per_matrix(d, 0.7, n, 3, 21, distribution, draw_oracle)
     assert got.tobytes() == want.tobytes()
+
+
+def _forbid_draws(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew sensing matrices")
+
+    monkeypatch.setattr(concentration, "_draw", no_draw)
+
+
+def test_monte_carlo_memory_checked_before_any_draw(monkeypatch):
+    _forbid_draws(monkeypatch)
+    d, n = 10, 100  # four d x d accumulators and one n-row block of d x d draws
+    monkeypatch.setattr(problem, "_memory_budget", lambda: 8 * d * d * (4 + n) - 1)
+    with pytest.raises(InputError, match="Monte Carlo draws needs"):
+        mc_noise_term(d=d, sigma=1.0, n=n, trials=3, seed=1)
+    with pytest.raises(InputError, match="Monte Carlo draws needs"):
+        mc_sensing_deviation(np.eye(d), n=n, trials=3, seed=1)
+    with pytest.raises(InputError, match="Monte Carlo draws needs"):
+        mc_A_squared(d, trials=n, seed=1)
+    monkeypatch.undo()  # draws are allowed again, at exactly the budget
+    monkeypatch.setattr(problem, "_memory_budget", lambda: 8 * d * d * (4 + n))
+    assert mc_noise_term(d=d, sigma=1.0, n=n, trials=3, seed=1).trials == 3
+    # Blocks hold at most _MC_BLOCK draws, whatever n is.
+    monkeypatch.setattr(problem, "_memory_budget",
+                        lambda: 8 * d * d * (4 + concentration._MC_BLOCK))
+    assert mc_noise_term(d=d, sigma=1.0, n=10 * concentration._MC_BLOCK, trials=1,
+                         seed=1).trials == 1
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf"), -0.5])
+def test_noise_term_rejects_non_finite_or_negative_sigma(sigma, monkeypatch):
+    _forbid_draws(monkeypatch)
+    with pytest.raises(InputError, match="sigma must be a finite number >= 0"):
+        mc_noise_term(d=4, sigma=sigma, n=10, trials=2, seed=1)
 
 
 def test_deviation_homogeneous_in_u(rng):

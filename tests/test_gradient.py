@@ -28,7 +28,7 @@ def test_scalar_reduction_matches_hand_formula():
     gt = generate_ground_truth(1, 1, [2.0], [], seed=3)
     s = generate_sensing(gt, n=7, sigma=0.5, seed=3)
     f = np.array([[0.9]])
-    a = s.matrices[:, 0, 0]
+    a = np.concatenate([block for _, block in s.iter_blocks()])[:, 0, 0]
     y = s.observations
     hand = np.mean((a * 0.9**2 - y) * a) * 0.9
     assert sample_gradient(f, s)[0, 0] == pytest.approx(hand, rel=1e-12)

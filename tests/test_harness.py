@@ -175,19 +175,19 @@ def test_regenerate_memory_mode_matches_dense():
 
 
 def test_spectral_init_run_reuses_the_operator(monkeypatch):
-    """A regenerate-mode spectral-init run draws each sensing block twice:
-    once to generate the observations and once to build the operator."""
+    """A regenerate-mode spectral-init run draws each sensing block once:
+    the pass that generates the observations also builds the operator."""
     calls = []
     draw_block = problem._draw_block
 
-    def counting(d, lo, hi, distribution, seed):
+    def counting(d, lo, hi, distribution, seed, out=None):
         calls.append(lo)
-        return draw_block(d, lo, hi, distribution, seed)
+        return draw_block(d, lo, hi, distribution, seed, out=out)
 
     monkeypatch.setattr(problem, "_draw_block", counting)
     run_experiment(small_config(n=700, iters=5, init=InitSpec(mode="spectral"),
                                 memory_mode="regenerate"))
-    assert sorted(calls) == [0, 0, problem.BLOCK, problem.BLOCK]
+    assert calls == [0, problem.BLOCK]
 
 
 # --- trajectory CSV -------------------------------------------------------

@@ -49,10 +49,8 @@ def oracle_run(config):
     population = config.gradient_mode == "population"
     sensing = model = None
     if not population:
-        sensing = generate_sensing(
-            gt, config.n, config.sigma, config.distribution, config.seed, config.memory_mode
-        )
-        model = sensing.quadratic_model()
+        sensing = generate_sensing(gt, config.n, config.sigma, config.distribution, config.seed)
+        model = sensing.model
     scales = derived_scales(gt, None if population else config.n, config.sigma, config.k)
     f = _initial_factor(config, gt, sensing)
     rows = []

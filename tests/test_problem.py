@@ -15,8 +15,13 @@ from msense import (
     sample_gradient,
     spectral_norm,
 )
-from msense import problem
+from msense import harness, problem, run_experiment
 from msense.rng import stream
+
+
+def _matrices(s):
+    """The (n, d, d) stack of a sensing set's matrices, regenerated block by block."""
+    return np.concatenate([a for _, a in s.iter_blocks()])
 
 
 def test_reference_ground_truth(gt20):
@@ -67,42 +72,49 @@ def test_spectrum_validation():
 
 def test_noiseless_observations_exact(gt20):
     s = generate_sensing(gt20, n=32, sigma=0.0, seed=5)
+    matrices = _matrices(s)
     for i in range(32):
         assert s.observations[i] == pytest.approx(
-            inner_product(s.matrices[i], gt20.Xstar), abs=1e-12
+            inner_product(matrices[i], gt20.Xstar), abs=1e-12
         )
     assert_array_equal(s.epsilon, np.zeros(32))
 
 
 def test_sensing_entry_variance(gt20):
     s = generate_sensing(gt20, n=1000, sigma=0.0, seed=31)
+    matrices = _matrices(s)
     iu = np.triu_indices(20, 1)
-    pooled = s.matrices[:, iu[0], iu[1]].ravel()
+    pooled = matrices[:, iu[0], iu[1]].ravel()
     assert np.var(pooled) == pytest.approx(1.0, abs=0.05)
-    diag = s.matrices[:, np.arange(20), np.arange(20)].ravel()
+    diag = matrices[:, np.arange(20), np.arange(20)].ravel()
     assert np.var(diag) == pytest.approx(1.0, abs=0.05)
 
 
 def test_rademacher_support(gt20):
     s = generate_sensing(gt20, n=20, sigma=0.0, distribution="rademacher", seed=3)
-    assert set(np.unique(s.matrices)) == {-1.0, 1.0}
+    assert set(np.unique(_matrices(s))) == {-1.0, 1.0}
 
 
 def test_sensing_symmetric_and_deterministic(gt20):
     a = generate_sensing(gt20, n=40, sigma=0.2, seed=8)
     b = generate_sensing(gt20, n=40, sigma=0.2, seed=8)
-    assert_array_equal(a.matrices, b.matrices)
+    a_matrices = _matrices(a)
+    assert_array_equal(a_matrices, _matrices(b))
     assert_array_equal(a.observations, b.observations)
-    assert np.max(np.abs(a.matrices - np.transpose(a.matrices, (0, 2, 1)))) == 0.0
+    assert_array_equal(a.model.h, b.model.h)
+    assert np.max(np.abs(a_matrices - np.transpose(a_matrices, (0, 2, 1)))) == 0.0
 
 
 def test_regenerate_mode_matches_dense(gt20):
-    dense = generate_sensing(gt20, n=700, sigma=0.1, seed=17, memory_mode="dense")
-    lazy = generate_sensing(gt20, n=700, sigma=0.1, seed=17, memory_mode="regenerate")
-    assert lazy.matrices is None
-    assert_array_equal(dense.observations, lazy.observations)
-    blocks = [a.copy() for _, a in lazy.iter_blocks()]
-    assert_array_equal(np.concatenate(blocks), dense.matrices)
+    """iter_blocks regenerates exactly the matrices the observations were drawn with."""
+    s = generate_sensing(gt20, n=700, sigma=0.1, seed=17)
+    sizes = []
+    for sl, a in s.iter_blocks():
+        sizes.append(len(a))
+        clean = a.reshape(len(a), -1) @ gt20.Xstar.ravel()
+        assert_array_equal(clean + s.epsilon[sl], s.observations[sl])
+    assert sizes == [problem.BLOCK, 700 - problem.BLOCK]
+    assert np.all(s.epsilon != 0.0)
 
 
 @pytest.mark.parametrize("distribution", problem.DISTRIBUTIONS)
@@ -112,50 +124,79 @@ def test_draw_matches_triu_transpose_formula(d, distribution, draw_oracle):
     want = draw_oracle(stream(5, "sensing", 3), 37, d, distribution)
     assert draw.shape == want.shape == (37, d, d)
     assert draw.tobytes() == want.tobytes()
+    out = np.empty((37, d * d))
+    into = problem._draw(stream(5, "sensing", 3), 37, d, distribution, out=out)
+    assert np.shares_memory(into, out) and into.tobytes() == want.tobytes()
     raw = problem._draw(stream(5, "sensing", 3), 37, d, distribution, raw=True)
     assert raw.shape == (37, d * d)
     assert np.triu(raw.reshape(37, d, d)).tobytes() == np.triu(want).tobytes()
 
 
-def test_dense_sensing_set_allocated_once(gt20):
-    n, block_bytes = 8 * problem.BLOCK, 8 * problem.BLOCK * 20**2
-    tracemalloc.start()
-    try:
-        s = generate_sensing(gt20, n=n, sigma=0.1, seed=9, memory_mode="dense")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # The stored matrices plus a few blocks of draw temporaries, not two copies.
-    assert s.matrices.nbytes == n * block_bytes // problem.BLOCK
-    assert peak < s.matrices.nbytes + 4 * block_bytes
+def test_dense_sensing_set_allocated_once(gt20, monkeypatch):
+    """No sensing matrix is stored in either memory mode: a run's sensing
+    set peaks at the operator, its build buffer and the observations
+    (2 * 8 p^2 + 16 n bytes) plus a few blocks of draw temporaries."""
+    p, block_bytes = 20 * 21 // 2, 8 * problem.BLOCK * 20**2
+    generate = problem.generate_sensing
+    peaks, sets = [], []
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            sets.append(generate(*args, **kwargs))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return sets[-1]
+
+    monkeypatch.setattr(harness, "generate_sensing", traced)
+    for blocks in (2, 8):
+        n = blocks * problem.BLOCK
+        for memory_mode in problem.MEMORY_MODES:
+            run_experiment(ExperimentConfig(d=20, r=3, k=4, n=n, iters=1, seed=9, sigma=0.1,
+                                            memory_mode=memory_mode))
+            s = sets[-1]
+            assert s.n == n
+            assert not any(isinstance(v, np.ndarray) and v.ndim == 3 for v in vars(s).values())
+            assert peaks[-1] <= 2 * 8 * p**2 + 16 * n + 3 * block_bytes
+    assert len(peaks) == 4
 
 
 def test_noise_reproducible_from_seed(gt20):
     s = generate_sensing(gt20, n=50, sigma=0.7, seed=12)
+    matrices = _matrices(s)
     clean = np.array(
-        [inner_product(s.matrices[i], gt20.Xstar) for i in range(50)]
+        [inner_product(matrices[i], gt20.Xstar) for i in range(50)]
     )
     assert_allclose(s.observations - clean, s.epsilon, atol=1e-12)
     assert np.std(s.epsilon) == pytest.approx(0.7, rel=0.5)
 
 
-@pytest.mark.parametrize("memory_mode", ["dense", "regenerate"])
+def _oracle_blocks(s, source):
+    """(slice, A_block) pairs for an oracle: the blocks as iter_blocks
+    regenerates them, or one dense (n, d, d) stack of all the matrices."""
+    if source == "regenerate":
+        return list(s.iter_blocks())
+    return [(slice(0, s.n), _matrices(s))]
+
+
+@pytest.mark.parametrize("source", ["dense", "regenerate"])
 @pytest.mark.parametrize("distribution", ["gaussian", "rademacher"])
-def test_quadratic_model_matches_streaming_gradient(memory_mode, distribution, rng):
+def test_quadratic_model_matches_streaming_gradient(source, distribution, rng):
     """The operator every run steps with agrees with the definitional
-    per-matrix sums (1/n) sum_i (<A_i, F F^T> - y_i) A_i and (1/n) sum_i y_i A_i."""
+    per-matrix sums (1/n) sum_i (<A_i, F F^T> - y_i) A_i and (1/n) sum_i y_i A_i,
+    taken over a dense stack of the matrices or over regenerated blocks."""
     gt = generate_ground_truth(6, 2, [1.0, 0.6], "zeros", seed=21)
-    s = generate_sensing(
-        gt, n=700, sigma=0.3, distribution=distribution, seed=22, memory_mode=memory_mode
-    )
-    model = s.quadratic_model()
-    bbar = sum(y * a for sl, block in s.iter_blocks()
+    s = generate_sensing(gt, n=700, sigma=0.3, distribution=distribution, seed=22)
+    model = s.model
+    blocks = _oracle_blocks(s, source)
+    bbar = sum(y * a for sl, block in blocks
                for y, a in zip(s.observations[sl], block)) / s.n
     assert frobenius_norm(model.bbar - bbar) <= 1e-10 * frobenius_norm(bbar)
     for _ in range(3):
         f = rng.standard_normal((6, 3))
         ffT = f @ f.T
-        w = sum((np.vdot(a, ffT) - y) * a for sl, block in s.iter_blocks()
+        w = sum((np.vdot(a, ffT) - y) * a for sl, block in blocks
                 for y, a in zip(s.observations[sl], block)) / s.n
         g = w @ f
         assert frobenius_norm(model.gradient(f) - g) <= 1e-10 * frobenius_norm(g)
@@ -165,12 +206,12 @@ def test_quadratic_model_matches_streaming_gradient(memory_mode, distribution, r
         assert frobenius_norm(deviation_matrix(f, gt, s) - dev) <= 1e-10 * frobenius_norm(dev)
 
 
-def _full_operator(s):
+def _full_operator(s, source):
     """Oracle: the d^2 x d^2 operator (1/n) sum_i vec(A_i) vec(A_i)^T and
     bbar = (1/n) sum_i y_i A_i, accumulated over every entry of each A_i."""
     d = s.d
     h, bbar = np.zeros((d * d, d * d)), np.zeros(d * d)
-    for sl, a in s.iter_blocks():
+    for sl, a in _oracle_blocks(s, source):
         flat = a.reshape(a.shape[0], d * d)
         h += flat.T @ flat
         bbar += s.observations[sl] @ flat
@@ -178,17 +219,16 @@ def _full_operator(s):
 
 
 @pytest.mark.parametrize("d", [1, 2, 6, 20])
-@pytest.mark.parametrize("memory_mode", ["dense", "regenerate"])
+@pytest.mark.parametrize("source", ["dense", "regenerate"])
 @pytest.mark.parametrize("distribution", ["gaussian", "rademacher"])
-def test_symmetric_operator_matches_full_operator(d, memory_mode, distribution, rng):
+def test_symmetric_operator_matches_full_operator(d, source, distribution, rng):
     r = min(d, 2)
     gt = generate_ground_truth(d, r, [1.0, 0.6][:r], "zeros", seed=31)
-    s = generate_sensing(gt, n=700, sigma=0.3, distribution=distribution, seed=32,
-                         memory_mode=memory_mode)
-    model = s.quadratic_model()
+    s = generate_sensing(gt, n=700, sigma=0.3, distribution=distribution, seed=32)
+    model = s.model
     p = d * (d + 1) // 2
     assert model.h.shape == (p, p)
-    h, bbar = _full_operator(s)
+    h, bbar = _full_operator(s, source)
 
     def close(got, want):
         assert frobenius_norm(got - want) <= 1e-12 * frobenius_norm(want)
@@ -206,30 +246,34 @@ def test_symmetric_operator_matches_full_operator(d, memory_mode, distribution, 
 
 
 def test_operator_memory_checked_before_build(gt20, monkeypatch):
-    s = generate_sensing(gt20, n=10, sigma=0.0, seed=3)
     p = 20 * 21 // 2  # the p x p operator and its p x p build buffer
+    draw_block = problem._draw_block
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return draw_block(*args, **kwargs)
+
+    monkeypatch.setattr(problem, "_draw_block", counting)
     monkeypatch.setattr(problem, "_memory_budget", lambda: 2 * 8 * p**2 - 1)
     with pytest.raises(InputError, match="sensing operator needs"):
-        s.quadratic_model()
-    assert s._model is None
+        generate_sensing(gt20, n=10, sigma=0.0, seed=3)
+    assert calls == []
     monkeypatch.setattr(problem, "_memory_budget", lambda: 2 * 8 * p**2)
-    assert s.quadratic_model().h.nbytes == 8 * p**2
+    assert generate_sensing(gt20, n=10, sigma=0.0, seed=3).model.h.nbytes == 8 * p**2
 
 
-def test_config_memory_check_counts_operator_and_dense_matrices(monkeypatch):
+def test_config_memory_check_counts_the_operator_in_both_modes(monkeypatch):
     base = dict(d=20, r=3, k=4, n=100, iters=5, seed=1)
     operator = 2 * 8 * (20 * 21 // 2) ** 2  # the operator and its build buffer
-    monkeypatch.setattr(problem, "_memory_budget", lambda: operator + 8 * 100 * 20**2)
-    ExperimentConfig(**base)
-    with pytest.raises(InputError, match="more than half of physical memory"):
-        ExperimentConfig(**dict(base, n=101))
     monkeypatch.setattr(problem, "_memory_budget", lambda: operator)
-    ExperimentConfig(**base, memory_mode="regenerate")
-    with pytest.raises(InputError):
-        ExperimentConfig(**base)
+    for memory_mode in problem.MEMORY_MODES:  # no mode stores the matrices
+        ExperimentConfig(**base, memory_mode=memory_mode)
+        ExperimentConfig(**dict(base, n=10**9), memory_mode=memory_mode)
     monkeypatch.setattr(problem, "_memory_budget", lambda: operator - 1)
-    with pytest.raises(InputError):
-        ExperimentConfig(**base, memory_mode="regenerate")
+    for memory_mode in problem.MEMORY_MODES:
+        with pytest.raises(InputError, match="more than half of physical memory"):
+            ExperimentConfig(**base, memory_mode=memory_mode)
     monkeypatch.setattr(problem, "_memory_budget", lambda: 0)
     ExperimentConfig(**base, gradient_mode="population")
 
@@ -246,7 +290,7 @@ def test_ground_truth_and_observations_checked_before_allocation(gt20):
     with pytest.raises(InputError, match="ground truth needs"):
         generate_ground_truth(10**12, 1, [1.0], "zeros", seed=1)
     with pytest.raises(InputError, match="observations needs"):
-        generate_sensing(gt20, n=10**15, sigma=0.0, seed=1, memory_mode="regenerate")
+        generate_sensing(gt20, n=10**15, sigma=0.0, seed=1)
 
 
 def test_inner_product_examples():
@@ -299,5 +343,5 @@ def test_parameter_validation(gt20):
         generate_sensing(gt20, n=5, sigma=-1.0, seed=1)
     with pytest.raises(InputError):
         generate_sensing(gt20, n=5, sigma=0.0, distribution="cauchy", seed=1)
-    with pytest.raises(InputError):
-        generate_sensing(gt20, n=5, sigma=0.0, seed=1, memory_mode="mmap")
+    with pytest.raises(InputError, match="memory_mode"):
+        ExperimentConfig(d=20, r=3, k=4, n=5, iters=1, seed=1, memory_mode="mmap")

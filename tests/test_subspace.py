@@ -19,7 +19,7 @@ from msense import (
     verify_population_contraction,
     verify_sample_contraction,
 )
-from msense.problem import SensingSet
+from msense.problem import QuadraticModel, SensingSet
 from msense.rng import stream
 from msense.subspace import exact_factor, metrics_from_parts
 
@@ -163,7 +163,7 @@ def test_spectral_init_zero_observations(gt20):
         seed=1,
         observations=np.zeros(16),
         epsilon=np.zeros(16),
-        matrices=np.zeros((16, 20, 20)),
+        model=QuadraticModel(20, np.zeros((210, 210)), np.zeros(210)),
     )
     assert np.max(np.abs(spectral_init(zero, 4))) == 0.0
 
