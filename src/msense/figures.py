@@ -11,6 +11,7 @@ trajectory CSV and a log-y SVG plot.
 from __future__ import annotations
 
 import os
+import shutil
 
 from .csvio import write_trajectory_csv
 from .errors import InputError
@@ -65,14 +66,19 @@ def reproduce_figures(out_dir, seed=2020):
     unique = list(dict.fromkeys(configs.values()))
     trajectories = dict(zip(unique, map_in_order(run_experiment, unique)))
 
-    written = []
+    written, csv_of = [], {}  # config -> the CSV already written for its run
     for name in names:
-        traj = trajectories[configs[name]]
+        config = configs[name]
+        traj = trajectories[config]
         fig = FIGURES[name]
         csv_path = os.path.join(out_dir, f"{name}.csv")
         svg_path = os.path.join(out_dir, f"{name}.svg")
         try:
-            write_trajectory_csv(traj, csv_path)
+            if config in csv_of:
+                shutil.copyfile(csv_of[config], csv_path)
+            else:
+                write_trajectory_csv(traj, csv_path)
+                csv_of[config] = csv_path
             t = traj.column("t")
             series = [
                 (CURVE_LABELS[c], t, traj.column(c).clip(min=0.0)) for c in fig["curves"]

@@ -78,26 +78,39 @@ def batch_metrics(t0, fs, gt, scales, grad_norms, delta_norms):
     """IterateMetrics of the consecutive iterates fs[i] = F_{t0+i} of a
     (B, d, k) stack, given their gradient norms and (possibly None) |Delta|_2.
 
-    Every metric is one stacked numpy call over the chunk: S = U^T F and
-    T = V^T F as stacked products, eigvalsh for the symmetric blocks
-    SS^T - DS*, TT^T, TT^T - DT* and F F^T - X*, singular values for S T^T,
-    and err_fro straight from the d x d residual.  A row with a non-finite
-    entry never reaches LAPACK; its norms are NaN.
+    Every metric is one stacked numpy call over the chunk.  In the basis
+    [U V], with S = U^T F and T = V^T F, F F^T - X* is the symmetric block
+    M = [[S S^T - DS*, S T^T], [T S^T, T T^T - DT*]].  When DT* = 0, T is
+    replaced by R of T = Q R (m x k, m = min(d - r, k)), which keeps every
+    spectrum and shrinks M to (r + m) x (r + m); otherwise M is d x d.  X*
+    enters M rotated by the stored basis, so that its rounding cancels near
+    the solution as in F F^T - X*.  ss_err and err_fro keep their direct
+    formulas (err_fro from the d x d residual, no LAPACK).  A row with a
+    non-finite entry never reaches LAPACK; its norms are NaN.
     """
     fs = np.asarray(fs, dtype=float)
     if fs.ndim != 3 or fs.shape[1] != gt.d:
         raise InputError(f"factors must be B x {gt.d} x k, got {fs.shape}")
-    s = gt.U.T @ fs
-    tc = gt.V.T @ fs
-    ttT = tc @ tc.transpose(0, 2, 1)
+    r, s, tc = gt.r, gt.U.T @ fs, gt.V.T @ fs
+    if gt.dt.any():
+        basis = np.hstack([gt.U, gt.V])
+    else:
+        basis, ok = gt.U, np.isfinite(tc).all(axis=(1, 2))
+        fac = np.full((len(tc), min(tc.shape[1:]), tc.shape[2]), np.nan)
+        fac[ok] = np.linalg.qr(tc[ok], mode="r")
+        tc = fac
+    g = np.concatenate([s, tc], axis=1)
+    blk = g @ g.transpose(0, 2, 1)
     ss_err = spectral_norms(s @ s.transpose(0, 2, 1) - np.diag(gt.ds), symmetric=True)
-    st_norm = spectral_norms(s @ tc.transpose(0, 2, 1))
-    tt_norm = spectral_norms(ttT, symmetric=True)
+    st_norm = spectral_norms(blk[:, :r, r:])
+    tt_norm = spectral_norms(blk[:, r:, r:], symmetric=True)
+    x = basis.T @ gt.Xstar @ basis
+    blk[:, : len(x), : len(x)] -= x
     # With DT* = 0 the two blocks are the same matrix.
-    tt_err = spectral_norms(ttT - np.diag(gt.dt), symmetric=True) if gt.dt.any() else tt_norm
+    tt_err = spectral_norms(blk[:, r:, r:], symmetric=True) if gt.dt.any() else tt_norm
+    err_spec = spectral_norms(blk, symmetric=True)
     resid = fs @ fs.transpose(0, 2, 1)
     resid -= gt.Xstar
-    err_spec = spectral_norms(resid, symmetric=True)
     err_fro = np.sqrt(np.einsum("bij,bij->b", resid, resid))
     d_val = np.maximum(np.maximum(ss_err, tt_norm), st_norm)
     a_val = np.maximum(d_val - FLOOR_MULTIPLIER * scales.eps_stat, 0.0)

@@ -210,10 +210,19 @@ def test_figures_command(tmp_path, monkeypatch):
         return real_run(config, *args, **kwargs)
 
     monkeypatch.setattr(msense.figures, "run_experiment", counting_run)
+    csv_writes = []
+    real_write = msense.figures.write_trajectory_csv
+
+    def counting_write(traj, path, *args, **kwargs):
+        csv_writes.append(path)
+        return real_write(traj, path, *args, **kwargs)
+
+    monkeypatch.setattr(msense.figures, "write_trajectory_csv", counting_write)
     out_dir = tmp_path / "figs"
     rc = main(["figures", "--out", str(out_dir), "--seed", "11"])
     assert rc == 0
     assert len(runs) == 4  # fig2a/fig2b replot the fig1a/fig1b runs
+    assert len(csv_writes) == 4  # and copy their CSVs
     names = sorted(p.name for p in out_dir.iterdir())
     expected = []
     for stem in ("fig1a", "fig1b", "fig1c", "fig1d", "fig2a", "fig2b"):

@@ -95,6 +95,7 @@ PROBLEMS = {
     "dt_nonzero": dict(d=12, r=3, ds=(1.0, 0.9, 0.8), dt=(0.5, -0.4, 0.3) + (0.0,) * 6, k=5),
     "r_equals_d": dict(d=6, r=6, ds=(1.0, 0.9, 0.8, 0.7, 0.6, 0.5), dt="zeros", k=7),
     "k_one": dict(d=15, r=1, ds=(1.0,), dt="zeros", k=1),
+    "k_exceeds_d_minus_r": dict(d=6, r=3, ds=(1.0, 0.9, 0.8), dt="zeros", k=5),
 }
 
 
@@ -104,11 +105,15 @@ def test_kernel_matches_oracle_on_random_iterates(name, rng):
     gt = generate_ground_truth(p["d"], p["r"], p["ds"], p["dt"], seed=11)
     scales = derived_scales(gt, n=500, sigma=0.2, k=p["k"])
     near = exact_factor(gt, p["k"])
-    # Far from, near and very near the exact factor, plus the origin.
+    # Far from, near and very near the exact factor, plus the origin.  With
+    # DT* = 0 the exact factor itself has T = 0 up to rounding, and one
+    # added V-direction gives it a rank-1 T.
+    v = gt.V[:, :1]
+    rank_one = v @ rng.standard_normal((v.shape[1], p["k"]))
     fs = np.stack(
         [rng.standard_normal((p["d"], p["k"])) * s for s in (3.0, 1.0, 0.3)]
         + [near + eps * rng.standard_normal(near.shape) for eps in (1e-2, 1e-6, 1e-9)]
-        + [np.zeros_like(near)]
+        + [np.zeros_like(near), near, near + 0.1 * rank_one]
     )
     grad_norms = rng.uniform(0.0, 2.0, size=len(fs))
     delta_norms = [None if i % 2 else float(rng.uniform()) for i in range(len(fs))]
@@ -120,15 +125,57 @@ def test_kernel_matches_oracle_on_random_iterates(name, rng):
         assert metrics_from_parts(5 + i, f, gt, scales, grad_norms[i], delta_norms[i]) == rows[i]
 
 
+def spy_on_lapack(monkeypatch, check):
+    """Route np.linalg's qr, eigvalsh and svd through ``check(name, array)``."""
+    for name in ("qr", "eigvalsh", "svd"):
+        def spy(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            check(_name, np.asarray(a))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_kernel_non_finite_row_is_nan_and_isolated(gt20, rng):
+def test_kernel_non_finite_row_is_nan_and_isolated(gt20, rng, monkeypatch):
     scales = derived_scales(gt20, n=200, sigma=0.0, k=4)
-    fs = rng.standard_normal((3, 20, 4))
+    fs = rng.standard_normal((4, 20, 4))
     fs[1, 2, 0] = np.inf
-    rows = batch_metrics(0, fs, gt20, scales, [1.0, 1.0, 1.0], [None] * 3)
-    assert np.isnan(rows[1].err_spec) and np.isnan(rows[1].D)
+    fs[3, :, 1] += np.inf * gt20.V[:, 0]  # inf along one V-direction only
+    calls = []
+
+    def finite_only(name, a):
+        assert np.isfinite(a).all(), name
+        calls.append(name)
+
+    spy_on_lapack(monkeypatch, finite_only)
+    rows = batch_metrics(0, fs, gt20, scales, [1.0] * 4, [None] * 4)
+    assert {"qr", "eigvalsh", "svd"} <= set(calls)
+    for i in (1, 3):
+        for name in ("ss_err", "st_norm", "tt_norm", "tt_err", "D", "A", "err_spec"):
+            assert np.isnan(getattr(rows[i], name)), (i, name)
     assert rows[0] == metrics_from_parts(0, fs[0], gt20, scales, 1.0)
     assert rows[2] == metrics_from_parts(2, fs[2], gt20, scales, 1.0)
+
+
+@pytest.mark.parametrize("dt", ["zeros", (0.3, -0.2) + (0.0,) * 15])
+def test_kernel_eigensolves_stay_in_the_small_block(dt, rng, monkeypatch):
+    """With DT* = 0 every spectral norm is taken in the (r + k)-dimensional
+    block; with DT* != 0 the d x d block is used, and both match the oracle."""
+    gt = generate_ground_truth(20, 3, (1.0, 0.9, 0.8), dt, seed=5)
+    scales = derived_scales(gt, n=200, sigma=0.0, k=4)
+    fs = rng.standard_normal((6, 20, 4))
+    shapes = []
+
+    def record(name, a):
+        if name != "qr":  # T's QR is (d - r) x k by design; it is not a spectral norm
+            shapes.append(a.shape[-2:])
+
+    spy_on_lapack(monkeypatch, record)
+    rows = batch_metrics(0, fs, gt, scales, [1.0] * 6, [None] * 6)
+    monkeypatch.undo()
+    largest = max(max(shape) for shape in shapes)
+    assert largest == (7 if dt == "zeros" else 20)
+    want = [oracle_metrics(i, f, gt, scales, 1.0) for i, f in enumerate(fs)]
+    assert_rows_close(rows, want, gt.sigma1)
 
 
 RUNS = {
