@@ -37,7 +37,7 @@ def _load_config(path):
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"config {path} is not valid JSON: {exc}") from exc
     return ExperimentConfig.from_dict(data)
 

@@ -32,11 +32,7 @@ def trajectory_rows(traj, timing=False):
     for m, ms in zip(traj.metrics, elapsed):
         delta = "" if m.delta_norm is None else _f(m.delta_norm)
         clock = "" if ms is None else _f(ms)
-        yield (
-            f"{m.t},{_f(m.ss_err)},{_f(m.st_norm)},{_f(m.tt_norm)},{_f(m.tt_err)},"
-            f"{_f(m.D)},{_f(m.A)},{_f(m.err_spec)},{_f(m.err_fro)},{_f(m.grad_norm)},"
-            f"{delta},{clock}"
-        )
+        yield ",".join([str(m.t), *map(_f, m[1:10]), delta, clock])
 
 
 def check_output_path(path):
@@ -57,18 +53,21 @@ def read_trajectory_csv(path):
     """Parse a trajectory CSV back into a list of IterateMetrics."""
     try:
         with open(path, "r", newline="") as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    except OSError as exc:
+            lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read trajectory {path}: {exc}") from exc
-    if not lines or lines[0] != TRAJECTORY_HEADER:
+    if not lines or lines[0][1] != TRAJECTORY_HEADER:
         raise InputError(f"{path}: missing or unexpected trajectory header")
     metrics = []
-    for ln in lines[1:]:
+    for no, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 12:
-            raise InputError(f"{path}: expected 12 cells per row, got {len(parts)}")
-        delta = float(parts[10]) if parts[10] else None
-        metrics.append(IterateMetrics(int(parts[0]), *map(float, parts[1:10]), delta))
+            raise InputError(f"{path}, line {no}: expected 12 cells per row, got {len(parts)}")
+        try:
+            delta = float(parts[10]) if parts[10] else None
+            metrics.append(IterateMetrics(int(parts[0]), *map(float, parts[1:10]), delta))
+        except ValueError as exc:
+            raise InputError(f"{path}, line {no}: {exc}") from None
     return metrics
 
 
@@ -88,5 +87,4 @@ def write_sweep_csv(result, path):
 
 def metrics_column(metrics, name):
     """Extract one metrics field as a float array (NaN for missing)."""
-    vals = [getattr(m, name) for m in metrics]
-    return np.array([np.nan if v is None else float(v) for v in vals])
+    return np.array([getattr(m, name) for m in metrics], dtype=float)

@@ -208,7 +208,8 @@ def _initial_factor(config, gt, sensing):
 
 def _chunk_rows(d):
     """Iterates buffered per batch_metrics call: at most 256, and at most
-    2**15 doubles (256 KiB) in the chunk's stack of d x d residuals."""
+    2**15 doubles (256 KiB) in a chunk's stack of d x d blocks, the largest
+    per-row array the kernel forms (M when DT* != 0)."""
     return max(1, min(256, 2**15 // (d * d)))
 
 
@@ -427,10 +428,7 @@ def detect_phases(traj, config=None, eta=None):
     metrics = traj.metrics if hasattr(traj, "metrics") else list(traj)
     if len(metrics) < 50:
         raise InputError(f"need at least 50 recorded iterations, got {len(metrics)}")
-    t = np.array([m.t for m in metrics], dtype=float)
-    ss = np.array([m.ss_err for m in metrics])
-    d_vals = np.array([m.D for m in metrics])
-    a_vals = np.array([m.A for m in metrics])
+    t, ss, d_vals, a_vals = (metrics_column(metrics, c) for c in ("t", "ss_err", "D", "A"))
     if config is not None:
         eta = config.eta_value()
         noisy = config.sigma > 0 and config.gradient_mode == "sample"

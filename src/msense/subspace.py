@@ -10,6 +10,7 @@ noise-floored companion A = max(D - 50 eps_stat, 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +60,7 @@ def derived_scales(gt, n, sigma, k):
     )
 
 
-@dataclass(frozen=True)
-class IterateMetrics:
+class IterateMetrics(NamedTuple):  # a trajectory CSV row, elapsed_ms aside
     t: int
     ss_err: float  # |S S^T - DS*|_2
     st_norm: float  # |S T^T|_2
@@ -84,10 +84,10 @@ def batch_metrics(t0, fs, gt, scales, grad_norms, delta_norms):
     replaced by R of T = Q R (m x k, m = min(d - r, k)), which keeps every
     spectrum and shrinks M to (r + m) x (r + m); otherwise M is d x d.  X*
     enters M rotated by the stored basis, so that its rounding cancels near
-    the solution as in F F^T - X*.  ss_err and err_fro keep their direct
-    formulas (err_fro from the d x d residual, no LAPACK).  A row with a
-    non-finite entry never reaches LAPACK; its norms are NaN.
-    """
+    the solution as in F F^T - X*.  err_fro is |M|_F (the basis change is
+    orthogonal), st_norm is sqrt(lambda_max) of the r x r Gram of S R^T and
+    ss_err keeps its S S^T - DS* formula.  A row with a non-finite entry never
+    reaches LAPACK; its norms are NaN."""
     fs = np.asarray(fs, dtype=float)
     if fs.ndim != 3 or fs.shape[1] != gt.d:
         raise InputError(f"factors must be B x {gt.d} x k, got {fs.shape}")
@@ -102,22 +102,22 @@ def batch_metrics(t0, fs, gt, scales, grad_norms, delta_norms):
     g = np.concatenate([s, tc], axis=1)
     blk = g @ g.transpose(0, 2, 1)
     ss_err = spectral_norms(s @ s.transpose(0, 2, 1) - np.diag(gt.ds), symmetric=True)
-    st_norm = spectral_norms(blk[:, :r, r:])
+    st = blk[:, :r, r:]
+    st_norm = np.sqrt(spectral_norms(st @ st.transpose(0, 2, 1), symmetric=True))
     tt_norm = spectral_norms(blk[:, r:, r:], symmetric=True)
     x = basis.T @ gt.Xstar @ basis
     blk[:, : len(x), : len(x)] -= x
     # With DT* = 0 the two blocks are the same matrix.
     tt_err = spectral_norms(blk[:, r:, r:], symmetric=True) if gt.dt.any() else tt_norm
     err_spec = spectral_norms(blk, symmetric=True)
-    resid = fs @ fs.transpose(0, 2, 1)
-    resid -= gt.Xstar
-    err_fro = np.sqrt(np.einsum("bij,bij->b", resid, resid))
+    err_fro = np.sqrt(np.einsum("bij,bij->b", blk, blk))
     d_val = np.maximum(np.maximum(ss_err, tt_norm), st_norm)
     a_val = np.maximum(d_val - FLOOR_MULTIPLIER * scales.eps_stat, 0.0)
     cols = (ss_err, st_norm, tt_norm, tt_err, d_val, a_val, err_spec, err_fro,
             np.asarray(grad_norms, dtype=float))
-    rows = zip(*(c.tolist() for c in cols), delta_norms, strict=True)
-    return [IterateMetrics(int(t0) + i, *row) for i, row in enumerate(rows)]
+    t = range(int(t0), int(t0) + len(fs))
+    rows = zip(t, *(c.tolist() for c in cols), delta_norms, strict=True)
+    return list(map(IterateMetrics._make, rows))
 
 
 def metrics_from_parts(t, f, gt, scales, grad_norm, delta_norm=None):

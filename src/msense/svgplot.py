@@ -1,8 +1,13 @@
-"""Minimal hand-written SVG line charts (log-y), no plotting dependencies."""
+"""Minimal hand-written SVG line charts (log-y), no plotting dependencies.
+
+A curve's pixels are one numpy expression in the per-point formulas' order,
+with math.log10 per value, so the bytes match a per-point writer."""
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 WIDTH, HEIGHT = 860, 520
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 170, 40, 50
@@ -22,23 +27,24 @@ def write_line_chart(path, series, title="", xlabel="iteration", ylabel="value")
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [max(float(y), FLOOR) for _, _, ys in series for y in ys]
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
+    xs_each = [np.asarray(xs, dtype=float) for _, xs, _ in series]
+    ys_each = [np.maximum(np.asarray(ys, dtype=float), FLOOR) for _, _, ys in series]
+    xs_all, ys_all = np.concatenate(xs_each), np.concatenate(ys_each)
+    x_lo, x_hi = xs_all.min(), xs_all.max()
+    y_lo, y_hi = ys_all.min(), ys_all.max()
     if x_hi == x_lo:
         x_hi = x_lo + 1
     if y_hi == y_lo:
         y_hi = y_lo * 10 if y_lo > 0 else 1.0
+    lo, hi = math.log10(y_lo), math.log10(y_hi)
+    if hi == lo:
+        hi = lo + 1
 
     def px(x):
         return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y):
-        ly = math.log10(max(float(y), FLOOR))
-        lo, hi = math.log10(y_lo), math.log10(y_hi)
-        if hi == lo:
-            hi = lo + 1
+    def py(ys):  # values already clamped to FLOOR
+        ly = np.fromiter(map(math.log10, ys), float)
         return MARGIN_T + (hi - ly) / (hi - lo) * plot_h
 
     parts = [
@@ -50,10 +56,8 @@ def write_line_chart(path, series, title="", xlabel="iteration", ylabel="value")
         'fill="none" stroke="#333"/>',
     ]
 
-    for yt in _ticks_log(y_lo, y_hi):
-        if yt < y_lo or yt > y_hi:
-            continue
-        ypix = py(yt)
+    y_ticks = [yt for yt in _ticks_log(y_lo, y_hi) if y_lo <= yt <= y_hi]
+    for yt, ypix in zip(y_ticks, py(y_ticks).tolist()):
         parts.append(
             f'<line x1="{MARGIN_L}" y1="{ypix:.1f}" x2="{MARGIN_L + plot_w}" y2="{ypix:.1f}" '
             'stroke="#ddd"/>'
@@ -80,9 +84,9 @@ def write_line_chart(path, series, title="", xlabel="iteration", ylabel="value")
         f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.1f})">{ylabel}</text>'
     )
 
-    for i, (label, xs, ys) in enumerate(series):
+    for i, ((label, _, _), xs, ys) in enumerate(zip(series, xs_each, ys_each)):
         color = COLORS[i % len(COLORS)]
-        pts = " ".join(f"{px(x):.1f},{py(y):.1f}" for x, y in zip(xs, ys))
+        pts = " ".join(map("{:.1f},{:.1f}".format, px(xs).tolist(), py(ys.tolist()).tolist()))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = MARGIN_T + 16 + 18 * i
         lx = MARGIN_L + plot_w + 12

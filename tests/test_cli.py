@@ -201,6 +201,38 @@ def test_phases_missing_file_exits_1(tmp_path):
     assert main(["phases", "--traj", str(tmp_path / "none.csv")]) == 1
 
 
+BINARY = bytes(range(256)) * 4  # 0x80-0xff alone are not valid UTF-8
+
+
+def test_phases_malformed_trajectory_exits_1_with_one_line(tmp_path, capsys):
+    cfg = write_config(tmp_path, iters=20, output=str(tmp_path / "t.csv"))
+    assert main(["run", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    row = lines[3].split(",")
+    bad_cell = ",".join(row[:1] + ["abc"] + row[2:])  # ss_err
+    bad_t = ",".join(["1.5"] + row[1:])
+    cases = {"bad_cell.csv": lines[:3] + [bad_cell] + lines[4:],
+             "bad_t.csv": lines[:3] + [bad_t] + lines[4:]}
+    for name, content in cases.items():
+        (tmp_path / name).write_text("\n".join(content) + "\n")
+    (tmp_path / "binary.csv").write_bytes(BINARY)
+    for name, needle in (("bad_cell.csv", "line 4"), ("bad_t.csv", "line 4"),
+                         ("binary.csv", "binary.csv")):
+        assert main(["phases", "--traj", str(tmp_path / name)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert name in err and needle in err, err
+
+
+def test_run_binary_config_exits_1_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(BINARY)
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config ") and err.count("\n") == 1, err
+
+
 def test_figures_command(tmp_path, monkeypatch):
     runs = []
     real_run = msense.figures.run_experiment

@@ -18,7 +18,7 @@ from msense import (
     run_experiment,
     spectral_norm,
 )
-from msense.csvio import trajectory_rows
+from msense.csvio import TRAJECTORY_HEADER, trajectory_rows
 from msense.harness import DIVERGENCE_FACTOR, _chunk_rows, _initial_factor
 from msense.subspace import IterateMetrics, batch_metrics, exact_factor, metrics_from_parts
 
@@ -125,6 +125,16 @@ def test_kernel_matches_oracle_on_random_iterates(name, rng):
         assert metrics_from_parts(5 + i, f, gt, scales, grad_norms[i], delta_norms[i]) == rows[i]
 
 
+def test_iterate_metrics_schema_is_locked():
+    assert IterateMetrics._fields == tuple(TRAJECTORY_HEADER.split(",")[:11])
+    row = IterateMetrics(t=3, ss_err=0.1, st_norm=0.2, tt_norm=0.3, tt_err=0.4, D=0.5,
+                         A=0.6, err_spec=0.7, err_fro=0.8, grad_norm=0.9)
+    assert row.delta_norm is None
+    assert row == IterateMetrics(3, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, None)
+    with pytest.raises(AttributeError):
+        row.err_fro = 1.0
+
+
 def spy_on_lapack(monkeypatch, check):
     """Route np.linalg's qr, eigvalsh and svd through ``check(name, array)``."""
     for name in ("qr", "eigvalsh", "svd"):
@@ -148,7 +158,7 @@ def test_kernel_non_finite_row_is_nan_and_isolated(gt20, rng, monkeypatch):
 
     spy_on_lapack(monkeypatch, finite_only)
     rows = batch_metrics(0, fs, gt20, scales, [1.0] * 4, [None] * 4)
-    assert {"qr", "eigvalsh", "svd"} <= set(calls)
+    assert set(calls) == {"qr", "eigvalsh"}  # st_norm is an eigvalsh of its r x r Gram
     for i in (1, 3):
         for name in ("ss_err", "st_norm", "tt_norm", "tt_err", "D", "A", "err_spec"):
             assert np.isnan(getattr(rows[i], name)), (i, name)
@@ -235,5 +245,5 @@ def test_chunk_rows_bounded_by_bytes():
     for d in (2, 10, 11, 20, 50, 181, 182, 1000):
         rows = _chunk_rows(d)
         assert 1 <= rows <= 256
-        assert rows == 1 or rows * d * d <= 2**15  # 256 KiB of d x d residuals
+        assert rows == 1 or rows * d * d <= 2**15  # 256 KiB of d x d blocks
     assert _chunk_rows(10) == 256
