@@ -135,6 +135,8 @@ def _cmd_verify_init(args):
 
 
 def _cmd_conc(args):
+    if args.out and args.kind in ("moment", "asq"):
+        raise InputError(f"conc {args.kind} writes no per-trial CSV; drop --out")
     if args.out:
         check_output_path(args.out)
     if args.kind in ("deviation", "moment"):  # before the d x d matrix U is drawn

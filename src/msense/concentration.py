@@ -27,6 +27,8 @@ def check_mc_memory(d, rows):
     """Reject, before any draw, a Monte Carlo run whose d x d accumulators
     (at most four) and one block of min(rows, _MC_BLOCK) draws exceed the
     memory budget."""
+    if d < 1:
+        raise InputError(f"d must be at least 1, got {d}")
     check_memory(8 * d * d * (4 + min(rows, _MC_BLOCK)), f"the d={d} Monte Carlo draws")
 
 
@@ -124,8 +126,9 @@ def mc_noise_term(d, sigma, n, trials, seed, distribution="gaussian"):
     """
     if d < 1 or n < 1 or trials < 1:
         raise InputError("d, n and trials must be positive")
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise InputError(f"sigma must be a finite number >= 0, got {sigma!r}")
+    # Up to 1e150, d sigma^2 and every noise sum stay within the float range.
+    if not (math.isfinite(sigma) and 0 <= sigma <= 1e150):
+        raise InputError(f"sigma must be a finite number >= 0 and <= 1e150, got {sigma!r}")
     check_mc_memory(d, n)
     vals = np.empty(trials)
     for trial in range(trials):

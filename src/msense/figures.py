@@ -15,7 +15,7 @@ import shutil
 
 from .csvio import write_trajectory_csv
 from .errors import InputError
-from .harness import ExperimentConfig, InitSpec, map_in_order, run_experiment
+from .harness import ExperimentConfig, InitSpec, run_experiment
 from .svgplot import write_line_chart
 
 BASE = dict(d=20, r=3, n=200, sigma=0.0, ds=(1.0, 0.9, 0.8), dt="zeros", eta=0.1)
@@ -63,8 +63,7 @@ def reproduce_figures(out_dir, seed=2020):
 
     names = sorted(FIGURES)
     configs = {name: _figure_config(FIGURES[name], seed) for name in names}
-    unique = list(dict.fromkeys(configs.values()))
-    trajectories = dict(zip(unique, map_in_order(run_experiment, unique)))
+    trajectories = {c: run_experiment(c) for c in dict.fromkeys(configs.values())}
 
     written, csv_of = [], {}  # config -> the CSV already written for its run
     for name in names:

@@ -4,7 +4,7 @@ convergence-phase detection.
 A run builds the ground truth and sensing set from its seed, iterates the
 factored gradient step, and records per-iteration subspace metrics.  Runs
 are deterministic per config; sweeps derive one seed per grid cell and
-merge results in grid order regardless of worker count.
+run the cells in grid order.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import math
 import numbers
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -54,7 +53,7 @@ def _finite_numbers(name, values):
 
 
 def worker_count():
-    """Worker threads for sweeps; capped by the MSENSE_THREADS env var."""
+    """The package's thread cap: the CPU count, lowered by the MSENSE_THREADS env var."""
     cap = os.environ.get("MSENSE_THREADS")
     default = os.cpu_count() or 1
     if cap is None:
@@ -64,15 +63,6 @@ def worker_count():
     except ValueError:
         raise InputError(f"MSENSE_THREADS must be an integer, got {cap!r}") from None
     return max(1, min(default, cap))
-
-
-def map_in_order(fn, items):
-    """``[fn(x) for x in items]``, computed on up to worker_count() threads."""
-    workers = min(worker_count(), len(items))
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -365,8 +355,7 @@ def _run_cell(base, param, value):
 
 
 def sweep(base_config, param, values, out=None):
-    """One run per grid value with derived cell seeds; cells execute
-    concurrently and results merge in grid order."""
+    """One run per grid value with derived cell seeds, in grid order."""
     values = list(values)
     if len(values) < 1:
         raise InputError("sweep needs at least one value")
@@ -376,7 +365,7 @@ def sweep(base_config, param, values, out=None):
         raise InputError("sweep values must be strictly increasing")
     if out:
         check_output_path(out)
-    rows = map_in_order(lambda v: _run_cell(base_config, param, v), values)
+    rows = [_run_cell(base_config, param, v) for v in values]
 
     slope = intercept = None
     if param == "n" and base_config.sigma > 0:
@@ -434,6 +423,8 @@ def detect_phases(traj, config=None, eta=None):
         noisy = config.sigma > 0 and config.gradient_mode == "sample"
     else:
         noisy = bool(np.any(a_vals < d_vals))
+    if eta is not None and not (_is_finite_number(eta) and eta > 0):
+        raise InputError(f"eta must be a positive finite number, got {eta!r}")
 
     # Head fit.
     head_window = head_slope = head_r2 = None

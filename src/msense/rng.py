@@ -4,7 +4,7 @@ Every random draw in the package comes from a Philox generator keyed by
 (root seed, purpose tag, stream index).  Streams for different purposes or
 indices are statistically independent and individually reproducible, so
 sensing matrices, noise, and initialization draws never perturb each other
-and parallel sweeps stay deterministic.
+and a sweep cell's results do not depend on the cells before it.
 """
 
 from __future__ import annotations

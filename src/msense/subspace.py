@@ -120,12 +120,6 @@ def batch_metrics(t0, fs, gt, scales, grad_norms, delta_norms):
     return list(map(IterateMetrics._make, rows))
 
 
-def metrics_from_parts(t, f, gt, scales, grad_norm, delta_norm=None):
-    """IterateMetrics of one iterate: a one-row batch_metrics call."""
-    return batch_metrics(t, np.asarray(f, dtype=float)[None], gt, scales, [grad_norm],
-                         [delta_norm])[0]
-
-
 def exact_factor(gt, k):
     """Best rank-<=k PSD factor of X* built from its known eigen-split."""
     vals = np.concatenate([gt.ds, gt.dt])
@@ -186,14 +180,13 @@ def planted_init(gt, k, rho, seed):
 def spectral_init(s, k):
     """Initialization from the spectrum of the data surrogate.
 
-    M = (1/n) sum_i y_i A_i, the bbar of the sensing set's QuadraticModel,
-    is symmetrized; F0 keeps the top-k eigenpairs by
+    M = (1/n) sum_i y_i A_i is the bbar of the sensing set's QuadraticModel,
+    symmetric by construction; F0 keeps the top-k eigenpairs by
     algebraic value with negative eigenvalues clipped to zero.
     """
     if not 1 <= k <= s.d:
         raise InputError(f"need 1 <= k <= d, got k={k}, d={s.d}")
-    m = s.model.bbar
-    w, v = np.linalg.eigh(0.5 * (m + m.T))
+    w, v = np.linalg.eigh(s.model.bbar)
     idx = np.argsort(-w, kind="stable")[:k]
     lam = np.clip(w[idx], 0.0, None)
     return v[:, idx] * np.sqrt(lam)
@@ -222,7 +215,7 @@ def check_initialization(f0, gt, rho):
     """Pure measurement of an initialization against the basin conditions."""
     if rho <= 0:
         raise InputError(f"rho must be positive, got {rho}")
-    m = metrics_from_parts(0, f0, gt, DerivedScales(0.0, 0.0), grad_norm=0.0)
+    m = batch_metrics(0, [f0], gt, DerivedScales(0.0, 0.0), [0.0], [None])[0]
     lhs, ss0, tt0, st0 = m.err_spec, m.ss_err, m.tt_err, m.st_norm
     bound = rho * gt.sigma_r
     premise = lhs <= 0.7 * bound

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from msense import generate_ground_truth, generate_sensing
+from msense.subspace import batch_metrics
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +38,14 @@ def _triu_transpose_draw(rng_, count, d, distribution):
 def draw_oracle():
     """``_triu_transpose_draw(rng, count, d, distribution)``, the oracle for problem._draw."""
     return _triu_transpose_draw
+
+
+def _one_row_metrics(t, f, gt, scales, grad_norm=0.0, delta_norm=None):
+    return batch_metrics(t, [f], gt, scales, [grad_norm], [delta_norm])[0]
+
+
+@pytest.fixture(scope="session")
+def one_row_metrics():
+    """``_one_row_metrics(t, f, gt, scales, grad_norm=0.0, delta_norm=None)``: the
+    IterateMetrics of one iterate, from a one-row batch_metrics call."""
+    return _one_row_metrics

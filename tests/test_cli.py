@@ -187,6 +187,41 @@ def test_conc_deviation_and_moment(capsys):
     assert "second_moment" in out
 
 
+def test_conc_rejects_d_below_one_with_one_line(capsys):
+    for argv in (["conc", "moment", "--d", "0"], ["conc", "moment", "--d", "-1"],
+                 ["conc", "deviation", "--d", "-1"]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_conc_huge_sigma_exits_1_with_one_line_and_no_warning():
+    for sigma in ("1e308", "1e200"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "msense.cli", "conc", "noise", "--d", "4", "--n", "10",
+             "--trials", "1", "--sigma", sigma],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "sigma" in proc.stderr and "Warning" not in proc.stderr
+
+
+def test_conc_out_is_rejected_for_moment_and_asq_before_drawing(tmp_path, capsys, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew sensing matrices")
+
+    monkeypatch.setattr(msense.concentration, "_draw", no_draw)
+    out = tmp_path / "mc.csv"
+    for kind in ("moment", "asq"):
+        assert main(["conc", kind, "--d", "4", "--trials", "10", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "--out" in err
+    assert not out.exists()
+
+
 def test_phases_command(tmp_path, capsys):
     cfg = write_config(tmp_path, iters=200, output=str(tmp_path / "t.csv"))
     assert main(["run", "--config", str(cfg)]) == 0
@@ -195,6 +230,17 @@ def test_phases_command(tmp_path, capsys):
     blob = json.loads(capsys.readouterr().out)
     assert blob["head_slope"] is not None
     assert blob["recursion_pass_rate"] is not None
+
+
+def test_phases_rejects_non_positive_or_non_finite_eta(tmp_path, capsys):
+    cfg = write_config(tmp_path, iters=60, output=str(tmp_path / "t.csv"))
+    assert main(["run", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    for eta in ("nan", "inf", "-1", "0"):
+        assert main(["phases", "--traj", str(tmp_path / "t.csv"), "--eta", eta]) == 1, eta
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: eta ") and captured.err.count("\n") == 1
 
 
 def test_phases_missing_file_exits_1(tmp_path):

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from msense import (
 )
 from msense import problem
 from msense.csvio import read_trajectory_csv, write_trajectory_csv
+from msense.figures import reproduce_figures
 from msense.subspace import IterateMetrics
 
 
@@ -320,6 +323,17 @@ def test_sweep_thread_invariance(tmp_path, monkeypatch):
     r2 = sweep(cfg, "n", [100, 200, 300], out=str(tmp_path / "s2.csv"))
     assert (tmp_path / "s1.csv").read_bytes() == (tmp_path / "s2.csv").read_bytes()
     assert r1.rows == r2.rows
+
+
+def test_sweep_and_figures_start_no_thread(tmp_path, monkeypatch):
+    def no_thread(self):
+        raise AssertionError("started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    monkeypatch.setenv("MSENSE_THREADS", "8")
+    result = sweep(small_config(iters=40, sigma=0.2), "n", [100, 200, 300])
+    assert [row.status for row in result.rows] == ["ok"] * 3
+    assert len(reproduce_figures(tmp_path / "figs")) == 12
 
 
 def test_sweep_cell_seeds_differ_per_value():

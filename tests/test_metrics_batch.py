@@ -20,7 +20,7 @@ from msense import (
 )
 from msense.csvio import TRAJECTORY_HEADER, trajectory_rows
 from msense.harness import DIVERGENCE_FACTOR, _chunk_rows, _initial_factor
-from msense.subspace import IterateMetrics, batch_metrics, exact_factor, metrics_from_parts
+from msense.subspace import IterateMetrics, batch_metrics, exact_factor
 
 FIELDS = ("ss_err", "st_norm", "tt_norm", "tt_err", "D", "A", "err_spec", "err_fro",
           "grad_norm", "delta_norm")
@@ -100,7 +100,7 @@ PROBLEMS = {
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
-def test_kernel_matches_oracle_on_random_iterates(name, rng):
+def test_kernel_matches_oracle_on_random_iterates(name, rng, one_row_metrics):
     p = PROBLEMS[name]
     gt = generate_ground_truth(p["d"], p["r"], p["ds"], p["dt"], seed=11)
     scales = derived_scales(gt, n=500, sigma=0.2, k=p["k"])
@@ -121,8 +121,8 @@ def test_kernel_matches_oracle_on_random_iterates(name, rng):
     want = [oracle_metrics(5 + i, f, gt, scales, g, dn)
             for i, (f, g, dn) in enumerate(zip(fs, grad_norms, delta_norms))]
     assert_rows_close(rows, want, gt.sigma1)
-    for i, f in enumerate(fs):  # the one-row path is the same kernel
-        assert metrics_from_parts(5 + i, f, gt, scales, grad_norms[i], delta_norms[i]) == rows[i]
+    for i, f in enumerate(fs):  # a row does not depend on the rest of its batch
+        assert one_row_metrics(5 + i, f, gt, scales, grad_norms[i], delta_norms[i]) == rows[i]
 
 
 def test_iterate_metrics_schema_is_locked():
@@ -145,7 +145,7 @@ def spy_on_lapack(monkeypatch, check):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_kernel_non_finite_row_is_nan_and_isolated(gt20, rng, monkeypatch):
+def test_kernel_non_finite_row_is_nan_and_isolated(gt20, rng, monkeypatch, one_row_metrics):
     scales = derived_scales(gt20, n=200, sigma=0.0, k=4)
     fs = rng.standard_normal((4, 20, 4))
     fs[1, 2, 0] = np.inf
@@ -162,8 +162,8 @@ def test_kernel_non_finite_row_is_nan_and_isolated(gt20, rng, monkeypatch):
     for i in (1, 3):
         for name in ("ss_err", "st_norm", "tt_norm", "tt_err", "D", "A", "err_spec"):
             assert np.isnan(getattr(rows[i], name)), (i, name)
-    assert rows[0] == metrics_from_parts(0, fs[0], gt20, scales, 1.0)
-    assert rows[2] == metrics_from_parts(2, fs[2], gt20, scales, 1.0)
+    assert rows[0] == one_row_metrics(0, fs[0], gt20, scales, 1.0)
+    assert rows[2] == one_row_metrics(2, fs[2], gt20, scales, 1.0)
 
 
 @pytest.mark.parametrize("dt", ["zeros", (0.3, -0.2) + (0.0,) * 15])

@@ -21,11 +21,7 @@ from msense import (
 )
 from msense.problem import QuadraticModel, SensingSet
 from msense.rng import stream
-from msense.subspace import exact_factor, metrics_from_parts
-
-
-def _metrics(f, gt, scales, t=0):
-    return metrics_from_parts(t, f, gt, scales, grad_norm=0.0)
+from msense.subspace import exact_factor
 
 
 def test_decompose_reconstructs(gt20, rng):
@@ -59,44 +55,44 @@ def test_derived_scales(gt20):
     assert pop.eps_stat == 0.0 and pop.eps_comp == 0.0
 
 
-def test_metrics_exact_factor(gt20):
+def test_metrics_exact_factor(gt20, one_row_metrics):
     scales = derived_scales(gt20, n=200, sigma=0.0, k=3)
-    m = _metrics(exact_factor(gt20, 3), gt20, scales)
+    m = one_row_metrics(0, exact_factor(gt20, 3), gt20, scales)
     assert m.D < 1e-12
     assert m.err_spec < 1e-12 and m.err_fro < 1e-12
     assert m.A < 1e-12
 
 
-def test_metrics_zero_factor(gt20):
+def test_metrics_zero_factor(gt20, one_row_metrics):
     scales = derived_scales(gt20, n=200, sigma=0.0, k=4)
-    m = _metrics(np.zeros((20, 4)), gt20, scales)
+    m = one_row_metrics(0, np.zeros((20, 4)), gt20, scales)
     assert m.err_spec == pytest.approx(1.0)  # sigma_1
     assert m.ss_err == pytest.approx(1.0)
     assert m.tt_norm == 0.0 and m.st_norm == 0.0
 
 
-def test_metrics_planted_init_is_in_region(gt20):
+def test_metrics_planted_init_is_in_region(gt20, one_row_metrics):
     scales = derived_scales(gt20, n=200, sigma=0.0, k=4)
-    m = _metrics(planted_init(gt20, 4, 0.07, seed=2), gt20, scales)
+    m = one_row_metrics(0, planted_init(gt20, 4, 0.07, seed=2), gt20, scales)
     assert m.D <= 0.07 * 0.8
 
 
-def test_metrics_rotation_invariance(gt20, rng):
+def test_metrics_rotation_invariance(gt20, rng, one_row_metrics):
     scales = derived_scales(gt20, n=200, sigma=0.3, k=4)
     f = exact_factor(gt20, 4) + 0.1 * rng.standard_normal((20, 4))
     q, r_ = np.linalg.qr(rng.standard_normal((4, 4)))
     rot = q * np.sign(np.diag(r_))
-    a = _metrics(f, gt20, scales)
-    b = _metrics(f @ rot, gt20, scales)
+    a = one_row_metrics(0, f, gt20, scales)
+    b = one_row_metrics(0, f @ rot, gt20, scales)
     for name in ("ss_err", "st_norm", "tt_norm", "tt_err", "D", "A", "err_spec", "err_fro"):
         assert getattr(a, name) == pytest.approx(getattr(b, name), abs=1e-10)
 
 
-def test_metrics_triangle_inequality(gt20, rng):
+def test_metrics_triangle_inequality(gt20, rng, one_row_metrics):
     scales = derived_scales(gt20, n=200, sigma=0.0, k=4)
     for _ in range(20):
         f = exact_factor(gt20, 4) + 0.2 * rng.standard_normal((20, 4))
-        m = _metrics(f, gt20, scales)
+        m = one_row_metrics(0, f, gt20, scales)
         assert m.err_spec <= m.ss_err + m.tt_err + 2 * m.st_norm + 1e-10
 
 
@@ -346,11 +342,11 @@ def test_sample_contraction_population_run_is_trivial(gt20):
     assert report.all_ok
 
 
-def test_sample_contraction_requires_delta(gt20):
+def test_sample_contraction_requires_delta(gt20, one_row_metrics):
     scales = derived_scales(gt20, n=200, sigma=0.0, k=4)
     f0 = planted_init(gt20, 4, 0.07, seed=1)
-    m0 = _metrics(f0, gt20, scales, t=0)
-    m1 = _metrics(f0, gt20, scales, t=1)
+    m0 = one_row_metrics(0, f0, gt20, scales)
+    m1 = one_row_metrics(1, f0, gt20, scales)
 
     class Cfg:
         d, k, n, sigma, ds, eta = 20, 4, 200, 0.0, (1.0, 0.9, 0.8), 0.1
@@ -359,7 +355,7 @@ def test_sample_contraction_requires_delta(gt20):
         verify_sample_contraction(m0, m1, scales, Cfg)
 
 
-def test_metrics_from_parts_floor_clamp(gt20):
+def test_one_row_metrics_floor_clamp(gt20, one_row_metrics):
     scales = derived_scales(gt20, n=200, sigma=1.0, k=4)  # large eps_stat
-    m = metrics_from_parts(0, exact_factor(gt20, 4), gt20, scales, grad_norm=0.0)
+    m = one_row_metrics(0, exact_factor(gt20, 4), gt20, scales)
     assert m.A == 0.0  # clamped at the statistical floor
