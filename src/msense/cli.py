@@ -161,10 +161,10 @@ def _cmd_conc(args):
         u = rng.standard_normal((args.d, args.d))
         u = 0.5 * (u + u.T)
         cmp_ = conc.mc_second_moment(u, args.trials, args.seed)
-        print(json.dumps(cmp_.summary(), indent=2, sort_keys=True))
+        print(conc.mc_summary_json(cmp_))
     else:  # asq
         cmp_ = conc.mc_A_squared(args.d, args.trials, args.seed)
-        print(json.dumps(cmp_.summary(), indent=2, sort_keys=True))
+        print(conc.mc_summary_json(cmp_))
         print(f"max |estimate - d I| entry: {np.max(np.abs(cmp_.estimate - cmp_.reference)):.4f}")
     return 0
 

@@ -111,12 +111,11 @@ def write_mc_csv(report, path):
             fh.write(f"{i},{float(v)!r}\n")
 
 
-def mc_summary_json(report, path=None):
-    text = json.dumps(report.summary(), indent=2, sort_keys=True)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    return text
+def mc_summary_json(report):
+    """``report.summary()`` as strict JSON: a non-finite value prints as null."""
+    summary = {key: None if isinstance(v, float) and not math.isfinite(v) else v
+               for key, v in report.summary().items()}
+    return json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
 
 
 def mc_noise_term(d, sigma, n, trials, seed, distribution="gaussian"):

@@ -70,31 +70,18 @@ def deviation_matrix(f, gt, s):
     return as_symmetric(s.model.deviation(f, gt.Xstar), tol=1e-9)
 
 
-def op_MU(s_coef, t_coef, ds, eta):
-    """Population update of the signal coefficients:
-    M_U(S) = S - eta (S S^T S + S T^T T - diag(ds) S)."""
-    s_coef = np.asarray(s_coef, dtype=float)
-    t_coef = np.asarray(t_coef, dtype=float)
-    ds = np.asarray(ds, dtype=float)
-    if s_coef.ndim != 2 or t_coef.ndim != 2 or s_coef.shape[1] != t_coef.shape[1]:
+def op_MU(x, y, spectrum, eta):
+    """Population update of one block of subspace coefficients given the other:
+    x - eta (x x^T x + x y^T y - diag(spectrum) x).  op_MU(S, T, DS*, eta) is
+    M_U(S) and op_MV(T, S, DT*, eta), the same map, is M_V(T)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    spectrum = np.asarray(spectrum, dtype=float)
+    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
         raise InputError("S and T must share the column count k")
-    if ds.shape != (s_coef.shape[0],):
-        raise InputError(f"ds must have length {s_coef.shape[0]}")
-    return s_coef - eta * (
-        s_coef @ s_coef.T @ s_coef + s_coef @ t_coef.T @ t_coef - ds[:, None] * s_coef
-    )
+    if spectrum.shape != (x.shape[0],):
+        raise InputError(f"spectrum must have length {x.shape[0]}")
+    return x - eta * (x @ x.T @ x + x @ y.T @ y - spectrum[:, None] * x)
 
 
-def op_MV(t_coef, s_coef, dt, eta):
-    """Population update of the over-parameterization coefficients:
-    M_V(T) = T - eta (T T^T T + T S^T S - diag(dt) T)."""
-    s_coef = np.asarray(s_coef, dtype=float)
-    t_coef = np.asarray(t_coef, dtype=float)
-    dt = np.asarray(dt, dtype=float)
-    if s_coef.ndim != 2 or t_coef.ndim != 2 or s_coef.shape[1] != t_coef.shape[1]:
-        raise InputError("S and T must share the column count k")
-    if dt.shape != (t_coef.shape[0],):
-        raise InputError(f"dt must have length {t_coef.shape[0]}")
-    return t_coef - eta * (
-        t_coef @ t_coef.T @ t_coef + t_coef @ s_coef.T @ s_coef - dt[:, None] * t_coef
-    )
+op_MV = op_MU

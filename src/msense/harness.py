@@ -203,9 +203,12 @@ def _chunk_rows(d):
     return max(1, min(256, 2**15 // (d * d)))
 
 
-def _diverged(config, t, err, guard, metrics, elapsed):
+def _diverged(config, row, guard, metrics, elapsed):
+    err = row.err_spec
+    cause = (f"grad_norm={row.grad_norm:.3e} is not finite" if err <= guard
+             else f"err_spec={err:.3e} > {guard:.3e}")
     return DivergenceError(
-        f"run diverged at t={t}: err_spec={err:.3e} > {guard:.3e}",
+        f"run diverged at t={row.t}: {cause}",
         trajectory=Trajectory(config=config, metrics=metrics, elapsed_ms=elapsed),
         residual=float(err),
     )
@@ -216,16 +219,18 @@ def run_experiment(config, write_output=True, measure_from=0):
 
     Records metrics for the initial factor (t=0) and after each of the
     ``iters`` steps, one batch_metrics call per chunk of ``_chunk_rows(d)``
-    iterates.  A row's elapsed_ms is its own step time plus an equal share
-    of its chunk's metrics time.  Aborts with DivergenceError, carrying the
-    partial trajectory, at the first row with err_spec > 1e6 sigma_1 or a
-    non-finite value.
+    consecutive iterates.  A row's elapsed_ms is its own step time plus an
+    equal share of its chunk's metrics time.  Aborts with DivergenceError,
+    carrying the partial trajectory, at the first row with err_spec > 1e6
+    sigma_1 or a non-finite value; the message names err_spec, or the
+    gradient norm when only that is non-finite.
 
     Rows t < ``measure_from`` are stepped but not recorded: the trajectory
     holds rows measure_from..iters, bit for bit the tail of the full run.
-    Such a row's err_spec is bounded by |F|_F^2 + sigma_1 (|X*|_2 = sigma_1)
-    and measured exactly only when that bound passes the guard, so the run
-    aborts at the same row as the full run would, with no rows recorded.
+    A row's err_spec is bounded by |F|_F^2 + sigma_1 (|X*|_2 = sigma_1), so
+    measuring starts at the first row that is recorded or whose bound passes
+    the guard, and every later row is measured: the run aborts at the same
+    row as the full run would.
     """
     if not (isinstance(measure_from, numbers.Integral) and 0 <= measure_from <= config.iters):
         raise InputError(f"measure_from must be an integer in [0, {config.iters}], "
@@ -252,52 +257,52 @@ def run_experiment(config, write_output=True, measure_from=0):
     stop_sq = 2.0 * config.k * (guard + gt.sigma1)
     # err_spec <= |F|_F^2 + sigma_1, so a row within this bound cannot trip it.
     safe_sq = guard - gt.sigma1
-    for t in range(measure_from):
-        grad, grad_norm = gradient(f)
-        f_sq = np.vdot(f, f)
-        if not (grad_norm < math.inf and f_sq <= safe_sq):
-            err = batch_metrics(t, f[None], gt, scales, [grad_norm], [None])[0].err_spec
-            if not (grad_norm < math.inf and f_sq <= stop_sq and err <= guard):
-                raise _diverged(config, t, err, guard, [], [])
-        f = f - eta * grad
-
     fs = np.empty((_chunk_rows(config.d),) + f.shape)
     grad_norms = np.empty(len(fs))
-    metrics, elapsed, t0 = [], [], measure_from
-    while t0 <= config.iters:
-        stamps, deviations = [time.perf_counter()], {}
-        for i in range(min(len(fs), config.iters + 1 - t0)):
-            grad, grad_norms[i] = gradient(f)
-            fs[i] = f
-            if config.track_delta and (t0 + i) % config.delta_every == 0:
-                # The population operator is exact: Delta = 0.
-                deviations[i] = (np.zeros_like(gt.Xstar) if population
-                                 else model.deviation(f, gt.Xstar))
-            stopped = not (grad_norms[i] < math.inf and np.vdot(f, f) <= stop_sq)
-            if t0 + i < config.iters and not stopped:
+    metrics, elapsed, t0 = [], [], None  # t0: the chunk's first row, None until measuring
+    # Overflow makes a row non-finite, and such a row stops the run below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(config.iters + 1):
+            tic = time.perf_counter()
+            grad, grad_norm = gradient(f)
+            # A non-finite gradient norm counts as an unbounded iterate.
+            f_sq = np.vdot(f, f) if grad_norm < math.inf else math.inf
+            stopped = not f_sq <= stop_sq
+            if t0 is None and (t >= measure_from or not f_sq <= safe_sq):
+                t0, steps, deviations = t, [], {}
+            if t0 is not None:
+                fs[t - t0], grad_norms[t - t0] = f, grad_norm
+                if config.track_delta and t % config.delta_every == 0:
+                    # The population operator is exact: Delta = 0.
+                    deviations[t - t0] = (np.zeros_like(gt.Xstar) if population
+                                          else model.deviation(f, gt.Xstar))
+            if t < config.iters and not stopped:
                 f = f - eta * grad
-            stamps.append(time.perf_counter())
-            if stopped:
-                break
-        m = len(stamps) - 1
-        norms = {}
-        if deviations:
-            stack = np.stack(list(deviations.values()))
-            norms = dict(zip(deviations, spectral_norms(stack, symmetric=True).tolist()))
-        deltas = [norms.get(i) for i in range(m)]
-        rows = batch_metrics(t0, fs[:m], gt, scales, grad_norms[:m], deltas)
-        share = (time.perf_counter() - stamps[-1]) / m
-        times = [(b - a + share) * 1000.0 for a, b in zip(stamps, stamps[1:])]
-        err = np.array([row.err_spec for row in rows])
-        bad = ~(err <= guard)
-        bad[-1] |= stopped  # a non-finite gradient norm also stops stepping
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise _diverged(config, t0 + i, err[i], guard,
-                            metrics + rows[: i + 1], elapsed + times[: i + 1])
-        metrics += rows
-        elapsed += times
-        t0 += m
+            if t0 is None:
+                continue
+            toc = time.perf_counter()
+            steps.append(toc - tic)
+            m = len(steps)
+            if m < len(fs) and t < config.iters and not stopped:
+                continue
+            norms = {}
+            if deviations:
+                stack = np.stack(list(deviations.values()))
+                norms = dict(zip(deviations, spectral_norms(stack).tolist()))
+            rows = batch_metrics(t0, fs[:m], gt, scales, grad_norms[:m],
+                                 [norms.get(i) for i in range(m)])
+            share = (time.perf_counter() - toc) / m
+            times = [(step + share) * 1000.0 for step in steps]
+            bad = ~(np.array([row.err_spec for row in rows]) <= guard)
+            bad[-1] |= stopped  # a non-finite gradient norm also stops stepping
+            skip = max(0, measure_from - t0)  # measured, but before the recorded rows
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise _diverged(config, rows[i], guard, metrics + rows[skip : i + 1],
+                                elapsed + times[skip : i + 1])
+            metrics += rows[skip:]
+            elapsed += times[skip:]
+            t0, steps, deviations = t + 1, [], {}
 
     traj = Trajectory(config=config, metrics=metrics, elapsed_ms=elapsed)
     if write_output and config.output:

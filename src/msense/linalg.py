@@ -46,22 +46,16 @@ def spectral_norm(m):
     return float(np.linalg.norm(m, 2))
 
 
-def spectral_norms(stack, symmetric=False):
-    """Spectral norm of each matrix of a (B, m, n) stack, in one LAPACK call.
-
-    Symmetric stacks take the largest |eigenvalue| (eigvalsh reads the lower
-    triangle), others the largest singular value.  A matrix with a
-    non-finite entry never reaches LAPACK; its norm is NaN.
+def spectral_norms(stack):
+    """Spectral norm of each symmetric matrix of a (B, m, m) stack, in one
+    LAPACK call: the largest |eigenvalue| (eigvalsh reads the lower triangle).
+    A matrix with a non-finite entry never reaches LAPACK; its norm is NaN.
     """
     stack = np.asarray(stack, dtype=float)
     ok = np.isfinite(stack).all(axis=(1, 2))
     out = np.where(ok, 0.0, np.nan)
-    if ok.any() and min(stack.shape[1:]) > 0:
-        finite = stack if ok.all() else stack[ok]
-        if symmetric:
-            out[ok] = np.abs(np.linalg.eigvalsh(finite)).max(axis=1)
-        else:
-            out[ok] = np.linalg.svd(finite, compute_uv=False)[:, 0]
+    if ok.any() and stack.shape[1] > 0:
+        out[ok] = np.abs(np.linalg.eigvalsh(stack if ok.all() else stack[ok])).max(axis=1)
     return out
 
 

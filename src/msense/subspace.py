@@ -101,15 +101,15 @@ def batch_metrics(t0, fs, gt, scales, grad_norms, delta_norms):
         tc = fac
     g = np.concatenate([s, tc], axis=1)
     blk = g @ g.transpose(0, 2, 1)
-    ss_err = spectral_norms(s @ s.transpose(0, 2, 1) - np.diag(gt.ds), symmetric=True)
+    ss_err = spectral_norms(s @ s.transpose(0, 2, 1) - np.diag(gt.ds))
     st = blk[:, :r, r:]
-    st_norm = np.sqrt(spectral_norms(st @ st.transpose(0, 2, 1), symmetric=True))
-    tt_norm = spectral_norms(blk[:, r:, r:], symmetric=True)
+    st_norm = np.sqrt(spectral_norms(st @ st.transpose(0, 2, 1)))
+    tt_norm = spectral_norms(blk[:, r:, r:])
     x = basis.T @ gt.Xstar @ basis
     blk[:, : len(x), : len(x)] -= x
     # With DT* = 0 the two blocks are the same matrix.
-    tt_err = spectral_norms(blk[:, r:, r:], symmetric=True) if gt.dt.any() else tt_norm
-    err_spec = spectral_norms(blk, symmetric=True)
+    tt_err = spectral_norms(blk[:, r:, r:]) if gt.dt.any() else tt_norm
+    err_spec = spectral_norms(blk)
     err_fro = np.sqrt(np.einsum("bij,bij->b", blk, blk))
     d_val = np.maximum(np.maximum(ss_err, tt_norm), st_norm)
     a_val = np.maximum(d_val - FLOOR_MULTIPLIER * scales.eps_stat, 0.0)

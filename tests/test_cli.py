@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import msense.cli
 import msense.concentration
 import msense.harness
@@ -103,6 +105,25 @@ def test_run_divergence_writes_the_partial_trajectory(tmp_path, capsys):
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3", "4"]
 
 
+# 1e200 overflows the gradient norm at t=0 while err_spec is small;
+# 1e140 overflows the gradient and the metrics at t=1.
+@pytest.mark.parametrize("sigma, cause", [(1e200, "t=0: grad_norm=inf is not finite"),
+                                          (1e140, "t=1: err_spec=")],
+                         ids=["sigma_1e200", "sigma_1e140"])
+def test_run_huge_sigma_exits_2_with_one_line_and_no_warning(tmp_path, sigma, cause):
+    cfg = write_config(tmp_path, d=10, r=2, k=3, n=1000, iters=50, seed=1, sigma=sigma,
+                       ds=[1.0, 0.8])
+    proc = subprocess.run(
+        [sys.executable, "-m", "msense.cli", "run", "--config", str(cfg)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("numeric failure: run diverged at "), proc.stderr
+    assert proc.stderr.count("\n") == 1 and cause in proc.stderr, proc.stderr
+    assert "Warning" not in proc.stderr
+
+
 def test_sweep_command(tmp_path, capsys):
     cfg = write_config(tmp_path, iters=60)
     out = tmp_path / "sweep.csv"
@@ -185,6 +206,26 @@ def test_conc_deviation_and_moment(capsys):
     out = capsys.readouterr().out
     assert "sensing_deviation_spectral_norm" in out
     assert "second_moment" in out
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv, key", [
+    ("deviation --d 1 --n 20 --trials 3", "ratio_median"),  # reference scale 0 at log d = 0
+    ("noise --sigma 0 --d 4 --n 20 --trials 3", "ratio_median"),
+    ("noise --d 4 --n 20 --trials 1", "stderr"),
+    ("asq --d 2 --trials 1", "max_abs_z"),
+], ids=["deviation_d_1", "noise_sigma_0", "noise_trials_1", "asq_trials_1"])
+def test_conc_prints_non_finite_values_as_null(capsys, argv, key):
+    assert main(["conc", *argv.split()]) == 0
+    out = capsys.readouterr().out
+    blob = strict_json(out[: out.rindex("}") + 1])
+    assert key in blob and blob[key] is None, blob
 
 
 def test_conc_rejects_d_below_one_with_one_line(capsys):

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from msense import (
+    InputError,
     deviation_matrix,
     generate_ground_truth,
     generate_sensing,
@@ -169,6 +170,12 @@ def test_op_MV_edge_cases(gt20):
     t_iso = np.sqrt(z) * q
     out = op_MV(t_iso, np.zeros((2, 4)), np.zeros(6), 0.05)
     assert_allclose(out, (1 - 0.05 * z) * t_iso, atol=1e-12)
+
+
+def test_op_MV_is_op_MU_with_the_roles_swapped(gt20):
+    assert op_MV is op_MU
+    with pytest.raises(InputError, match="spectrum must have length 17"):
+        op_MV(np.zeros((17, 4)), np.zeros((3, 4)), gt20.ds, 0.1)
 
 
 def test_op_MV_contraction_spot_check(gt20):

@@ -1,3 +1,4 @@
+import os
 import threading
 
 import numpy as np
@@ -12,8 +13,8 @@ from msense import (
     run_experiment,
     sweep,
 )
-from msense import problem
-from msense.csvio import read_trajectory_csv, write_trajectory_csv
+from msense import harness, problem
+from msense.csvio import read_trajectory_csv, trajectory_rows, write_trajectory_csv
 from msense.figures import reproduce_figures
 from msense.subspace import IterateMetrics
 
@@ -161,6 +162,40 @@ def test_divergence_guard():
     partial = exc_info.value.trajectory
     assert partial is not None
     assert 0 < len(partial.metrics) < 501
+
+
+def test_measuring_from_the_first_unsafe_row_keeps_the_tail(monkeypatch):
+    """With the guard at 1.5 sigma_1, |F|_F^2 passes guard - sigma_1 from t=0
+    without the run ever tripping the guard, so every row is measured, the
+    rows before measure_from included, and the recorded rows stay the tail."""
+    monkeypatch.setattr(harness, "DIVERGENCE_FACTOR", 1.5)
+    first_rows, measure = [], harness.batch_metrics
+
+    def spy(t0, *args):
+        first_rows.append(t0)
+        return measure(t0, *args)
+
+    monkeypatch.setattr(harness, "batch_metrics", spy)
+    config = small_config(k=4, sigma=0.3, iters=300)
+    rows = list(trajectory_rows(run_experiment(config)))
+    for m in (0, 1, 100, 300):
+        first_rows.clear()
+        part = run_experiment(config, measure_from=m)
+        assert first_rows[0] == 0, m
+        assert len(part.elapsed_ms) == len(part.metrics)
+        assert list(trajectory_rows(part)) == rows[:1] + rows[m + 1:], m
+
+
+def test_worker_count_caps_msense_threads(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.delenv("MSENSE_THREADS", raising=False)
+    assert harness.worker_count() == 4
+    for value, want in (("1", 1), ("3", 3), ("64", 4), ("0", 1), ("-3", 1)):
+        monkeypatch.setenv("MSENSE_THREADS", value)
+        assert harness.worker_count() == want, value
+    monkeypatch.setenv("MSENSE_THREADS", "abc")
+    with pytest.raises(InputError, match="MSENSE_THREADS must be an integer"):
+        harness.worker_count()
 
 
 def test_run_determinism_bitwise():

@@ -12,6 +12,7 @@ from msense import (
     orthonormalize,
     spectral_norm,
 )
+from msense.linalg import spectral_norms
 
 sym_matrices = st.integers(2, 8).flatmap(
     lambda d: arrays(
@@ -27,6 +28,17 @@ def test_spectral_norm_examples():
     assert spectral_norm(np.eye(7)) == pytest.approx(1.0, rel=1e-10)
     u = np.array([1.0, 1.0])  # |u|^2 = 2
     assert spectral_norm(np.outer(u, u)) == pytest.approx(2.0, rel=1e-10)
+
+
+def test_spectral_norms_of_a_symmetric_stack(rng):
+    stack = rng.standard_normal((5, 4, 4))
+    stack = stack + stack.transpose(0, 2, 1)
+    stack[3, 1, 2] = stack[3, 2, 1] = np.nan
+    norms = spectral_norms(stack)
+    assert np.isnan(norms[3])
+    assert_allclose(norms[[0, 1, 2, 4]], [spectral_norm(m) for m in stack[[0, 1, 2, 4]]],
+                    rtol=1e-12)
+    assert_allclose(spectral_norms(np.empty((2, 0, 0))), [0.0, 0.0])
 
 
 def test_frobenius_norm_examples():
