@@ -172,7 +172,7 @@ def _cmd_conc(args):
 def _cmd_phases(args):
     metrics = read_trajectory_csv(args.traj)
     report = detect_phases(metrics, eta=args.eta)
-    print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
+    print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True, allow_nan=False))
     return 0
 
 

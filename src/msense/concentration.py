@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError
 from .linalg import as_symmetric, spectral_norm
-from .problem import _draw, _mirror_indices, check_memory
+from .problem import _draw, _svec_indices, check_memory
 from .rng import stream
 
 _MC_BLOCK = 512
@@ -129,6 +129,8 @@ def mc_noise_term(d, sigma, n, trials, seed, distribution="gaussian"):
     if not (math.isfinite(sigma) and 0 <= sigma <= 1e150):
         raise InputError(f"sigma must be a finite number >= 0 and <= 1e150, got {sigma!r}")
     check_mc_memory(d, n)
+    upper, pos = _svec_indices(d)
+    mirror = upper[pos]
     vals = np.empty(trials)
     for trial in range(trials):
         # sum_i eps_i A_i is linear in the upper triangles of the raw draws,
@@ -136,7 +138,7 @@ def mc_noise_term(d, sigma, n, trials, seed, distribution="gaussian"):
         acc = np.zeros(d * d)
         for rng, g in _trial_blocks(seed, "mc_noise", trial, n, d, distribution, raw=True):
             acc += sigma * rng.standard_normal(len(g)) @ g
-        vals[trial] = spectral_norm(acc.take(_mirror_indices(d)).reshape(d, d) / n)
+        vals[trial] = spectral_norm(acc.take(mirror).reshape(d, d) / n)
     return MCReport(
         statistic="noise_term_spectral_norm",
         trials=trials,

@@ -54,6 +54,8 @@ def reproduce_figures(out_dir, seed=2020):
 
     Returns the list of files written (a CSV and an SVG per figure).
     """
+    names = sorted(FIGURES)
+    configs = {name: _figure_config(FIGURES[name], seed) for name in names}  # validates seed
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -61,8 +63,6 @@ def reproduce_figures(out_dir, seed=2020):
     if not os.access(out_dir, os.W_OK):
         raise InputError(f"output directory {out_dir} is not writable")
 
-    names = sorted(FIGURES)
-    configs = {name: _figure_config(FIGURES[name], seed) for name in names}
     trajectories = {c: run_experiment(c) for c in dict.fromkeys(configs.values())}
 
     written, csv_of = [], {}  # config -> the CSV already written for its run

@@ -22,7 +22,7 @@ from .errors import DivergenceError, InputError
 from .gradient import population_gradient, theory_step_size
 from .linalg import spectral_norms
 from .problem import (DISTRIBUTIONS, MEMORY_MODES, check_memory, generate_ground_truth,
-                      generate_sensing)
+                      generate_sensing, sensing_bytes)
 from .rng import stable_hash64
 from .subspace import batch_metrics, derived_scales, planted_init, random_init, spectral_init
 
@@ -132,10 +132,9 @@ class ExperimentConfig:
             raise InputError("spectral initialization needs a sensing set (sample mode)")
         if not (self.eta == "theory" or (_is_finite_number(self.eta) and self.eta > 0)):
             raise InputError(f"eta must be a positive finite number or 'theory', got {self.eta!r}")
-        if self.gradient_mode == "sample":
-            # The p x p operator and its build buffer; no sensing matrix is stored.
-            p = self.d * (self.d + 1) // 2
-            check_memory(16 * p * p, f"a sample-mode run at d={self.d}, n={self.n}")
+        if self.gradient_mode == "sample":  # no sensing matrix is stored
+            check_memory(sensing_bytes(self.d, self.n),
+                         f"a sample-mode run at d={self.d}, n={self.n}")
 
     @property
     def sigma1(self):
@@ -413,6 +412,9 @@ def _linear_fit_r2(x, y):
 def detect_phases(traj, config=None, eta=None):
     """Fit the linear-then-sublinear structure of a trajectory.
 
+    The trajectory needs at least 50 rows, a strictly increasing t, and
+    finite t, ss_err, D and A; anything else is an InputError.
+
     Head: linear fit of log(ss_err) over the first contiguous decreasing
     stretch, right edge chosen on a coarse grid maximizing R^2.  Tail: c/t
     fit over the final 50% of iterations against D (noiseless) or A (noisy).
@@ -423,6 +425,11 @@ def detect_phases(traj, config=None, eta=None):
     if len(metrics) < 50:
         raise InputError(f"need at least 50 recorded iterations, got {len(metrics)}")
     t, ss, d_vals, a_vals = (metrics_column(metrics, c) for c in ("t", "ss_err", "D", "A"))
+    for name, column in (("t", t), ("ss_err", ss), ("D", d_vals), ("A", a_vals)):
+        if not np.all(np.isfinite(column)):
+            raise InputError(f"{name} must be finite in every row")
+    if np.any(np.diff(t) <= 0):
+        raise InputError("t must be strictly increasing")
     if config is not None:
         eta = config.eta_value()
         noisy = config.sigma > 0 and config.gradient_mode == "sample"

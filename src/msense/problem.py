@@ -24,6 +24,8 @@ from .linalg import orthonormalize
 from .rng import stream
 
 BLOCK = 512
+_SLICE = 2**17  # doubles per draw call
+_TILE = 512  # operator rows and columns per Gram tile
 
 DISTRIBUTIONS = ("gaussian", "rademacher")
 MEMORY_MODES = ("dense", "regenerate")  # config values; both run generate_sensing's one pass
@@ -121,13 +123,56 @@ def check_memory(nbytes, what):
 
 
 @functools.lru_cache(maxsize=None)
-def _mirror_indices(d):
-    """Flat indices min(i, j) d + max(i, j) for each (i, j) of a d x d
-    matrix: gathering them from a row-major draw mirrors its upper triangle."""
-    i, j = np.divmod(np.arange(d * d), d)
-    idx = np.minimum(i, j) * d + np.maximum(i, j)
-    idx.setflags(write=False)
-    return idx
+def _svec_indices(d):
+    """Row-major flat indices of the upper triangle of a d x d matrix, and
+    each of the d*d entries' position (or its mirror's) in that list.
+
+    Both are cached and read-only.  ``upper[pos]`` is the flat index
+    min(i, j) d + max(i, j) of each (i, j): gathering it from a row-major
+    d x d array mirrors its upper triangle.
+    """
+    iu, ju = np.triu_indices(d)
+    pos = np.empty((d, d), dtype=np.intp)
+    pos[iu, ju] = pos[ju, iu] = np.arange(iu.size)
+    upper, pos = iu * d + ju, pos.ravel()
+    upper.setflags(write=False)
+    pos.setflags(write=False)
+    return upper, pos
+
+
+def _slice_rows(d):
+    """Matrices per draw call: at most _SLICE doubles (1 MiB), at least one."""
+    return max(1, _SLICE // (d * d))
+
+
+def _tiles(p):
+    """ceil(p / _TILE) near-equal column ranges covering range(p)."""
+    q = -(-p // _TILE)
+    edges = [p * k // q for k in range(q + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def sensing_bytes(d, n):
+    """Bytes generate_sensing allocates for a d x d, n-sample build, beyond
+    the 16 n bytes of observations and noise: the p x p operator, one Gram
+    tile of at most _TILE x _TILE, the mirrored (block, d^2) draws, their
+    gathered (block, p) upper triangles, and two draw slices (the one being
+    mirrored and the integers a Rademacher slice is made from).  Nothing in
+    it grows with n past one block of BLOCK matrices."""
+    p, m = d * (d + 1) // 2, min(n, BLOCK)
+    slice_ = min(m, _slice_rows(d)) * d * d
+    return 8 * (p * p + min(p, _TILE) ** 2 + m * (d * d + p) + 2 * slice_)
+
+
+def _fill(rng, out, distribution):
+    """Fill ``out`` with unit-variance draws from ``rng``, in stream order."""
+    if distribution == "gaussian":
+        rng.standard_normal(out=out)
+    elif distribution == "rademacher":
+        np.multiply(rng.integers(0, 2, size=out.shape), 2.0, out=out)
+        out -= 1.0
+    else:
+        raise InputError(f"unknown distribution {distribution!r}")
 
 
 def _draw(rng, count, d, distribution, raw=False, out=None):
@@ -135,36 +180,35 @@ def _draw(rng, count, d, distribution, raw=False, out=None):
 
     The stream yields ``count * d * d`` values in row-major order; each
     matrix keeps the upper triangle and diagonal of its d x d block and
-    mirrors the upper triangle below the diagonal, in one gather into
-    ``out`` (a ``(count, d * d)`` array) when one is given.  With
+    mirrors the upper triangle below the diagonal.  The result is written
+    into ``out`` (a ``(count, d * d)`` array) when one is given.  With
     ``raw=True`` the ``(count, d * d)`` draws are returned unmirrored, for
     callers that only need linear functionals of the upper triangle.
+
+    The stream is read in slices of at most _slice_rows(d) matrices, which
+    yields the same values as one call: raw slices land in the result, and
+    mirrored ones pass through one slice-sized scratch buffer, so no
+    full-block temporary sits next to the result.
     """
-    if distribution == "gaussian":
-        g = rng.standard_normal((count, d * d))
-    elif distribution == "rademacher":
-        g = rng.integers(0, 2, size=(count, d * d)).astype(float) * 2.0 - 1.0
-    else:
-        raise InputError(f"unknown distribution {distribution!r}")
-    if raw:
-        return g
-    # The indices are in range; mode="clip" lets take write to out unbuffered.
-    return g.take(_mirror_indices(d), axis=1, out=out, mode="clip").reshape(count, d, d)
+    if out is None:
+        out = np.empty((count, d * d))
+    rows = _slice_rows(d)
+    if not raw:
+        upper, pos = _svec_indices(d)
+        mirror, scratch = upper[pos], np.empty((min(rows, count), d * d))
+    for lo in range(0, count, rows):
+        hi = min(lo + rows, count)
+        part = out[lo:hi] if raw else scratch[: hi - lo]
+        _fill(rng, part, distribution)
+        if not raw:  # the indices are in range; mode="clip" lets take write to out unbuffered
+            part.take(mirror, axis=1, out=out[lo:hi], mode="clip")
+    return out if raw else out.reshape(count, d, d)
 
 
 def _draw_block(d, lo, hi, distribution, seed, out=None):
     """Sensing matrices for block-aligned indices [lo, hi), optionally into ``out``."""
     assert lo % BLOCK == 0 and hi - lo <= BLOCK
     return _draw(stream(seed, "sensing", lo // BLOCK), hi - lo, d, distribution, out=out)
-
-
-def _svec_indices(d):
-    """Row-major flat indices of the upper triangle of a d x d matrix, and
-    each of the d*d entries' position (or its mirror's) in that list."""
-    iu, ju = np.triu_indices(d)
-    pos = np.empty((d, d), dtype=np.intp)
-    pos[iu, ju] = pos[ju, iu] = np.arange(iu.size)
-    return iu * d + ju, pos.ravel()
 
 
 class QuadraticModel:
@@ -175,8 +219,9 @@ class QuadraticModel:
     gradient (H(F F^T) - bbar) F, the deviation matrix and the spectral
     initialization (from bbar) all read it.  With g_i the p = d(d+1)/2
     upper-triangle entries of A_i, it holds H_u = (1/n) sum_i g_i g_i^T
-    (8 p^2 bytes) and b = (1/n) sum_i y_i g_i, both accumulated by
-    generate_sensing as it draws.  For symmetric M, H(M) is the d x d mirror
+    (8 p^2 bytes, the one p x p array of the build) and
+    b = (1/n) sum_i y_i g_i, both accumulated in place by generate_sensing
+    as it draws.  For symmetric M, H(M) is the d x d mirror
     of H_u (w * svec(M)): the weight w = 1 on the diagonal and 2 off it is
     folded into H_u's columns.
     """
@@ -230,9 +275,14 @@ def generate_sensing(gt, n, sigma, distribution="gaussian", seed=0):
     """Draw a SensingSet against a GroundTruth; reproducible from seed.
 
     One pass over the blocks draws each A_i once, forms its observations
-    and accumulates the QuadraticModel through one reused p x p buffer.
-    The block-sized arrays are reused too: a fresh pair per block lets the
-    allocator return their pages and fault them in again on every block.
+    and accumulates the QuadraticModel in place: a block's Gram g^T g is
+    added tile by tile to the upper-triangle tiles of the operator, through
+    one reused buffer of at most _TILE x _TILE, and the strict-lower tiles
+    are mirrored once at the end.  For p <= _TILE that is one
+    np.matmul(g.T, g) per block.  The block-sized arrays are reused too: a
+    fresh pair per block lets the allocator return their pages and fault
+    them in again on every block.  sensing_bytes(d, n) counts what the
+    build allocates.
     """
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
@@ -244,9 +294,16 @@ def generate_sensing(gt, n, sigma, distribution="gaussian", seed=0):
     d = gt.d
     upper, _ = _svec_indices(d)
     p = upper.size
-    check_memory(2 * 8 * p * p, f"the d={d} sensing operator")
+    check_memory(sensing_bytes(d, n), f"the d={d} sensing operator")
     y, eps = np.empty(n), np.empty(n)
-    h, buf, b = np.zeros((p, p)), np.empty((p, p)), np.zeros(p)
+    h, b = np.zeros((p, p)), np.zeros(p)
+    tiles = _tiles(p)
+    buf = np.empty(max(t.stop - t.start for t in tiles) ** 2)
+    pairs = []  # (rows, columns, buf viewed contiguously in their tile's shape)
+    for i, ra in enumerate(tiles):
+        for rb in tiles[i:]:
+            shape = (ra.stop - ra.start, rb.stop - rb.start)
+            pairs.append((ra, rb, buf[: shape[0] * shape[1]].reshape(shape)))
     a_buf, g_buf = np.empty((min(n, BLOCK), d * d)), np.empty((min(n, BLOCK), p))
     for lo in range(0, n, BLOCK):
         hi = min(lo + BLOCK, n)
@@ -256,8 +313,12 @@ def generate_sensing(gt, n, sigma, distribution="gaussian", seed=0):
         y[lo:hi] = a @ gt.Xstar.ravel() + e
         eps[lo:hi] = e
         g = a.take(upper, axis=1, out=g_buf[: hi - lo], mode="clip")
-        h += np.matmul(g.T, g, out=buf)
+        for ra, rb, tile in pairs:
+            h[ra, rb] += np.matmul(g[:, ra].T, g[:, rb], out=tile)
         b += y[lo:hi] @ g
+    for ra, rb, _ in pairs:
+        if ra != rb:
+            h[rb, ra] = h[ra, rb].T
     # Diagonal entries sit at flat indices that are multiples of d + 1.
     h *= np.where(upper % (d + 1) == 0, 1.0, 2.0) / n
     return SensingSet(

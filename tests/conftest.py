@@ -21,12 +21,16 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def _whole_block_draw(rng_, count, d, distribution):
+    """The raw (count, d, d) draws of one whole-block call, as first written."""
+    if distribution == "gaussian":
+        return rng_.standard_normal((count, d, d))
+    return rng_.integers(0, 2, size=(count, d, d)).astype(float) * 2.0 - 1.0
+
+
 def _triu_transpose_draw(rng_, count, d, distribution):
     """The sensing draw as first written: triu, its transpose and the diagonal."""
-    if distribution == "gaussian":
-        g = rng_.standard_normal((count, d, d))
-    else:
-        g = rng_.integers(0, 2, size=(count, d, d)).astype(float) * 2.0 - 1.0
+    g = _whole_block_draw(rng_, count, d, distribution)
     upper = np.triu(g, 1)
     a = upper + np.transpose(upper, (0, 2, 1))
     idx = np.arange(d)
@@ -38,6 +42,13 @@ def _triu_transpose_draw(rng_, count, d, distribution):
 def draw_oracle():
     """``_triu_transpose_draw(rng, count, d, distribution)``, the oracle for problem._draw."""
     return _triu_transpose_draw
+
+
+@pytest.fixture(scope="session")
+def raw_draw_oracle():
+    """``_whole_block_draw(rng, count, d, distribution)``, the oracle for problem._draw's
+    raw draws."""
+    return _whole_block_draw
 
 
 def _one_row_metrics(t, f, gt, scales, grad_norm=0.0, delta_norm=None):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -73,7 +74,7 @@ def test_oversized_operator_exits_1_before_compute(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(msense.cli, "run_experiment", no_compute)
     monkeypatch.setattr(msense.harness, "run_experiment", no_compute)
     cfg = write_config(tmp_path)  # d=20, n=200, dense
-    operator = 2 * 8 * (20 * 21 // 2) ** 2  # the d=20 operator and its build buffer
+    operator = msense.problem.sensing_bytes(20, 200)  # the d=20, n=200 build
     # The run's config is over budget; in the sweep only the d=40 cell is.
     for budget, argv in ((operator - 1, ["run", "--config", str(cfg)]),
                          (operator,
@@ -312,6 +313,36 @@ def test_phases_malformed_trajectory_exits_1_with_one_line(tmp_path, capsys):
         assert name in err and needle in err, err
 
 
+# Each edit made the parent exit 0: a bare NaN in the JSON, a RuntimeWarning
+# and a bare Infinity, or a RankWarning from the head fit.
+PHASES_HOSTILE_EDITS = {
+    "nan_cell": [(-3, "D", "nan")],  # a tail row: the c/t fit reads D
+    "inf_cell": [(-3, "D", "inf"), (-3, "A", "inf")],
+    "repeated_t": [(i, "t", "5") for i in range(1, 20)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PHASES_HOSTILE_EDITS))
+def test_phases_rejects_non_finite_cells_and_repeated_t_with_one_line(tmp_path, capsys, case):
+    cfg = write_config(tmp_path, iters=60, output=str(tmp_path / "t.csv"))
+    assert main(["run", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    for index, column, value in PHASES_HOSTILE_EDITS[case]:
+        row = lines[index].split(",")
+        row[header.index(column)] = value
+        lines[index] = ",".join(row)
+    (tmp_path / "hostile.csv").write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["phases", "--traj", str(tmp_path / "hostile.csv"), "--eta", "0.1"]) == 1
+    captured = capsys.readouterr()
+    assert caught == [] and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert "Warning" not in captured.err
+
+
 def test_run_binary_config_exits_1_with_one_line(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_bytes(BINARY)
@@ -354,6 +385,14 @@ def test_figures_command(tmp_path, monkeypatch):
     assert svg.startswith("<svg") and "polyline" in svg
     for decomp, err in (("fig2a", "fig1a"), ("fig2b", "fig1b")):
         assert (out_dir / f"{decomp}.csv").read_bytes() == (out_dir / f"{err}.csv").read_bytes()
+
+
+def test_figures_validates_the_seed_before_creating_out(tmp_path, capsys):
+    out_dir = tmp_path / "figs"
+    assert main(["figures", "--out", str(out_dir), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed ") and err.count("\n") == 1, err
+    assert not out_dir.exists()
 
 
 def test_console_entry_point_runs(tmp_path):

@@ -118,25 +118,30 @@ def test_regenerate_mode_matches_dense(gt20):
 
 
 @pytest.mark.parametrize("distribution", problem.DISTRIBUTIONS)
-@pytest.mark.parametrize("d", [1, 2, 7, 20])
-def test_draw_matches_triu_transpose_formula(d, distribution, draw_oracle):
-    draw = problem._draw(stream(5, "sensing", 3), 37, d, distribution)
-    want = draw_oracle(stream(5, "sensing", 3), 37, d, distribution)
-    assert draw.shape == want.shape == (37, d, d)
+@pytest.mark.parametrize("d", [1, 2, 7, 17, 20, 50])
+def test_draw_matches_triu_transpose_formula(d, distribution, draw_oracle, raw_draw_oracle):
+    """The sliced draw gives the bytes of one whole-block draw, raw and
+    mirrored; from d=17 the count spans several slices and is not a
+    multiple of the slice rows."""
+    count = 37 if d < 17 else 464
+    assert d < 17 or (count > problem._slice_rows(d) and count % problem._slice_rows(d))
+    draw = problem._draw(stream(5, "sensing", 3), count, d, distribution)
+    want = draw_oracle(stream(5, "sensing", 3), count, d, distribution)
+    assert draw.shape == want.shape == (count, d, d)
     assert draw.tobytes() == want.tobytes()
-    out = np.empty((37, d * d))
-    into = problem._draw(stream(5, "sensing", 3), 37, d, distribution, out=out)
+    out = np.empty((count, d * d))
+    into = problem._draw(stream(5, "sensing", 3), count, d, distribution, out=out)
     assert np.shares_memory(into, out) and into.tobytes() == want.tobytes()
-    raw = problem._draw(stream(5, "sensing", 3), 37, d, distribution, raw=True)
-    assert raw.shape == (37, d * d)
-    assert np.triu(raw.reshape(37, d, d)).tobytes() == np.triu(want).tobytes()
+    raw = problem._draw(stream(5, "sensing", 3), count, d, distribution, raw=True)
+    assert raw.shape == (count, d * d)
+    assert raw.tobytes() == raw_draw_oracle(stream(5, "sensing", 3), count, d, distribution).tobytes()
+    assert np.triu(raw.reshape(count, d, d)).tobytes() == np.triu(want).tobytes()
 
 
 def test_dense_sensing_set_allocated_once(gt20, monkeypatch):
     """No sensing matrix is stored in either memory mode: a run's sensing
-    set peaks at the operator, its build buffer and the observations
-    (2 * 8 p^2 + 16 n bytes) plus a few blocks of draw temporaries."""
-    p, block_bytes = 20 * 21 // 2, 8 * problem.BLOCK * 20**2
+    set peaks at the build's buffers and the observations,
+    sensing_bytes(d, n) + 16 n bytes."""
     generate = problem.generate_sensing
     peaks, sets = [], []
 
@@ -158,7 +163,7 @@ def test_dense_sensing_set_allocated_once(gt20, monkeypatch):
             s = sets[-1]
             assert s.n == n
             assert not any(isinstance(v, np.ndarray) and v.ndim == 3 for v in vars(s).values())
-            assert peaks[-1] <= 2 * 8 * p**2 + 16 * n + 3 * block_bytes
+            assert peaks[-1] <= problem.sensing_bytes(20, n) + 16 * n
     assert len(peaks) == 4
 
 
@@ -245,8 +250,61 @@ def test_symmetric_operator_matches_full_operator(d, source, distribution, rng):
         close(model.deviation(f, gt.Xstar), residual - (ffT - gt.Xstar))
 
 
+def _full_gram_operator(s):
+    """Oracle for model.h: each regenerated block's whole p x p Gram
+    np.matmul(g.T, g) of its upper triangles, summed over the blocks and
+    column-weighted (1 on the diagonal, 2 off it) over n."""
+    d = s.d
+    iu, ju = np.triu_indices(d)
+    h = np.zeros((iu.size, iu.size))
+    for _, a in s.iter_blocks():
+        g = np.ascontiguousarray(a[:, iu, ju])
+        h += np.matmul(g.T, g)
+    h *= np.where(iu == ju, 1.0, 2.0) / s.n
+    return h
+
+
+@pytest.mark.parametrize("distribution", problem.DISTRIBUTIONS)
+@pytest.mark.parametrize("d", [1, 7, 20, 31, 33, 50, 70])
+def test_tiled_operator_matches_full_gram(d, distribution):
+    """Up to p = d(d+1)/2 = 512 (d <= 31) the operator is one tile and has
+    the oracle's bytes; past it the tiles' sums agree to 1e-14 relative and
+    the Gram is mirrored exactly."""
+    gt = generate_ground_truth(d, 1, [1.0], "zeros", seed=41)
+    s = generate_sensing(gt, n=problem.BLOCK + 88, sigma=0.3, distribution=distribution, seed=42)
+    p = d * (d + 1) // 2
+    assert len(problem._tiles(p)) == -(-p // 512)
+    want = _full_gram_operator(s)
+    if p <= 512:
+        assert s.model.h.tobytes() == want.tobytes()
+    else:
+        assert frobenius_norm(s.model.h - want) <= 1e-14 * frobenius_norm(want)
+    iu, ju = np.triu_indices(d)
+    gram = s.model.h / np.where(iu == ju, 1.0, 2.0)  # exact: the weights are 1 and 2
+    assert_array_equal(gram, gram.T)
+
+
+def test_build_holds_one_operator_and_one_block():
+    """At d=50 (p = 1275, three tiles) the build peaks within
+    sensing_bytes(d, n) + 16 n: one p x p operator, not an operator and a
+    p x p Gram buffer next to it."""
+    d, n = 50, 2 * problem.BLOCK
+    p = d * (d + 1) // 2
+    gt = generate_ground_truth(d, 2, [1.0, 0.5], "zeros", seed=51)
+    tracemalloc.start()
+    try:
+        s = generate_sensing(gt, n=n, sigma=0.1, seed=52)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.model.h.nbytes == 8 * p**2
+    assert peak <= problem.sensing_bytes(d, n) + 16 * n
+    blocks = 8 * problem.BLOCK * (d * d + p)  # the mirrored and the gathered block
+    assert peak < 2 * 8 * p**2 + blocks
+
+
 def test_operator_memory_checked_before_build(gt20, monkeypatch):
-    p = 20 * 21 // 2  # the p x p operator and its p x p build buffer
+    p, build = 20 * 21 // 2, problem.sensing_bytes(20, 10)
     draw_block = problem._draw_block
     calls = []
 
@@ -255,22 +313,23 @@ def test_operator_memory_checked_before_build(gt20, monkeypatch):
         return draw_block(*args, **kwargs)
 
     monkeypatch.setattr(problem, "_draw_block", counting)
-    monkeypatch.setattr(problem, "_memory_budget", lambda: 2 * 8 * p**2 - 1)
+    monkeypatch.setattr(problem, "_memory_budget", lambda: build - 1)
     with pytest.raises(InputError, match="sensing operator needs"):
         generate_sensing(gt20, n=10, sigma=0.0, seed=3)
     assert calls == []
-    monkeypatch.setattr(problem, "_memory_budget", lambda: 2 * 8 * p**2)
+    monkeypatch.setattr(problem, "_memory_budget", lambda: build)
     assert generate_sensing(gt20, n=10, sigma=0.0, seed=3).model.h.nbytes == 8 * p**2
 
 
 def test_config_memory_check_counts_the_operator_in_both_modes(monkeypatch):
-    base = dict(d=20, r=3, k=4, n=100, iters=5, seed=1)
-    operator = 2 * 8 * (20 * 21 // 2) ** 2  # the operator and its build buffer
-    monkeypatch.setattr(problem, "_memory_budget", lambda: operator)
+    base = dict(d=20, r=3, k=4, n=problem.BLOCK, iters=5, seed=1)
+    build = problem.sensing_bytes(20, problem.BLOCK)  # no term grows past one block
+    assert problem.sensing_bytes(20, 10**9) == build
+    monkeypatch.setattr(problem, "_memory_budget", lambda: build)
     for memory_mode in problem.MEMORY_MODES:  # no mode stores the matrices
         ExperimentConfig(**base, memory_mode=memory_mode)
         ExperimentConfig(**dict(base, n=10**9), memory_mode=memory_mode)
-    monkeypatch.setattr(problem, "_memory_budget", lambda: operator - 1)
+    monkeypatch.setattr(problem, "_memory_budget", lambda: build - 1)
     for memory_mode in problem.MEMORY_MODES:
         with pytest.raises(InputError, match="more than half of physical memory"):
             ExperimentConfig(**base, memory_mode=memory_mode)
@@ -282,7 +341,7 @@ def test_d100_regenerate_run_fits_a_2gb_budget(monkeypatch):
     config = dict(d=100, r=3, k=4, n=2000, iters=5, seed=1, memory_mode="regenerate")
     monkeypatch.setattr(problem, "_memory_budget", lambda: 2 * 10**9)
     ExperimentConfig(**config)
-    monkeypatch.setattr(problem, "_memory_budget", lambda: 2 * 8 * 5050**2)  # p = 5050
+    monkeypatch.setattr(problem, "_memory_budget", lambda: problem.sensing_bytes(100, 2000))
     ExperimentConfig(**config)
 
 
