@@ -1,7 +1,7 @@
 """Command line interface.
 
 Subcommands: run, sweep, verify (pop|init), conc (noise|deviation|moment|asq),
-phases, figures.  Exit codes: 0 success, 1 validation error, 2 numeric failure.
+phases, figures.  Exit codes: 0 success, 1 bad input, 2 numeric failure.
 """
 
 from __future__ import annotations
@@ -9,9 +9,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
-
-import numpy as np
 
 from . import concentration as conc
 from .csvio import check_output_path, read_trajectory_csv, write_trajectory_csv
@@ -47,16 +46,16 @@ def _cmd_run(args):
     out = args.out or config.output
     if out:
         check_output_path(out)
+    traj = None
     try:
         traj = run_experiment(config, write_output=False)
     except DivergenceError as exc:
-        if out:  # keep the rows recorded up to the abort
-            write_trajectory_csv(exc.trajectory, out, timing=args.timing)
-            print(f"wrote {out} ({len(exc.trajectory.metrics)} rows)")
+        traj = exc.trajectory  # keep the rows recorded up to the abort
         raise
-    if out:
-        write_trajectory_csv(traj, out, timing=args.timing)
-        print(f"wrote {out} ({len(traj.metrics)} rows)")
+    finally:
+        if out and traj is not None:
+            write_trajectory_csv(traj, out, timing=args.timing)
+            print(f"wrote {out} ({len(traj.metrics)} rows)")
     last = traj.metrics[-1]
     print(
         f"final t={last.t} err_fro={last.err_fro:.6e} err_spec={last.err_spec:.6e} "
@@ -84,22 +83,23 @@ def _cmd_sweep(args):
     return 0
 
 
-def _check_trials(trials):
-    if trials < 1:
-        raise InputError(f"--trials must be at least 1, got {trials}")
+def _verify_trials(args):
+    """The default ground truth of ``verify`` and each trial's seed, after checking --trials."""
+    if args.trials < 1:
+        raise InputError(f"--trials must be at least 1, got {args.trials}")
+    spec = DEFAULT_SPECTRUM
+    gt = generate_ground_truth(spec["d"], spec["r"], spec["ds"], "zeros", args.seed)
+    return gt, [(args.seed + trial) % 2**64 for trial in range(args.trials)]
 
 
 def _cmd_verify_pop(args):
-    _check_trials(args.trials)
-    gt = generate_ground_truth(
-        DEFAULT_SPECTRUM["d"], DEFAULT_SPECTRUM["r"], DEFAULT_SPECTRUM["ds"], "zeros", args.seed
-    )
+    gt, seeds = _verify_trials(args)
     eta = theory_step_size(gt.sigma1)
     counts = {}
     worst = {}
     all_pass = 0
-    for trial in range(args.trials):
-        s, t = region_sample(gt, DEFAULT_SPECTRUM["k"], (args.seed + trial) % 2**64)
+    for seed in seeds:
+        s, t = region_sample(gt, DEFAULT_SPECTRUM["k"], seed)
         report = verify_population_contraction(s, t, gt, eta)
         if report.all_passed:
             all_pass += 1
@@ -118,14 +118,11 @@ def _cmd_verify_pop(args):
 
 
 def _cmd_verify_init(args):
-    _check_trials(args.trials)
-    gt = generate_ground_truth(
-        DEFAULT_SPECTRUM["d"], DEFAULT_SPECTRUM["r"], DEFAULT_SPECTRUM["ds"], "zeros", args.seed
-    )
+    gt, seeds = _verify_trials(args)
     rho = 0.07
     ok_assumption = ok_lemma = 0
-    for trial in range(args.trials):
-        f0 = planted_init(gt, DEFAULT_SPECTRUM["k"], rho, (args.seed + trial) % 2**64)
+    for seed in seeds:
+        f0 = planted_init(gt, DEFAULT_SPECTRUM["k"], rho, seed)
         report = check_initialization(f0, gt, rho)
         ok_assumption += report.assumption_ok
         ok_lemma += report.lemma_ok
@@ -139,40 +136,35 @@ def _cmd_conc(args):
         raise InputError(f"conc {args.kind} writes no per-trial CSV; drop --out")
     if args.out:
         check_output_path(args.out)
-    if args.kind in ("deviation", "moment"):  # before the d x d matrix U is drawn
+    if args.kind in ("deviation", "moment"):  # checked before the d x d matrix U is drawn
         conc.check_mc_memory(args.d, args.n if args.kind == "deviation" else args.trials)
-    if args.kind == "noise":
-        report = conc.mc_noise_term(args.d, args.sigma, args.n, args.trials, args.seed)
-        print(conc.mc_summary_json(report))
-        if args.out:
-            conc.write_mc_csv(report, args.out)
-            print(f"wrote {args.out}")
-    elif args.kind == "deviation":
-        rng = stream(args.seed, "mc_deviation", 2**32)
-        u = rng.standard_normal((args.d, args.d))
+        u = stream(args.seed, f"mc_{args.kind}", 2**32).standard_normal((args.d, args.d))
         u = 0.5 * (u + u.T)
-        dev = conc.mc_sensing_deviation(u, args.n, args.trials, args.seed)
-        print(conc.mc_summary_json(dev.report))
-        if args.out:
-            conc.write_mc_csv(dev.report, args.out)
-            print(f"wrote {args.out}")
-    elif args.kind == "moment":
-        rng = stream(args.seed, "mc_moment", 2**32)
-        u = rng.standard_normal((args.d, args.d))
-        u = 0.5 * (u + u.T)
-        cmp_ = conc.mc_second_moment(u, args.trials, args.seed)
-        print(conc.mc_summary_json(cmp_))
-    else:  # asq
-        cmp_ = conc.mc_A_squared(args.d, args.trials, args.seed)
-        print(conc.mc_summary_json(cmp_))
-        print(f"max |estimate - d I| entry: {np.max(np.abs(cmp_.estimate - cmp_.reference)):.4f}")
+    report = {
+        "noise": lambda: conc.mc_noise_term(args.d, args.sigma, args.n, args.trials, args.seed),
+        "deviation": lambda: conc.mc_sensing_deviation(u, args.n, args.trials, args.seed).report,
+        "moment": lambda: conc.mc_second_moment(u, args.trials, args.seed),
+        "asq": lambda: conc.mc_A_squared(args.d, args.trials, args.seed),
+    }[args.kind]()
+    _print_json(report.summary())
+    if args.kind == "asq":
+        print(f"max |estimate - d I| entry: {abs(report.estimate - report.reference).max():.4f}")
+    if args.out:
+        conc.write_mc_csv(report, args.out)
+        print(f"wrote {args.out}")
     return 0
+
+
+def _print_json(report):
+    """Print the flat dict ``report`` as strict JSON: a non-finite value prints as null."""
+    report = {key: None if isinstance(v, float) and not math.isfinite(v) else v
+              for key, v in report.items()}
+    print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _cmd_phases(args):
     metrics = read_trajectory_csv(args.traj)
-    report = detect_phases(metrics, eta=args.eta)
-    print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True, allow_nan=False))
+    _print_json(dataclasses.asdict(detect_phases(metrics, eta=args.eta)))
     return 0
 
 
@@ -183,8 +175,15 @@ def _cmd_figures(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are InputErrors: exit 1 with one line."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="msense",
         description="Factorized gradient descent laboratory for low-rank matrix sensing",
     )
@@ -245,8 +244,8 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except InputError as exc:  # one line, even when the input holds a newline
+        print("error: " + str(exc).replace("\n", "\\n"), file=sys.stderr)
         return 1
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -3,13 +3,13 @@ concentration statements.
 
 Universal constants in the tail bounds are existential, so the targets here
 are (i) moment identities, (ii) the n^{-1/2} rate of the norm statistics,
-and (iii) bounded ratios against the stated reference scales.  Tail
-probabilities are reported as empirical exceedance frequencies only.
+and (iii) bounded ratios against the stated reference scales.  No tail
+probability is estimated: a report holds the per-trial values and their
+summary statistics.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -42,6 +42,14 @@ def _trial_blocks(seed, tag, trial, n, d, distribution, raw=False):
         yield rng, _draw(rng, min(_MC_BLOCK, n - done), d, distribution, raw=raw)
 
 
+def _mean_stderr(acc, acc_sq, count):
+    """Per-entry mean of ``count`` terms from their sum and sum of squares,
+    with its standard error."""
+    mean = acc / count
+    var = acc_sq / count - mean**2
+    return mean, np.sqrt(np.clip(var, 0.0, None) / count)
+
+
 def _mc_matrix_moment(stat, d, trials, seed, tag, distribution):
     """Mean of the d x d statistic ``stat`` over ``trials`` sensing draws,
     with its per-entry standard error; each block of _MC_BLOCK draws comes
@@ -54,9 +62,7 @@ def _mc_matrix_moment(stat, d, trials, seed, tag, distribution):
         x = stat(a)
         acc += x.sum(axis=0)
         acc_sq += (x**2).sum(axis=0)
-    est = acc / trials
-    var = acc_sq / trials - est**2
-    return est, np.sqrt(np.clip(var, 0.0, None) / trials)
+    return _mean_stderr(acc, acc_sq, trials)
 
 
 @dataclass(frozen=True)
@@ -87,10 +93,6 @@ class MCReport:
             return float("nan")
         return self.median / self.reference_scale
 
-    def exceedance(self, threshold):
-        """Empirical frequency of statistic > threshold (no pass/fail attached)."""
-        return float(np.mean(self.values > threshold))
-
     def summary(self):
         return {
             "statistic": self.statistic,
@@ -109,13 +111,6 @@ def write_mc_csv(report, path):
         fh.write("trial,value\n")
         for i, v in enumerate(report.values):
             fh.write(f"{i},{float(v)!r}\n")
-
-
-def mc_summary_json(report):
-    """``report.summary()`` as strict JSON: a non-finite value prints as null."""
-    summary = {key: None if isinstance(v, float) and not math.isfinite(v) else v
-               for key, v in report.summary().items()}
-    return json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
 
 
 def mc_noise_term(d, sigma, n, trials, seed, distribution="gaussian"):
@@ -179,10 +174,7 @@ def mc_sensing_deviation(u, n, trials, seed, distribution="gaussian"):
             acc_sq += (term**2).sum(axis=0).reshape(d, d)
         acc_mean += acc
         vals[trial] = spectral_norm(acc / n - u)
-    total = trials * n
-    mean_matrix = acc_mean / total
-    var = acc_sq / total - mean_matrix**2
-    mean_stderr = np.sqrt(np.clip(var, 0.0, None) / total)
+    mean_matrix, mean_stderr = _mean_stderr(acc_mean, acc_sq, trials * n)
     report = MCReport(
         statistic="sensing_deviation_spectral_norm",
         trials=trials,

@@ -66,6 +66,8 @@ def read_trajectory_csv(path):
         try:
             delta = float(parts[10]) if parts[10] else None
             metrics.append(IterateMetrics(int(parts[0]), *map(float, parts[1:10]), delta))
+            if not 0 <= metrics[-1].t < 2**53:  # a step index, exact as a float
+                raise ValueError(f"t must be an integer in [0, 2**53), got {parts[0]}")
         except ValueError as exc:
             raise InputError(f"{path}, line {no}: {exc}") from None
     return metrics

@@ -21,8 +21,8 @@ from .csvio import check_output_path, metrics_column, write_sweep_csv, write_tra
 from .errors import DivergenceError, InputError
 from .gradient import population_gradient, theory_step_size
 from .linalg import spectral_norms
-from .problem import (DISTRIBUTIONS, MEMORY_MODES, check_memory, generate_ground_truth,
-                      generate_sensing, sensing_bytes)
+from .problem import (DISTRIBUTIONS, MEMORY_MODES, _validate_spectrum, check_memory,
+                      generate_ground_truth, generate_sensing, sensing_bytes)
 from .rng import stable_hash64
 from .subspace import batch_metrics, derived_scales, planted_init, random_init, spectral_init
 
@@ -120,8 +120,7 @@ class ExperimentConfig:
             raise InputError(f"track_delta must be true or false, got {self.track_delta!r}")
         if not (self.output is None or isinstance(self.output, (str, os.PathLike))):
             raise InputError(f"output must be a path or null, got {self.output!r}")
-        if len(self.ds) != self.r:
-            raise InputError(f"ds must have length r={self.r}, got {len(self.ds)}")
+        _validate_spectrum(self.d, self.r, self.ds, self.dt)
         for name, allowed in (("gradient_mode", GRADIENT_MODES),
                               ("distribution", DISTRIBUTIONS), ("memory_mode", MEMORY_MODES)):
             if getattr(self, name) not in allowed:
@@ -239,12 +238,14 @@ def run_experiment(config, write_output=True, measure_from=0):
     gt = generate_ground_truth(config.d, config.r, config.ds, config.dt, config.seed)
     population = config.gradient_mode == "population"
     sensing = model = None
+    # Only a spectral start reads the sensing set: any other start comes first.
+    f = None if config.init.mode == "spectral" else _initial_factor(config, gt, sensing)
     if not population:
         sensing = generate_sensing(gt, config.n, config.sigma, config.distribution, config.seed)
         model = sensing.model
+        f = _initial_factor(config, gt, sensing) if f is None else f
     scales = derived_scales(gt, None if population else config.n, config.sigma, config.k)
     eta = config.eta_value()
-    f = _initial_factor(config, gt, sensing)
 
     def gradient(f):
         grad = population_gradient(f, gt) if population else model.gradient(f)
@@ -409,6 +410,7 @@ def _linear_fit_r2(x, y):
     return float(slope), float(intercept), r2
 
 
+@np.errstate(all="ignore")  # a statistic that overflows is non-finite: the CLI prints null
 def detect_phases(traj, config=None, eta=None):
     """Fit the linear-then-sublinear structure of a trajectory.
 

@@ -61,10 +61,10 @@ def _validate_spectrum(d, r, ds, dt):
         raise InputError(f"ds must have length r={r}, got {ds.shape}")
     if np.any(ds <= 0) or np.any(np.diff(ds) > 0):
         raise InputError("ds must be positive and descending")
-    if isinstance(dt, str):
+    if isinstance(dt, str):  # "zeros" stays a string: nothing is allocated here
         if dt != "zeros":
             raise InputError(f"dt shorthand must be 'zeros', got {dt!r}")
-        dt = np.zeros(d - r)
+        return ds, dt
     dt = np.asarray(dt, dtype=float)
     if dt.shape != (d - r,):
         raise InputError(f"dt must have length d-r={d - r}, got {dt.shape}")
@@ -86,6 +86,7 @@ def generate_ground_truth(d, r, ds, dt, seed):
     """
     check_memory(8 * d * d, f"the d={d} ground truth")
     ds, dt = _validate_spectrum(d, r, ds, dt)
+    dt = np.zeros(d - r) if isinstance(dt, str) else dt
     rng = stream(seed, "basis")
     basis = orthonormalize(rng.standard_normal((d, d)))
     U, V = basis[:, :r], basis[:, r:]

@@ -261,10 +261,6 @@ class InequalityCheck:
     rhs: float
     passed: bool
 
-    @property
-    def slack(self):
-        return self.rhs - self.lhs
-
 
 @dataclass(frozen=True)
 class ContractionReport:
@@ -275,9 +271,6 @@ class ContractionReport:
     @property
     def all_passed(self):
         return all(c.passed for c in self.checks)
-
-    def failed(self):
-        return [c for c in self.checks if not c.passed]
 
 
 def verify_population_contraction(s, t, gt, eta):

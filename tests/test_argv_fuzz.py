@@ -1,0 +1,194 @@
+"""Fuzz the argv and file boundary of `msense conc` and `msense phases`:
+whatever the flags and the trajectory file hold, the command exits 0, 1 or
+2, prints no traceback and no warning, prints exactly one `error:` line when
+it exits 1, and prints strict JSON when it exits 0."""
+
+import json
+import math
+import warnings
+
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from msense.cli import main
+from msense.csvio import TRAJECTORY_HEADER
+
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+# Huge integers are either rejected (a memory check for --d, a 64-bit check
+# for --seed) or, for --n and --trials, replaced: a long run is valid input.
+# So is a --d that fits in memory, so --d below 10**6 is capped at 6.
+HOSTILE_INTS = st.one_of(
+    st.sampled_from(["0", "-1", "-1000000000", "1000000000000", str(2**64), str(10**400),
+                     "1.5", "1e3", "0x10", "nan", "inf", "", " ", "abc", "-h", "--"]),
+    st.integers(-3, 0).map(str),
+    st.text(max_size=4),
+)
+HOSTILE_FLOATS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-1", "-0", "0", "1e-320", "1e150", "1e151",
+                     "1e308", "1e400", "", "abc", "0x1p3"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(max_size=4),
+)
+CONC_FLAGS = {
+    "--d": (st.integers(1, 6).map(str), HOSTILE_INTS),
+    "--n": (st.integers(1, 40).map(str), HOSTILE_INTS),
+    "--trials": (st.integers(1, 6).map(str), HOSTILE_INTS),
+    "--seed": (st.integers(0, 2**64 - 1).map(str), HOSTILE_INTS),
+    "--sigma": (st.sampled_from(["0", "0.5", "1.0", "2"]), HOSTILE_FLOATS),
+}
+CONC_DEFAULTS = {"--d": 20, "--n": 1000, "--trials": 50}
+
+
+def _int_or_none(text):
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+@st.composite
+def conc_argvs(draw):
+    kinds = ["noise", "deviation", "moment", "asq"] * 2 + ["bogus"]
+    argv = ["conc", draw(st.sampled_from(kinds))]
+    sizes = dict(CONC_DEFAULTS)
+    for flag, (valid, hostile) in CONC_FLAGS.items():
+        choice = draw(st.sampled_from(["valid"] * 6 + ["missing", "hostile"]))
+        if choice == "missing":
+            continue
+        value = draw(valid if choice == "valid" else hostile)
+        if flag in ("--n", "--trials") and (_int_or_none(value) or 0) > 40:
+            value = "2"
+        if flag == "--d" and 6 < (_int_or_none(value) or 0) < 10**6:
+            value = "6"
+        argv += [flag, value]
+        sizes[flag] = _int_or_none(value)
+    # Flags left at their defaults draw 20 x 20 matrices 50 x 1000 times.
+    d, n, trials = (sizes[flag] for flag in ("--d", "--n", "--trials"))
+    if all(isinstance(v, int) and v > 0 for v in (d, n, trials)) and d * d * n * trials > 10**6:
+        argv += ["--trials", "1"]
+    out = draw(st.sampled_from([None, None, None, "mc.csv", ".", "missing/mc.csv"]))
+    if out is not None:
+        argv.append("--out=" + out)  # resolved under tmp_path
+    extra = draw(st.sampled_from([[]] * 9 + [["--bogus"], ["--d"], None]))
+    stray = st.text(max_size=4).filter(lambda a: not a.startswith(("-h", "--h")))  # not --help
+    argv += [draw(stray)] if extra is None else extra
+    return argv
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def run_main(argv, capsys):
+    """``main(argv)``'s exit code, stdout and stderr, asserting the boundary contract."""
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc in (0, 1, 2), (argv, rc)
+    assert caught == [], (argv, [str(w.message) for w in caught])
+    assert "Traceback" not in err and "Warning" not in err, (argv, err)
+    if rc == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    return rc, out, err
+
+
+@FUZZ
+@given(argv=conc_argvs())
+@example(argv=["conc", "moment", "--d", "0"])
+@example(argv=["conc", "noise", "--d", "4", "--n", "10", "--trials", "1", "--sigma", "1e308"])
+@example(argv=["conc", "asq", "--d", "abc"])
+@example(argv=["conc"])
+@example(argv=["conc", "noise", "--d", "2", "x\ny"])
+def test_conc_never_tracebacks_on_hostile_argv(argv, tmp_path, capsys):
+    argv = [a.replace("--out=", f"--out={tmp_path}/") for a in argv]
+    rc, out, _ = run_main(argv, capsys)
+    if rc == 0:
+        blob = strict_json(out[: out.rindex("}") + 1])
+        assert blob["trials"] >= 1, (argv, blob)
+
+
+ROWS = 60
+
+
+def trajectory_lines(rows):
+    """A plausible trajectory CSV: a geometric head, then c/t in D and A."""
+    lines = [TRAJECTORY_HEADER]
+    for t in range(rows):
+        ss, tail = 0.5 * 0.9**t, 1.0 / (t + 1)
+        cells = [t, ss, 0.1 * ss, 0.2 * tail, tail, tail, 0.9 * tail, ss + tail, ss + tail, ss]
+        lines.append(",".join([str(t), *map(repr, cells[1:]), "", ""]))
+    return lines
+
+
+HOSTILE_CELLS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "", "abc", str(10**400), str(2**53), "1.5"]),
+    st.sampled_from(["1e300", "1e308", "-1e308", "1e-320", "5e-324", "0", "-1", "2"]),
+    st.text(max_size=3),
+)
+COLUMNS = TRAJECTORY_HEADER.split(",")
+
+
+@st.composite
+def trajectory_files(draw):
+    lines = trajectory_lines(draw(st.sampled_from([ROWS] * 6 + [0, 1, 49, 50])))
+    rows = len(lines) - 1
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2])) if rows else 0):
+        index = draw(st.integers(1, rows))
+        cells = lines[index].split(",")
+        edit = draw(st.sampled_from(["cell", "cell", "truncate", "duplicate_t", "extra_cell"]))
+        if edit == "cell":
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(HOSTILE_CELLS)
+        elif edit == "truncate":
+            cells = cells[: draw(st.integers(0, len(cells) - 1))]
+        elif edit == "duplicate_t" and index > 1:
+            cells[0] = lines[index - 1].split(",")[0]
+        elif edit == "extra_cell":
+            cells.append("0")
+        lines[index] = ",".join(cells)
+    if rows and draw(st.booleans()):  # huge finite cells over a whole stretch
+        column = COLUMNS.index(draw(st.sampled_from(["ss_err", "D", "A"])))
+        value = draw(st.sampled_from(["1e300", "1e308", "-1e308", "1e-320"]))
+        start = draw(st.sampled_from([0, rows // 2]))
+        for index in range(1 + start, draw(st.integers(1 + start, rows)) + 1):
+            cells = lines[index].split(",")
+            if column < len(cells):
+                cells[column] = value
+            lines[index] = ",".join(cells)
+    if draw(st.sampled_from([False] * 9 + [True])):
+        lines = lines[1:]  # no header
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def phases_argvs(draw):
+    """``phases`` argv with a placeholder --traj path, and the trajectory file's content."""
+    argv = ["phases"]
+    traj = draw(st.sampled_from(["t.csv"] * 9 + ["missing.csv", ".", None, "t.csv"]))
+    if traj is not None:
+        argv += ["--traj", traj]
+    eta = draw(st.sampled_from(["missing", "valid", "valid", "hostile"]))
+    if eta != "missing":
+        argv += ["--eta", draw(st.sampled_from(["0.1", "0.5", "1", "1e308"]) if eta == "valid"
+                               else HOSTILE_FLOATS)]
+    return argv, draw(trajectory_files())
+
+
+@FUZZ
+@given(case=phases_argvs())
+@example(case=(["phases", "--traj", "t.csv", "--eta", "0.1"],
+               "\n".join(trajectory_lines(ROWS)) + "\n"))
+def test_phases_never_tracebacks_on_hostile_files_and_argv(case, tmp_path, capsys):
+    argv, content = case
+    (tmp_path / "t.csv").write_text(content)
+    argv = [str(tmp_path / a) if a.endswith(".csv") or a == "." else a for a in argv]
+    rc, out, _ = run_main(argv, capsys)
+    if rc == 0:
+        blob = strict_json(out)
+        for key in ("tail_c", "tail_residual", "head_slope", "recursion_pass_rate"):
+            assert blob[key] is None or math.isfinite(blob[key]), (argv, blob)

@@ -24,6 +24,10 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+def no_compute(*args, **kwargs):
+    raise AssertionError("compute started")
+
+
 def test_run_command(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "traj.csv"
@@ -42,9 +46,6 @@ def test_run_invalid_config_exits_1(tmp_path, capsys):
 
 
 def test_run_malformed_config_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
-    def no_compute(*args, **kwargs):
-        raise AssertionError("compute started")
-
     monkeypatch.setattr(msense.cli, "run_experiment", no_compute)
     cases = (("d", "20"), ("iters", 5.5), ("ds", "abc"), ("n", True), ("sigma", float("nan")),
              ("k", 100000000), ("output", str(tmp_path / "missing" / "traj.csv")))
@@ -67,10 +68,47 @@ def test_run_malformed_config_exits_1_with_one_line(tmp_path, capsys, monkeypatc
         assert err.startswith("error: n must be an integer") and err.count("\n") == 1, err
 
 
-def test_oversized_operator_exits_1_before_compute(tmp_path, capsys, monkeypatch):
-    def no_compute(*args, **kwargs):
-        raise AssertionError("compute started")
+@pytest.mark.parametrize("argv", [
+    ["conc", "noise", "--d", "abc"], ["run"], ["sweep", "--config", "c.json", "--param", "x"],
+    [], ["conc", "noise", "x\ny"],
+], ids=["bad_int", "missing_config", "bad_choice", "no_subcommand", "newline"])
+def test_usage_errors_exit_1_with_one_line(capsys, argv):
+    assert main(argv) == 1  # returns: argparse raises no SystemExit
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert captured.out == ""
 
+
+# The spectrum is checked at config time, so the bad cell fails before the
+# first cell (d=10, or the d=2 cell that has r > d) runs.
+@pytest.mark.parametrize("overrides, values, needle", [
+    (dict(d=10, dt=[0.0] * 7), "10,12", "dt must have length d-r=9"),
+    (dict(k=1, init={"mode": "random"}), "2,10", "need 1 <= r <= d"),
+], ids=["dt_length", "r_above_d"])
+def test_d_sweep_spectrum_errors_exit_1_before_any_cell_runs(
+        tmp_path, capsys, monkeypatch, overrides, values, needle):
+    monkeypatch.setattr(msense.harness, "run_experiment", no_compute)
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["sweep", "--config", str(cfg), "--param", "d", "--values", values]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {needle}") and err.count("\n") == 1, err
+
+
+# A planted start is built, and rejected, before the sensing operator.
+@pytest.mark.parametrize("overrides, needle", [
+    (dict(init={"rho": 0.5}), "need 0 < rho <= 0.07"),
+    (dict(dt=[0.5, 0.4] + [0.0] * 15), "rank/spectrum leaves no room"),
+], ids=["rho_above_0.07", "no_room_for_the_start"])
+def test_planted_start_errors_exit_1_before_the_sensing_build(
+        tmp_path, capsys, monkeypatch, overrides, needle):
+    monkeypatch.setattr(msense.harness, "generate_sensing", no_compute)
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err and err.count("\n") == 1, err
+
+
+def test_oversized_operator_exits_1_before_compute(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(msense.cli, "run_experiment", no_compute)
     monkeypatch.setattr(msense.harness, "run_experiment", no_compute)
     cfg = write_config(tmp_path)  # d=20, n=200, dense
@@ -229,6 +267,15 @@ def test_conc_prints_non_finite_values_as_null(capsys, argv, key):
     assert key in blob and blob[key] is None, blob
 
 
+def test_conc_noise_prints_its_report_summary(capsys):
+    rep = msense.concentration.mc_noise_term(d=6, sigma=1.0, n=100, trials=5, seed=13)
+    assert main(["conc", "noise", "--d", "6", "--n", "100", "--trials", "5", "--seed", "13"]) == 0
+    blob = strict_json(capsys.readouterr().out)
+    assert blob["trials"] == 5
+    assert blob["statistic"] == "noise_term_spectral_norm"
+    assert blob["ratio_median"] == pytest.approx(rep.ratio_median)
+
+
 def test_conc_rejects_d_below_one_with_one_line(capsys):
     for argv in (["conc", "moment", "--d", "0"], ["conc", "moment", "--d", "-1"],
                  ["conc", "deviation", "--d", "-1"]):
@@ -322,25 +369,59 @@ PHASES_HOSTILE_EDITS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(PHASES_HOSTILE_EDITS))
-def test_phases_rejects_non_finite_cells_and_repeated_t_with_one_line(tmp_path, capsys, case):
+def write_edited_trajectory(tmp_path, capsys, edits):
+    """A 61-row trajectory from `msense run`, with each (row, column, value) edit applied."""
     cfg = write_config(tmp_path, iters=60, output=str(tmp_path / "t.csv"))
     assert main(["run", "--config", str(cfg)]) == 0
     capsys.readouterr()
     lines = (tmp_path / "t.csv").read_text().splitlines()
     header = lines[0].split(",")
-    for index, column, value in PHASES_HOSTILE_EDITS[case]:
+    for index, column, value in edits:
         row = lines[index].split(",")
         row[header.index(column)] = value
         lines[index] = ",".join(row)
     (tmp_path / "hostile.csv").write_text("\n".join(lines) + "\n")
+    return tmp_path / "hostile.csv"
+
+
+@pytest.mark.parametrize("case", sorted(PHASES_HOSTILE_EDITS))
+def test_phases_rejects_non_finite_cells_and_repeated_t_with_one_line(tmp_path, capsys, case):
+    path = write_edited_trajectory(tmp_path, capsys, PHASES_HOSTILE_EDITS[case])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["phases", "--traj", str(tmp_path / "hostile.csv"), "--eta", "0.1"]) == 1
+        assert main(["phases", "--traj", str(path), "--eta", "0.1"]) == 1
     captured = capsys.readouterr()
     assert caught == [] and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
     assert "Warning" not in captured.err
+
+
+# Unguarded, the first prints a RuntimeWarning, and the second a ValueError
+# traceback from json.dumps (an overflowing norm gives NaN).
+PHASES_HUGE_EDITS = {
+    "A_1e308_in_the_first_row": [(1, "A", "1e308")],
+    "D_and_A_1e300_over_the_tail_half": [(i, c, "1e300") for i in range(-31, 0) for c in "DA"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PHASES_HUGE_EDITS))
+def test_phases_huge_finite_cells_print_strict_json_and_no_warning(tmp_path, capsys, case):
+    path = write_edited_trajectory(tmp_path, capsys, PHASES_HUGE_EDITS[case])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["phases", "--traj", str(path), "--eta", "0.1"]) == 0
+    captured = capsys.readouterr()
+    assert caught == [] and captured.err == ""
+    blob = strict_json(captured.out)
+    assert blob["head_slope"] is not None and blob["recursion_pass_rate"] is not None
+
+
+def test_phases_rejects_a_t_beyond_the_float_range_with_one_line(tmp_path, capsys):
+    path = write_edited_trajectory(tmp_path, capsys, [(2, "t", str(10**400))])
+    assert main(["phases", "--traj", str(path)]) == 1  # not an OverflowError from float()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 3: t must be an integer" in err, err
+    assert err.count("\n") == 1
 
 
 def test_run_binary_config_exits_1_with_one_line(tmp_path, capsys):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -10,7 +8,6 @@ from msense.concentration import (
     mc_noise_term,
     mc_second_moment,
     mc_sensing_deviation,
-    mc_summary_json,
     second_moment_exact_gaussian,
     second_moment_reference,
     write_mc_csv,
@@ -243,8 +240,3 @@ def test_report_serialization(tmp_path, rng):
     assert len(lines) == 6
     parsed = [float(ln.split(",")[1]) for ln in lines[1:]]
     assert_allclose(parsed, rep.values, rtol=0)
-
-    blob = json.loads(mc_summary_json(rep))
-    assert blob["trials"] == 5
-    assert blob["statistic"] == "noise_term_spectral_norm"
-    assert blob["ratio_median"] == pytest.approx(rep.ratio_median)
