@@ -137,7 +137,8 @@ def _cmd_conc(args):
     if args.out:
         check_output_path(args.out)
     if args.kind in ("deviation", "moment"):  # checked before the d x d matrix U is drawn
-        conc.check_mc_memory(args.d, args.n if args.kind == "deviation" else args.trials)
+        moment = args.kind == "moment"  # its statistic is one block-sized temporary
+        conc.check_mc_memory(args.d, args.trials if moment else args.n, temporaries=int(moment))
         u = stream(args.seed, f"mc_{args.kind}", 2**32).standard_normal((args.d, args.d))
         u = 0.5 * (u + u.T)
     report = {

@@ -17,29 +17,16 @@ import numpy as np
 
 from .errors import InputError
 from .linalg import as_symmetric, spectral_norm
-from .problem import _draw, _svec_indices, check_memory
-from .rng import stream
+from .problem import BLOCK, _svec_indices, block_bytes, check_memory, draw_blocks
 
-_MC_BLOCK = 512
-
-
-def check_mc_memory(d, rows):
-    """Reject, before any draw, a Monte Carlo run whose d x d accumulators
-    (at most four) and one block of min(rows, _MC_BLOCK) draws exceed the
-    memory budget."""
+def check_mc_memory(d, rows, temporaries=0):
+    """Reject, before any draw, a Monte Carlo run whose draws, four d x d accumulators,
+    two per-matrix vectors and ``temporaries`` block-sized arrays exceed the budget."""
     if d < 1:
         raise InputError(f"d must be at least 1, got {d}")
-    check_memory(8 * d * d * (4 + min(rows, _MC_BLOCK)), f"the d={d} Monte Carlo draws")
-
-
-def _trial_blocks(seed, tag, trial, n, d, distribution, raw=False):
-    """Yield (rng, A_block) over the n draws of one trial, in blocks of at
-    most _MC_BLOCK from the trial's own stream.  The caller may draw more
-    from ``rng`` before asking for the next block.  ``raw`` is passed to
-    _draw."""
-    rng = stream(seed, tag, trial)
-    for done in range(0, n, _MC_BLOCK):
-        yield rng, _draw(rng, min(_MC_BLOCK, n - done), d, distribution, raw=raw)
+    m = min(rows, BLOCK)
+    nbytes = 8 * (d * d * (4 + temporaries * m) + 2 * m) + block_bytes(d, rows)
+    check_memory(nbytes, f"the d={d} Monte Carlo draws")
 
 
 def _mean_stderr(acc, acc_sq, count):
@@ -51,17 +38,17 @@ def _mean_stderr(acc, acc_sq, count):
 
 
 def _mc_matrix_moment(stat, d, trials, seed, tag, distribution):
-    """Mean of the d x d statistic ``stat`` over ``trials`` sensing draws,
-    with its per-entry standard error; each block of _MC_BLOCK draws comes
-    from its own stream.  ``stat`` maps an (m, d, d) block to (m, d, d)."""
-    check_mc_memory(d, trials)
-    acc = np.zeros((d, d))
-    acc_sq = np.zeros((d, d))
-    for block, done in enumerate(range(0, trials, _MC_BLOCK)):
-        a = _draw(stream(seed, tag, block), min(_MC_BLOCK, trials - done), d, distribution)
+    """Mean of the d x d statistic ``stat`` over ``trials`` sensing draws, with its
+    per-entry standard error; each block of BLOCK draws comes from its own stream.
+    ``stat`` maps an (m, d, d) block, which it may overwrite, to a new array."""
+    check_mc_memory(d, trials, temporaries=1)
+    acc, acc_sq = np.zeros((d, d)), np.zeros((d, d))
+    buf = np.empty((min(trials, BLOCK), d * d))
+    for _, _, a in draw_blocks(seed, tag, trials, d, distribution, out=buf):
         x = stat(a)
         acc += x.sum(axis=0)
-        acc_sq += (x**2).sum(axis=0)
+        acc_sq += np.square(x, out=x).sum(axis=0)
+        del x  # the next block's statistic is made without this one beside it
     return _mean_stderr(acc, acc_sq, trials)
 
 
@@ -127,11 +114,12 @@ def mc_noise_term(d, sigma, n, trials, seed, distribution="gaussian"):
     upper, pos = _svec_indices(d)
     mirror = upper[pos]
     vals = np.empty(trials)
+    buf = np.empty((min(n, BLOCK), d * d))
     for trial in range(trials):
         # sum_i eps_i A_i is linear in the upper triangles of the raw draws,
         # so the sum is mirrored once per trial, not every A_i.
         acc = np.zeros(d * d)
-        for rng, g in _trial_blocks(seed, "mc_noise", trial, n, d, distribution, raw=True):
+        for _, rng, g in draw_blocks(seed, "mc_noise", n, d, distribution, trial, True, buf):
             acc += sigma * rng.standard_normal(len(g)) @ g
         vals[trial] = spectral_norm(acc.take(mirror).reshape(d, d) / n)
     return MCReport(
@@ -162,16 +150,15 @@ def mc_sensing_deviation(u, n, trials, seed, distribution="gaussian"):
     d = u.shape[0]
     check_mc_memory(d, n)
     vals = np.empty(trials)
-    acc_mean = np.zeros((d, d))
-    acc_sq = np.zeros((d, d))
+    acc_mean, acc_sq = np.zeros((d, d)), np.zeros((d, d))
+    buf = np.empty((min(n, BLOCK), d * d))
     for trial in range(trials):
         acc = np.zeros((d, d))
-        for _, a in _trial_blocks(seed, "mc_deviation", trial, n, d, distribution):
-            flat = a.reshape(a.shape[0], -1)
-            inner = flat @ u.ravel()
-            term = inner[:, None] * flat
+        for _, _, a in draw_blocks(seed, "mc_deviation", n, d, distribution, trial, out=buf):
+            term = a.reshape(len(a), -1)  # <A_i, U> A_i, formed in the block
+            term *= (term @ u.ravel())[:, None]
             acc += term.sum(axis=0).reshape(d, d)
-            acc_sq += (term**2).sum(axis=0).reshape(d, d)
+            acc_sq += np.square(term, out=term).sum(axis=0).reshape(d, d)
         acc_mean += acc
         vals[trial] = spectral_norm(acc / n - u)
     mean_matrix, mean_stderr = _mean_stderr(acc_mean, acc_sq, trials * n)
@@ -247,8 +234,9 @@ def mc_second_moment(u, trials, seed, distribution="gaussian"):
         raise InputError("trials must be positive")
 
     def centered_square(a):
-        m = np.einsum("nij,ij->n", a, u)[:, None, None] * a - u
-        return np.einsum("nij,njk->nik", m, m)
+        a *= np.einsum("nij,ij->n", a, u)[:, None, None]
+        a -= u
+        return np.einsum("nij,njk->nik", a, a)
 
     est, stderr = _mc_matrix_moment(
         centered_square, u.shape[0], trials, seed, "mc_moment", distribution

@@ -24,7 +24,8 @@ from .linalg import spectral_norms
 from .problem import (DISTRIBUTIONS, MEMORY_MODES, _validate_spectrum, check_memory,
                       generate_ground_truth, generate_sensing, sensing_bytes)
 from .rng import stable_hash64
-from .subspace import batch_metrics, derived_scales, planted_init, random_init, spectral_init
+from .subspace import (batch_metrics, derived_scales, floored_recursion_bound, planted_init,
+                       random_init, spectral_init)
 
 INIT_MODES = ("planted", "spectral", "random")
 GRADIENT_MODES = ("sample", "population")
@@ -403,6 +404,7 @@ class PhaseReport:
 
 
 def _linear_fit_r2(x, y):
+    x = x - x[0]  # well conditioned at any x in [0, 2**53): only the spread is fitted
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     total = np.var(y) * len(y)
@@ -457,7 +459,7 @@ def detect_phases(traj, config=None, eta=None):
                 sl, _, r2 = _linear_fit_r2(t[start : cand + 1], np.log(ss[start : cand + 1]))
                 if best is None or r2 > best[2] + 1e-12:
                     best = (int(cand), sl, r2)
-            head_window = (int(t[start]), best[0])
+            head_window = (int(t[start]), int(t[best[0]]))
             head_slope, head_r2 = best[1], best[2]
 
     # Tail fit on the final 50%.
@@ -474,13 +476,11 @@ def detect_phases(traj, config=None, eta=None):
         tail_residual = float(np.linalg.norm(y - c / tt)) / denom if denom > 0 else 0.0
 
     # Recursion pass rate and envelope.
-    recursion_pass_rate = None
-    envelope_pass = None
+    recursion_pass_rate = envelope_pass = None
     if eta is not None:
         tol = 1e-12 * max(1.0, a_vals[0])
-        lhs = a_vals[1:]
-        rhs = (1.0 - 0.5 * eta * a_vals[:-1]) * a_vals[:-1]
-        recursion_pass_rate = float(np.mean(lhs <= rhs + tol))
+        rhs = floored_recursion_bound(a_vals[:-1], eta)
+        recursion_pass_rate = float(np.mean(a_vals[1:] <= rhs + tol))
         a0 = a_vals[0]
         burn = int(np.ceil(len(metrics) * BURN_IN_FRACTION))
         if a0 <= 0:

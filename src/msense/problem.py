@@ -153,16 +153,21 @@ def _tiles(p):
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
+def block_bytes(d, n):
+    """Bytes draw_blocks holds: a block of at most BLOCK of the n matrices, two
+    draw slices (one being mirrored, one of Rademacher integers), the mirror
+    indices and the ufunc buffer that casts the integers."""
+    return 8 * ((min(n, BLOCK) + 2 * min(n, BLOCK, _slice_rows(d)) + 1) * d * d + np.getbufsize())
+
+
 def sensing_bytes(d, n):
     """Bytes generate_sensing allocates for a d x d, n-sample build, beyond
     the 16 n bytes of observations and noise: the p x p operator, one Gram
-    tile of at most _TILE x _TILE, the mirrored (block, d^2) draws, their
-    gathered (block, p) upper triangles, and two draw slices (the one being
-    mirrored and the integers a Rademacher slice is made from).  Nothing in
-    it grows with n past one block of BLOCK matrices."""
-    p, m = d * (d + 1) // 2, min(n, BLOCK)
-    slice_ = min(m, _slice_rows(d)) * d * d
-    return 8 * (p * p + min(p, _TILE) ** 2 + m * (d * d + p) + 2 * slice_)
+    tile of at most _TILE x _TILE, the gathered (block, p) upper triangles
+    and the draws' block_bytes(d, n).  Nothing in it grows with n past one
+    block of BLOCK matrices."""
+    p = d * (d + 1) // 2
+    return 8 * (p * p + min(p, _TILE) ** 2 + min(n, BLOCK) * p) + block_bytes(d, n)
 
 
 def _fill(rng, out, distribution):
@@ -182,7 +187,7 @@ def _draw(rng, count, d, distribution, raw=False, out=None):
     The stream yields ``count * d * d`` values in row-major order; each
     matrix keeps the upper triangle and diagonal of its d x d block and
     mirrors the upper triangle below the diagonal.  The result is written
-    into ``out`` (a ``(count, d * d)`` array) when one is given.  With
+    into the first ``count`` rows of ``out`` when one is given.  With
     ``raw=True`` the ``(count, d * d)`` draws are returned unmirrored, for
     callers that only need linear functionals of the upper triangle.
 
@@ -191,8 +196,7 @@ def _draw(rng, count, d, distribution, raw=False, out=None):
     mirrored ones pass through one slice-sized scratch buffer, so no
     full-block temporary sits next to the result.
     """
-    if out is None:
-        out = np.empty((count, d * d))
+    out = np.empty((count, d * d)) if out is None else out[:count]
     rows = _slice_rows(d)
     if not raw:
         upper, pos = _svec_indices(d)
@@ -206,10 +210,17 @@ def _draw(rng, count, d, distribution, raw=False, out=None):
     return out if raw else out.reshape(count, d, d)
 
 
-def _draw_block(d, lo, hi, distribution, seed, out=None):
-    """Sensing matrices for block-aligned indices [lo, hi), optionally into ``out``."""
-    assert lo % BLOCK == 0 and hi - lo <= BLOCK
-    return _draw(stream(seed, "sensing", lo // BLOCK), hi - lo, d, distribution, out=out)
+def draw_blocks(seed, purpose, n, d, distribution, trial=None, raw=False, out=None):
+    """Yield (slice, rng, block) over n sensing matrices in index order, in
+    blocks of at most BLOCK that _draw writes into ``out`` (reused by every
+    block) when one is given.  Block j comes from the stream (seed, purpose, j);
+    with a ``trial``, every block comes from the one stream (seed, purpose,
+    trial), and the caller may draw from ``rng`` between blocks."""
+    rng = None if trial is None else stream(seed, purpose, trial)
+    for lo in range(0, n, BLOCK):
+        hi = min(lo + BLOCK, n)
+        rng = stream(seed, purpose, lo // BLOCK) if trial is None else rng
+        yield slice(lo, hi), rng, _draw(rng, hi - lo, d, distribution, raw, out)
 
 
 class QuadraticModel:
@@ -267,9 +278,8 @@ class SensingSet:
 
     def iter_blocks(self):
         """Yield (slice, A_block) pairs in fixed index order."""
-        for lo in range(0, self.n, BLOCK):
-            hi = min(lo + BLOCK, self.n)
-            yield slice(lo, hi), _draw_block(self.d, lo, hi, self.distribution, self.seed)
+        for sl, _, a in draw_blocks(self.seed, "sensing", self.n, self.d, self.distribution):
+            yield sl, a
 
 
 def generate_sensing(gt, n, sigma, distribution="gaussian", seed=0):
@@ -306,17 +316,15 @@ def generate_sensing(gt, n, sigma, distribution="gaussian", seed=0):
             shape = (ra.stop - ra.start, rb.stop - rb.start)
             pairs.append((ra, rb, buf[: shape[0] * shape[1]].reshape(shape)))
     a_buf, g_buf = np.empty((min(n, BLOCK), d * d)), np.empty((min(n, BLOCK), p))
-    for lo in range(0, n, BLOCK):
-        hi = min(lo + BLOCK, n)
-        a = _draw_block(d, lo, hi, distribution, seed, out=a_buf[: hi - lo])
-        a = a.reshape(hi - lo, d * d)
-        e = sigma * stream(seed, "noise", lo // BLOCK).standard_normal(hi - lo)
-        y[lo:hi] = a @ gt.Xstar.ravel() + e
-        eps[lo:hi] = e
-        g = a.take(upper, axis=1, out=g_buf[: hi - lo], mode="clip")
+    for sl, _, a in draw_blocks(seed, "sensing", n, d, distribution, out=a_buf):
+        a = a.reshape(-1, d * d)
+        e = sigma * stream(seed, "noise", sl.start // BLOCK).standard_normal(len(a))
+        y[sl] = a @ gt.Xstar.ravel() + e
+        eps[sl] = e
+        g = a.take(upper, axis=1, out=g_buf[: len(a)], mode="clip")
         for ra, rb, tile in pairs:
             h[ra, rb] += np.matmul(g[:, ra].T, g[:, rb], out=tile)
-        b += y[lo:hi] @ g
+        b += y[sl] @ g
     for ra, rb, _ in pairs:
         if ra != rb:
             h[rb, ra] = h[ra, rb].T

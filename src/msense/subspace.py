@@ -358,6 +358,11 @@ class SampleContractionReport:
         return all(c.status != "fail" for c in self.checks)
 
 
+def floored_recursion_bound(a, eta):
+    """The right side of the floored recursion A' <= (1 - eta A / 2) A."""
+    return (1.0 - 0.5 * eta * a) * a
+
+
 def verify_sample_contraction(m_before, m_after, scales, config):
     """Check the finite-sample one-step contraction statements between two
     consecutive iterates.
@@ -385,27 +390,19 @@ def verify_sample_contraction(m_before, m_after, scales, config):
     applicable = hypothesis_held and above_floor
 
     raw = [
-        ("ss_sample_contraction",
-         m_after.ss_err,
+        ("ss_sample_contraction", m_after.ss_err,
          (1 - 0.7 * eta * sr) * m_before.ss_err + c_kd * m_before.D + 0.4 * c_d * sigma),
-        ("st_sample_contraction",
-         m_after.st_norm,
+        ("st_sample_contraction", m_after.st_norm,
          (1 - eta * sr) * m_before.st_norm + c_kd * m_before.D + 0.4 * c_d * sigma),
-        ("floored_recursion",
-         m_after.A,
-         (1 - 0.5 * eta * m_before.A) * m_before.A),
+        ("floored_recursion", m_after.A, floored_recursion_bound(m_before.A, eta)),
     ]
-    checks = []
-    for name, lhs, rhs in raw:
-        if lhs <= rhs + tol:
-            status = "pass"
-        elif not applicable:
-            status = "vacuous"
-        else:
-            status = "fail"
-        checks.append(SampleCheck(name, float(lhs), float(rhs), status))
+    checks = tuple(
+        SampleCheck(name, float(lhs), float(rhs),
+                    "pass" if lhs <= rhs + tol else "fail" if applicable else "vacuous")
+        for name, lhs, rhs in raw
+    )
     return SampleContractionReport(
-        checks=tuple(checks),
+        checks=checks,
         hypothesis_held=bool(hypothesis_held),
         above_floor=bool(above_floor),
         delta_lhs=float(m_before.delta_norm),

@@ -220,7 +220,7 @@ def test_conc_rejects_oversized_d_and_non_finite_sigma_before_drawing(capsys, mo
     def no_draw(*args, **kwargs):
         raise AssertionError("drew sensing matrices")
 
-    monkeypatch.setattr(msense.concentration, "_draw", no_draw)
+    monkeypatch.setattr(msense.concentration, "draw_blocks", no_draw)
     for argv in (["conc", "noise", "--d", "100000000"],
                  ["conc", "deviation", "--d", "100000000"],
                  ["conc", "moment", "--d", "100000000"],
@@ -301,7 +301,7 @@ def test_conc_out_is_rejected_for_moment_and_asq_before_drawing(tmp_path, capsys
     def no_draw(*args, **kwargs):
         raise AssertionError("drew sensing matrices")
 
-    monkeypatch.setattr(msense.concentration, "_draw", no_draw)
+    monkeypatch.setattr(msense.concentration, "draw_blocks", no_draw)
     out = tmp_path / "mc.csv"
     for kind in ("moment", "asq"):
         assert main(["conc", kind, "--d", "4", "--trials", "10", "--out", str(out)]) == 1
@@ -382,6 +382,38 @@ def write_edited_trajectory(tmp_path, capsys, edits):
         lines[index] = ",".join(row)
     (tmp_path / "hostile.csv").write_text("\n".join(lines) + "\n")
     return tmp_path / "hostile.csv"
+
+
+def _phases_at_offset(tmp_path, capsys, offset):
+    """`msense phases` on a 401-row run trajectory whose t column is shifted by
+    ``offset``: the report and stderr, with every warning recorded."""
+    traj = tmp_path / "t.csv"
+    if not traj.exists():
+        cfg = write_config(tmp_path, iters=400, output=str(traj))
+        assert main(["run", "--config", str(cfg)]) == 0
+    lines = traj.read_text().splitlines()
+    rows = [line.split(",", 1) for line in lines[1:]]
+    shifted = tmp_path / f"t_{offset}.csv"
+    shifted.write_text("\n".join([lines[0]] + [f"{int(t) + offset},{rest}" for t, rest in rows]))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["phases", "--traj", str(shifted), "--eta", "0.1"]) == 0
+    captured = capsys.readouterr()
+    assert caught == []
+    return json.loads(captured.out), captured.err
+
+
+@pytest.mark.parametrize("offset", [0, 2**40, 2**50], ids=["0", "2**40", "2**50"])
+def test_phases_head_fit_does_not_depend_on_the_t_offset(tmp_path, capsys, offset):
+    """The head window (in t units), the head slope within 1e-9 relative and an
+    empty stderr are the same wherever the t column starts below 2**53."""
+    base, _ = _phases_at_offset(tmp_path, capsys, 0)
+    assert base["head_window"] == [0, 400]
+    report, err = _phases_at_offset(tmp_path, capsys, offset)
+    assert err == ""
+    assert report["head_window"] == [t + offset for t in base["head_window"]]
+    assert report["head_slope"] == pytest.approx(base["head_slope"], rel=1e-9)
 
 
 @pytest.mark.parametrize("case", sorted(PHASES_HOSTILE_EDITS))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -55,7 +57,7 @@ def test_monte_carlo_uses_the_sensing_draw_helper():
     import msense.concentration
     import msense.problem
 
-    assert msense.concentration._draw is msense.problem._draw
+    assert msense.concentration.draw_blocks is msense.problem.draw_blocks
 
 
 def _noise_term_per_matrix(d, sigma, n, trials, seed, distribution, draw):
@@ -86,27 +88,61 @@ def _forbid_draws(monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("drew sensing matrices")
 
-    monkeypatch.setattr(concentration, "_draw", no_draw)
+    monkeypatch.setattr(concentration, "draw_blocks", no_draw)
+
+
+def _mc_bytes(d, rows, temporaries):
+    """check_mc_memory's bytes, written out: the draws, four d x d
+    accumulators, two vectors of one per matrix and ``temporaries``
+    block-sized arrays."""
+    m = min(rows, problem.BLOCK)
+    return 8 * (d * d * (4 + temporaries * m) + 2 * m) + problem.block_bytes(d, rows)
 
 
 def test_monte_carlo_memory_checked_before_any_draw(monkeypatch):
     _forbid_draws(monkeypatch)
-    d, n = 10, 100  # four d x d accumulators and one n-row block of d x d draws
-    monkeypatch.setattr(problem, "_memory_budget", lambda: 8 * d * d * (4 + n) - 1)
-    with pytest.raises(InputError, match="Monte Carlo draws needs"):
-        mc_noise_term(d=d, sigma=1.0, n=n, trials=3, seed=1)
-    with pytest.raises(InputError, match="Monte Carlo draws needs"):
-        mc_sensing_deviation(np.eye(d), n=n, trials=3, seed=1)
-    with pytest.raises(InputError, match="Monte Carlo draws needs"):
-        mc_A_squared(d, trials=n, seed=1)
+    d, n = 10, 100
+    for run, need in ((lambda: mc_noise_term(d=d, sigma=1.0, n=n, trials=3, seed=1),
+                       _mc_bytes(d, n, 0)),
+                      (lambda: mc_sensing_deviation(np.eye(d), n=n, trials=3, seed=1),
+                       _mc_bytes(d, n, 0)),
+                      (lambda: mc_second_moment(np.eye(d), trials=n, seed=1), _mc_bytes(d, n, 1)),
+                      (lambda: mc_A_squared(d, trials=n, seed=1), _mc_bytes(d, n, 1))):
+        monkeypatch.setattr(problem, "_memory_budget", lambda: need - 1)
+        with pytest.raises(InputError, match="Monte Carlo draws needs"):
+            run()
     monkeypatch.undo()  # draws are allowed again, at exactly the budget
-    monkeypatch.setattr(problem, "_memory_budget", lambda: 8 * d * d * (4 + n))
+    monkeypatch.setattr(problem, "_memory_budget", lambda: _mc_bytes(d, n, 0))
     assert mc_noise_term(d=d, sigma=1.0, n=n, trials=3, seed=1).trials == 3
-    # Blocks hold at most _MC_BLOCK draws, whatever n is.
-    monkeypatch.setattr(problem, "_memory_budget",
-                        lambda: 8 * d * d * (4 + concentration._MC_BLOCK))
-    assert mc_noise_term(d=d, sigma=1.0, n=10 * concentration._MC_BLOCK, trials=1,
+    # Blocks hold at most BLOCK draws, whatever n is.
+    monkeypatch.setattr(problem, "_memory_budget", lambda: _mc_bytes(d, problem.BLOCK, 0))
+    assert mc_noise_term(d=d, sigma=1.0, n=10 * problem.BLOCK, trials=1,
                          seed=1).trials == 1
+
+
+@pytest.mark.parametrize("distribution", ["gaussian", "rademacher"])
+@pytest.mark.parametrize("kind", ["noise", "deviation", "moment", "asq"])
+def test_monte_carlo_memory_check_covers_the_traced_peak(kind, distribution, monkeypatch):
+    """The bytes check_mc_memory checks bound what a run allocates, with n
+    not a multiple of the block (the last block is partial)."""
+    d, n = 40, 2 * problem.BLOCK + 276
+    u = _sym(np.random.default_rng(3), d)
+    run = {
+        "noise": lambda: mc_noise_term(d, 1.0, n, 2, 1, distribution),
+        "deviation": lambda: mc_sensing_deviation(u, n, 2, 1, distribution),
+        "moment": lambda: mc_second_moment(u, n, 1, distribution),
+        "asq": lambda: mc_A_squared(d, n, 1, distribution),
+    }[kind]
+    run()  # fills the process-wide cache of symmetric indices
+    checked = []
+    monkeypatch.setattr(concentration, "check_memory", lambda nbytes, what: checked.append(nbytes))
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(checked) == 1 and peak <= checked[0]
 
 
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf"), -0.5])

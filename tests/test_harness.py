@@ -216,13 +216,14 @@ def test_spectral_init_run_reuses_the_operator(monkeypatch):
     """A regenerate-mode spectral-init run draws each sensing block once:
     the pass that generates the observations also builds the operator."""
     calls = []
-    draw_block = problem._draw_block
+    draw_blocks = problem.draw_blocks
 
-    def counting(d, lo, hi, distribution, seed, out=None):
-        calls.append(lo)
-        return draw_block(d, lo, hi, distribution, seed, out=out)
+    def counting(*args, **kwargs):
+        for sl, rng, a in draw_blocks(*args, **kwargs):
+            calls.append(sl.start)
+            yield sl, rng, a
 
-    monkeypatch.setattr(problem, "_draw_block", counting)
+    monkeypatch.setattr(problem, "draw_blocks", counting)
     run_experiment(small_config(n=700, iters=5, init=InitSpec(mode="spectral"),
                                 memory_mode="regenerate"))
     assert calls == [0, problem.BLOCK]

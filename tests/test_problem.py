@@ -138,6 +138,31 @@ def test_draw_matches_triu_transpose_formula(d, distribution, draw_oracle, raw_d
     assert np.triu(raw.reshape(count, d, d)).tobytes() == np.triu(want).tobytes()
 
 
+@pytest.mark.parametrize("distribution", ["gaussian", "rademacher"])
+@pytest.mark.parametrize("n", [1, 511, 512, 1300])
+def test_draw_blocks_matches_explicit_draws(n, distribution):
+    """draw_blocks yields the blocks of explicit _draw(stream(...)) calls in
+    index order: block j from (seed, purpose, j), or every block from the one
+    (seed, purpose, trial) stream, with the caller's draws between blocks
+    taken in stream order.  ``out`` is reused by every block."""
+    d, edges = 3, list(range(0, n, problem.BLOCK)) + [n]
+    out = np.empty((min(n, problem.BLOCK), d * d))
+    blocks = list(problem.draw_blocks(5, "sensing", n, d, distribution))
+    assert [sl for sl, _, _ in blocks] == [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    for j, (sl, _, a) in enumerate(blocks):
+        want = problem._draw(stream(5, "sensing", j), sl.stop - sl.start, d, distribution)
+        assert a.tobytes() == want.tobytes()
+    for j, (sl, _, a) in enumerate(problem.draw_blocks(5, "sensing", n, d, distribution, out=out)):
+        assert np.shares_memory(a, out) and a.tobytes() == blocks[j][2].tobytes()
+    for raw in (False, True):
+        trial = stream(5, "mc_noise", 7)
+        for sl, rng, a in problem.draw_blocks(5, "mc_noise", n, d, distribution, trial=7,
+                                              raw=raw, out=out):
+            want = problem._draw(trial, sl.stop - sl.start, d, distribution, raw=raw)
+            assert np.shares_memory(a, out) and a.tobytes() == want.tobytes()
+            assert rng.standard_normal(3).tobytes() == trial.standard_normal(3).tobytes()
+
+
 def test_dense_sensing_set_allocated_once(gt20, monkeypatch):
     """No sensing matrix is stored in either memory mode: a run's sensing
     set peaks at the build's buffers and the observations,
@@ -305,14 +330,14 @@ def test_build_holds_one_operator_and_one_block():
 
 def test_operator_memory_checked_before_build(gt20, monkeypatch):
     p, build = 20 * 21 // 2, problem.sensing_bytes(20, 10)
-    draw_block = problem._draw_block
+    draw_blocks = problem.draw_blocks
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return draw_block(*args, **kwargs)
+        return draw_blocks(*args, **kwargs)
 
-    monkeypatch.setattr(problem, "_draw_block", counting)
+    monkeypatch.setattr(problem, "draw_blocks", counting)
     monkeypatch.setattr(problem, "_memory_budget", lambda: build - 1)
     with pytest.raises(InputError, match="sensing operator needs"):
         generate_sensing(gt20, n=10, sigma=0.0, seed=3)

@@ -355,6 +355,26 @@ def test_sample_contraction_requires_delta(gt20, one_row_metrics):
         verify_sample_contraction(m0, m1, scales, Cfg)
 
 
+def test_sample_contraction_fails_or_is_vacuous_when_the_recursion_breaks(gt20):
+    """A' above (1 - eta A / 2) A fails where the deviation hypothesis holds
+    above the floor, and is vacuous where the hypothesis fails or the
+    iterate is below the floor; the other checks still pass."""
+    cfg, traj = _run_for_sample_checks(gt20, k=4, n=200, sigma=0.0, eta=0.1, iters=5, seed=3)
+    scales = derived_scales(gt20, n=200, sigma=0.0, k=4)
+    before, after = traj.metrics[0], traj.metrics[1]._replace(A=2.0 * traj.metrics[0].A)
+    report = verify_sample_contraction(before, after, scales, cfg)
+    assert report.hypothesis_held and report.above_floor and not report.all_ok
+    assert [c.status for c in report.checks] == ["pass", "pass", "fail"]
+    no_hypothesis = before._replace(delta_norm=2.0 * report.delta_rhs)
+    below_floor = derived_scales(gt20, n=200, sigma=1.0, k=4)  # 50 eps_stat > D
+    for args, held, above in (((no_hypothesis, after, scales, cfg), False, True),
+                              ((before, after, below_floor, cfg), True, False)):
+        report = verify_sample_contraction(*args)
+        assert (report.hypothesis_held, report.above_floor) == (held, above)
+        assert [c.status for c in report.checks] == ["pass", "pass", "vacuous"]
+        assert report.all_ok
+
+
 def test_one_row_metrics_floor_clamp(gt20, one_row_metrics):
     scales = derived_scales(gt20, n=200, sigma=1.0, k=4)  # large eps_stat
     m = one_row_metrics(0, exact_factor(gt20, 4), gt20, scales)
