@@ -36,7 +36,7 @@ def _load_config(path):
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also past 4300 digits or nested too deep
         raise InputError(f"config {path} is not valid JSON: {exc}") from exc
     return ExperimentConfig.from_dict(data)
 
@@ -68,7 +68,7 @@ def _cmd_sweep(args):
     config = _load_config(args.config)
     try:
         values = [json.loads(v) for v in args.values.split(",") if v.strip()]
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):  # as for a config file
         raise InputError(f"could not parse sweep values {args.values!r}") from None
     result = sweep(config, args.param, values, out=args.out)
     for row in result.rows:
@@ -138,7 +138,8 @@ def _cmd_conc(args):
         check_output_path(args.out)
     if args.kind in ("deviation", "moment"):  # checked before the d x d matrix U is drawn
         moment = args.kind == "moment"  # its statistic is one block-sized temporary
-        conc.check_mc_memory(args.d, args.trials if moment else args.n, temporaries=int(moment))
+        rows, values = (args.trials, 0) if moment else (args.n, args.trials)
+        conc.check_mc_memory(args.d, rows, temporaries=int(moment), values=values)
         u = stream(args.seed, f"mc_{args.kind}", 2**32).standard_normal((args.d, args.d))
         u = 0.5 * (u + u.T)
     report = {

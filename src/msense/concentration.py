@@ -19,13 +19,13 @@ from .errors import InputError
 from .linalg import as_symmetric, spectral_norm
 from .problem import BLOCK, _svec_indices, block_bytes, check_memory, draw_blocks
 
-def check_mc_memory(d, rows, temporaries=0):
-    """Reject, before any draw, a Monte Carlo run whose draws, four d x d accumulators,
-    two per-matrix vectors and ``temporaries`` block-sized arrays exceed the budget."""
+def check_mc_memory(d, rows, temporaries=0, values=0):
+    """Reject, before any allocation, a Monte Carlo run whose draws, four d x d accumulators,
+    two per-matrix vectors, ``temporaries`` blocks and ``values`` doubles exceed the budget."""
     if d < 1:
         raise InputError(f"d must be at least 1, got {d}")
     m = min(rows, BLOCK)
-    nbytes = 8 * (d * d * (4 + temporaries * m) + 2 * m) + block_bytes(d, rows)
+    nbytes = 8 * (d * d * (4 + temporaries * m) + 2 * m + values) + block_bytes(d, rows)
     check_memory(nbytes, f"the d={d} Monte Carlo draws")
 
 
@@ -110,7 +110,7 @@ def mc_noise_term(d, sigma, n, trials, seed, distribution="gaussian"):
     # Up to 1e150, d sigma^2 and every noise sum stay within the float range.
     if not (math.isfinite(sigma) and 0 <= sigma <= 1e150):
         raise InputError(f"sigma must be a finite number >= 0 and <= 1e150, got {sigma!r}")
-    check_mc_memory(d, n)
+    check_mc_memory(d, n, values=trials)
     upper, pos = _svec_indices(d)
     mirror = upper[pos]
     vals = np.empty(trials)
@@ -148,7 +148,7 @@ def mc_sensing_deviation(u, n, trials, seed, distribution="gaussian"):
     if n < 1 or trials < 1:
         raise InputError("n and trials must be positive")
     d = u.shape[0]
-    check_mc_memory(d, n)
+    check_mc_memory(d, n, values=trials)
     vals = np.empty(trials)
     acc_mean, acc_sq = np.zeros((d, d)), np.zeros((d, d))
     buf = np.empty((min(n, BLOCK), d * d))

@@ -466,7 +466,7 @@ def detect_phases(traj, config=None, eta=None):
     tail_c = tail_residual = None
     half = len(metrics) // 2
     y = (a_vals if noisy else d_vals)[half:]
-    tt = t[half:]
+    tt = t[half:] - t[0]  # steps since the first row, as in every run CSV's t
     mask = tt > 0
     if np.any(mask) and np.any(y[mask] > 0):
         tt, y = tt[mask], y[mask]
@@ -486,7 +486,7 @@ def detect_phases(traj, config=None, eta=None):
         if a0 <= 0:
             envelope_pass = bool(np.all(a_vals[burn:] <= tol))
         else:
-            bound = 4.0 / (eta * t[burn:] + 4.0 / a0)
+            bound = 4.0 / (eta * (t[burn:] - t[0]) + 4.0 / a0)
             envelope_pass = bool(np.all(a_vals[burn:] <= bound + tol))
 
     return PhaseReport(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 import numpy as np
 
@@ -142,32 +143,38 @@ def _svec_indices(d):
 
 
 def _slice_rows(d):
-    """Matrices per draw call: at most _SLICE doubles (1 MiB), at least one."""
-    return max(1, _SLICE // (d * d))
+    """Matrices per draw call: a multiple of 4, at least 4, of at most _SLICE doubles (1 MiB)."""
+    return max(4, _SLICE // (d * d) // 4 * 4)
+
+
+def _slice_edges(d, count):
+    """Slice edges over ``count`` matrices: every _slice_rows(d); the last takes a 1-3 tail."""
+    return [*range(0, max(count - 3, 1), _slice_rows(d)), count]
 
 
 def _tiles(p):
     """ceil(p / _TILE) near-equal column ranges covering range(p)."""
     q = -(-p // _TILE)
-    edges = [p * k // q for k in range(q + 1)]
-    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    return [slice(lo, hi) for lo, hi in pairwise(p * k // q for k in range(q + 1))]
 
 
-def block_bytes(d, n):
-    """Bytes draw_blocks holds: a block of at most BLOCK of the n matrices, two
-    draw slices (one being mirrored, one of Rademacher integers), the mirror
-    indices and the ufunc buffer that casts the integers."""
-    return 8 * ((min(n, BLOCK) + 2 * min(n, BLOCK, _slice_rows(d)) + 1) * d * d + np.getbufsize())
+def block_bytes(d, n, sliced=False):
+    """Bytes draw_blocks holds: a block of at most BLOCK of the n matrices (with ``sliced``, one
+    slice in its place), two draw slices (one being mirrored, one of Rademacher integers), the
+    cached indices, the ufunc buffer casting the integers and 8 KiB of Python objects."""
+    s = max(hi - lo for m in (min(n, BLOCK), (n - 1) % BLOCK + 1)
+            for lo, hi in pairwise(_slice_edges(d, m)))
+    rows = (s if sliced else min(n, BLOCK)) + 2 * s + 2
+    return 8 * (rows * d * d + d * (d + 1) // 2 + np.getbufsize()) + 2**13
 
 
 def sensing_bytes(d, n):
-    """Bytes generate_sensing allocates for a d x d, n-sample build, beyond
-    the 16 n bytes of observations and noise: the p x p operator, one Gram
-    tile of at most _TILE x _TILE, the gathered (block, p) upper triangles
-    and the draws' block_bytes(d, n).  Nothing in it grows with n past one
-    block of BLOCK matrices."""
+    """Bytes generate_sensing allocates for a d x d, n-sample build beyond the 16 n bytes of
+    observations and noise: the p x p operator and the p-vector b, one Gram tile of at most
+    _TILE x _TILE, the gathered (block, p) upper triangles and the sliced draws' block_bytes.
+    Nothing in it grows with n past one block of BLOCK matrices."""
     p = d * (d + 1) // 2
-    return 8 * (p * p + min(p, _TILE) ** 2 + min(n, BLOCK) * p) + block_bytes(d, n)
+    return 8 * (p * p + p + min(p, _TILE) ** 2 + min(n, BLOCK) * p) + block_bytes(d, n, True)
 
 
 def _fill(rng, out, distribution):
@@ -181,46 +188,50 @@ def _fill(rng, out, distribution):
         raise InputError(f"unknown distribution {distribution!r}")
 
 
-def _draw(rng, count, d, distribution, raw=False, out=None):
-    """``count`` symmetric d x d sensing matrices drawn from ``rng``.
-
-    The stream yields ``count * d * d`` values in row-major order; each
-    matrix keeps the upper triangle and diagonal of its d x d block and
-    mirrors the upper triangle below the diagonal.  The result is written
-    into the first ``count`` rows of ``out`` when one is given.  With
-    ``raw=True`` the ``(count, d * d)`` draws are returned unmirrored, for
-    callers that only need linear functionals of the upper triangle.
-
-    The stream is read in slices of at most _slice_rows(d) matrices, which
-    yields the same values as one call: raw slices land in the result, and
-    mirrored ones pass through one slice-sized scratch buffer, so no
-    full-block temporary sits next to the result.
-    """
-    out = np.empty((count, d * d)) if out is None else out[:count]
-    rows = _slice_rows(d)
+def _slices(rng, count, d, distribution, raw=False, out=None):
+    """Yield (rows, part) over ``count`` symmetric d x d sensing matrices drawn from ``rng``,
+    cut at _slice_edges(d, count): ``part`` is rows ``rows`` of the (count, d * d) result, in
+    ``out[rows]`` or else in one reused slice buffer.  Each matrix mirrors the upper triangle
+    of its d x d block of the row-major stream below the diagonal, through one scratch slice,
+    unless ``raw`` (for linear functionals of the upper triangle).  The values do not depend on
+    the slicing, and as every slice starts on a multiple of 4 rows and holds at least 4, a
+    matrix-vector product groups rows by four over the slices as over all ``count`` rows."""
+    edges = _slice_edges(d, count)
+    size = max(hi - lo for lo, hi in pairwise(edges))
+    # work[0]: slices when no out; work[-1]: the mirror's scratch. Two arrays faulted in per block.
+    work = np.empty(((out is None) + (not raw), size, d * d))
     if not raw:
         upper, pos = _svec_indices(d)
-        mirror, scratch = upper[pos], np.empty((min(rows, count), d * d))
-    for lo in range(0, count, rows):
-        hi = min(lo + rows, count)
-        part = out[lo:hi] if raw else scratch[: hi - lo]
-        _fill(rng, part, distribution)
+        mirror = upper[pos]
+    for lo, hi in pairwise(edges):
+        part = work[0, : hi - lo] if out is None else out[lo:hi]
+        _fill(rng, part if raw else work[-1, : hi - lo], distribution)
         if not raw:  # the indices are in range; mode="clip" lets take write to out unbuffered
-            part.take(mirror, axis=1, out=out[lo:hi], mode="clip")
+            work[-1, : hi - lo].take(mirror, axis=1, out=part, mode="clip")
+        yield slice(lo, hi), part
+
+
+def _draw(rng, count, d, distribution, raw=False, out=None):
+    """The ``count`` matrices of _slices in ``out`` or a new array, (count, d, d) or raw."""
+    out = np.empty((count, d * d)) if out is None else out[:count]
+    for _ in _slices(rng, count, d, distribution, raw, out):
+        pass
     return out if raw else out.reshape(count, d, d)
 
 
-def draw_blocks(seed, purpose, n, d, distribution, trial=None, raw=False, out=None):
+def draw_blocks(seed, purpose, n, d, distribution, trial=None, raw=False, out=None, sliced=False):
     """Yield (slice, rng, block) over n sensing matrices in index order, in
     blocks of at most BLOCK that _draw writes into ``out`` (reused by every
     block) when one is given.  Block j comes from the stream (seed, purpose, j);
     with a ``trial``, every block comes from the one stream (seed, purpose,
-    trial), and the caller may draw from ``rng`` between blocks."""
+    trial), and the caller may draw from ``rng`` between blocks.  With ``sliced``
+    a block is its _slices generator, undrawn, for a caller that reduces slices."""
+    draw = _slices if sliced else _draw
     rng = None if trial is None else stream(seed, purpose, trial)
     for lo in range(0, n, BLOCK):
         hi = min(lo + BLOCK, n)
         rng = stream(seed, purpose, lo // BLOCK) if trial is None else rng
-        yield slice(lo, hi), rng, _draw(rng, hi - lo, d, distribution, raw, out)
+        yield slice(lo, hi), rng, draw(rng, hi - lo, d, distribution, raw, out)
 
 
 class QuadraticModel:
@@ -286,14 +297,15 @@ def generate_sensing(gt, n, sigma, distribution="gaussian", seed=0):
     """Draw a SensingSet against a GroundTruth; reproducible from seed.
 
     One pass over the blocks draws each A_i once, forms its observations
-    and accumulates the QuadraticModel in place: a block's Gram g^T g is
-    added tile by tile to the upper-triangle tiles of the operator, through
-    one reused buffer of at most _TILE x _TILE, and the strict-lower tiles
-    are mirrored once at the end.  For p <= _TILE that is one
-    np.matmul(g.T, g) per block.  The block-sized arrays are reused too: a
-    fresh pair per block lets the allocator return their pages and fault
-    them in again on every block.  sensing_bytes(d, n) counts what the
-    build allocates.
+    and accumulates the QuadraticModel in place.  Each mirrored draw slice
+    gives its rows of y = A vec(X*) and its upper triangles to the block's
+    (m, p) array g, so no block of mirrored matrices is held.  The block's
+    Gram g^T g is added tile by tile to the upper-triangle tiles of the
+    operator, through one reused buffer of at most _TILE x _TILE, and the
+    strict-lower tiles are mirrored once at the end.  For p <= _TILE that is
+    one np.matmul(g.T, g) per block.  g is reused too, or the allocator would
+    return and fault in its pages on every block.  sensing_bytes(d, n)
+    counts what the build allocates.
     """
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
@@ -315,16 +327,18 @@ def generate_sensing(gt, n, sigma, distribution="gaussian", seed=0):
         for rb in tiles[i:]:
             shape = (ra.stop - ra.start, rb.stop - rb.start)
             pairs.append((ra, rb, buf[: shape[0] * shape[1]].reshape(shape)))
-    a_buf, g_buf = np.empty((min(n, BLOCK), d * d)), np.empty((min(n, BLOCK), p))
-    for sl, _, a in draw_blocks(seed, "sensing", n, d, distribution, out=a_buf):
-        a = a.reshape(-1, d * d)
-        e = sigma * stream(seed, "noise", sl.start // BLOCK).standard_normal(len(a))
-        y[sl] = a @ gt.Xstar.ravel() + e
-        eps[sl] = e
-        g = a.take(upper, axis=1, out=g_buf[: len(a)], mode="clip")
+    xstar, g_buf = gt.Xstar.ravel(), np.empty((min(n, BLOCK), p))
+    for sl, _, parts in draw_blocks(seed, "sensing", n, d, distribution, sliced=True):
+        ys, g = y[sl], g_buf[: sl.stop - sl.start]
+        for rows, a in parts:  # the upper triangle of a mirrored slice is its draws'
+            ys[rows] = a @ xstar
+            a.take(upper, axis=1, out=g[rows], mode="clip")
+        del a  # a views this block's slice buffer: the next block's is made without it
+        eps[sl] = sigma * stream(seed, "noise", sl.start // BLOCK).standard_normal(len(g))
+        ys += eps[sl]
         for ra, rb, tile in pairs:
             h[ra, rb] += np.matmul(g[:, ra].T, g[:, rb], out=tile)
-        b += y[sl] @ g
+        b += ys @ g
     for ra, rb, _ in pairs:
         if ra != rb:
             h[rb, ra] = h[ra, rb].T

@@ -1,7 +1,8 @@
-"""Fuzz the argv and file boundary of `msense conc` and `msense phases`:
-whatever the flags and the trajectory file hold, the command exits 0, 1 or
-2, prints no traceback and no warning, prints exactly one `error:` line when
-it exits 1, and prints strict JSON when it exits 0."""
+"""Fuzz the argv and file boundary of `msense conc`, `msense phases` and
+`msense sweep`: whatever the flags, the trajectory file and the config hold,
+the command exits 0, 1 or 2, prints no traceback and no warning, prints
+exactly one `error:` line when it exits 1, and prints strict JSON when it
+exits 0 with a JSON report."""
 
 import json
 import math
@@ -192,3 +193,97 @@ def test_phases_never_tracebacks_on_hostile_files_and_argv(case, tmp_path, capsy
         blob = strict_json(out)
         for key in ("tail_c", "tail_residual", "head_slope", "recursion_pass_rate"):
             assert blob[key] is None or math.isfinite(blob[key]), (argv, blob)
+
+
+# Python's json raises ValueError, not JSONDecodeError, past 4300 digits, and
+# RecursionError past about 1000 levels of nesting.
+TOO_MANY_DIGITS, TOO_DEEP = "1" + "0" * 5000, "[" * 100000
+HUGE_N = '{"n": ' + TOO_MANY_DIGITS + "}"
+SWEEP_CONFIG = json.dumps(dict(d=3, r=1, k=2, n=8, iters=5, seed=1, ds=[1.0], sigma=0.1))
+
+# Valid grid entries stay small: d <= 6, n <= 64.  Hostile entries are not
+# JSON, are JSON of the wrong type, are not finite, or are too large to fit
+# in memory; a large but valid n or d would be a long run, not bad input.
+SWEEP_VALUES = {
+    "n": st.integers(1, 64).map(str),
+    "k": st.integers(1, 6).map(str),
+    "d": st.integers(1, 6).map(str),
+    "sigma": st.sampled_from(["0", "0.05", "0.1", "0.5", "1", "1e3"]),
+}
+HOSTILE_VALUES = st.one_of(
+    st.sampled_from(['"a"', "null", "true", "[]", "{}", "[1]", "NaN", "Infinity", "-Infinity",
+                     "1e400", "-1", "0", "1.5", "1e308", "1e-320", str(2**64), str(10**30),
+                     "0x10", "abc", '"', "[1", "{", "nul", "01", "1e3", "-0", TOO_MANY_DIGITS,
+                     TOO_DEEP]),
+    st.text(max_size=4),
+)
+SWEEP_PARTS = ["config", "file", "path", "param", "values", "extra"]
+HOSTILE_FIELDS = st.sampled_from([
+    10**12, 2**63, -1, 0, True, None, math.nan, math.inf, 1e308, 2.5, "", "x", "theory",
+    [], [math.nan], [1.0, "x"], [2.0, 1.0], {}, {"mode": "spectral"}, {"rho": 1e308},
+])
+
+
+@st.composite
+def sweep_cases(draw):
+    """``sweep`` argv with placeholder paths, and the config file's content.
+    About half the cases are valid; the rest spoil one part, or all of them."""
+    spoil = draw(st.sampled_from(["nothing"] * 6 + SWEEP_PARTS + ["everything"]))
+    bad = {part: spoil in (part, "everything") for part in SWEEP_PARTS}
+    d = draw(st.integers(1, 6))
+    r = draw(st.integers(1, d))
+    config = {
+        "d": d, "r": r, "k": draw(st.integers(r, d)), "n": draw(st.integers(1, 64)),
+        "iters": draw(st.integers(1, 20)), "seed": draw(st.integers(0, 2**64 - 1)),
+        "sigma": draw(st.sampled_from([0.0, 0.1])), "ds": [1.0 - 0.1 * i for i in range(r)],
+        "eta": draw(st.sampled_from([0.1, "theory"])),
+        "init": {"mode": draw(st.sampled_from(["planted", "random", "spectral"]))},
+        "gradient_mode": draw(st.sampled_from(["sample"] * 3 + ["population"])),
+        "distribution": draw(st.sampled_from(["gaussian", "rademacher"])),
+        "track_delta": draw(st.booleans()),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(config) + ["output", "bogus"]),
+                             min_size=1, max_size=2, unique=True)) if bad["config"] else ():
+        value = draw(HOSTILE_FIELDS)
+        if key in ("n", "iters", "d") and type(value) is int and 64 < value < 10**12:
+            continue  # a long run is valid input, not malformed input
+        config[key] = value
+    content = json.dumps(config)
+    if bad["file"]:
+        content = draw(st.sampled_from(["{", "[]", "", TOO_DEEP, HUGE_N]))
+    argv = ["sweep"]
+    for flag, path in (("--config", "c.json"), ("--out", "sweep.csv")):
+        if bad["path"]:
+            path = draw(st.sampled_from(["missing/" + path, ".", None]))
+        if path is not None and (flag == "--config" or draw(st.booleans())):
+            argv += [flag, path]
+    param = draw(st.sampled_from(["x", "", "N"] if bad["param"] else sorted(SWEEP_VALUES)))
+    argv += ["--param", param]
+    valid = SWEEP_VALUES.get(param, SWEEP_VALUES["n"])
+    values = draw(st.lists(valid, min_size=1, max_size=4, unique=True))
+    if bad["values"]:
+        values.insert(draw(st.integers(0, len(values))), draw(HOSTILE_VALUES))
+        values = draw(st.permutations(values))
+    else:  # a grid must be strictly increasing
+        values.sort(key=float)
+    argv += ["--values", ",".join(values)]
+    if bad["extra"]:
+        argv += draw(st.sampled_from([["--bogus"], ["--values"], ["stray"], ["--param", "n"]]))
+    return argv, content
+
+
+@FUZZ
+@given(case=sweep_cases())
+@example(case=(["sweep", "--config", "c.json", "--param", "n", "--values", "8,abc"], SWEEP_CONFIG))
+@example(case=(["sweep", "--config", "c.json", "--param", "n", "--values", TOO_MANY_DIGITS],
+               SWEEP_CONFIG))
+@example(case=(["sweep", "--config", "c.json", "--param", "n", "--values", TOO_DEEP], SWEEP_CONFIG))
+@example(case=(["sweep", "--config", "c.json", "--param", "n", "--values", "8"], TOO_DEEP))
+@example(case=(["sweep", "--config", "c.json", "--param", "n", "--values", "8"], HUGE_N))
+def test_sweep_never_tracebacks_on_hostile_configs_and_argv(case, tmp_path, capsys):
+    argv, content = case
+    (tmp_path / "c.json").write_text(content)
+    argv = [str(tmp_path / a) if a.endswith((".json", ".csv")) or a == "." else a for a in argv]
+    rc, out, _ = run_main(argv, capsys)
+    if rc == 0:
+        assert "plateau err_fro=" in out and "log-log slope" in out, (argv, out)

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import msense.cli
@@ -234,6 +235,22 @@ def test_conc_rejects_oversized_d_and_non_finite_sigma_before_drawing(capsys, mo
         assert ("physical memory" if "--d" in argv else "sigma must be a finite") in err
 
 
+@pytest.mark.parametrize("kind", ["noise", "deviation"])
+def test_conc_counts_one_value_per_trial_before_allocating(kind, capsys, monkeypatch):
+    """10**11 trials keep 800 GB of per-trial values: one error line and
+    exit 1 before any array is made, where numpy's allocation error used to
+    end the command with a traceback."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the memory check")
+
+    monkeypatch.setattr(np, "empty", refuse)
+    monkeypatch.setattr(np, "zeros", refuse)
+    assert main(["conc", kind, "--d", "4", "--n", "10", "--trials", "100000000000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Monte Carlo draws needs 800.00 GB" in err
+
+
 def test_conc_asq_command(capsys):
     assert main(["conc", "asq", "--d", "6", "--trials", "500", "--seed", "2"]) == 0
     assert "max_abs_z" in capsys.readouterr().out
@@ -414,6 +431,21 @@ def test_phases_head_fit_does_not_depend_on_the_t_offset(tmp_path, capsys, offse
     assert err == ""
     assert report["head_window"] == [t + offset for t in base["head_window"]]
     assert report["head_slope"] == pytest.approx(base["head_slope"], rel=1e-9)
+
+
+@pytest.mark.parametrize("offset", [0, 2**40, 2**50], ids=["0", "2**40", "2**50"])
+def test_phases_tail_fit_and_envelope_do_not_depend_on_the_t_offset(tmp_path, capsys, offset):
+    """The c/t tail constant (within 1e-9 relative) and the envelope verdict
+    count t from the first row: they are the same wherever the t column
+    starts.  Read from the raw t, an offset of 2**40 gave tail_c 34951.18
+    for 1.16e-05 and turned envelope_pass false."""
+    base, _ = _phases_at_offset(tmp_path, capsys, 0)
+    assert base["envelope_pass"] is True and 0 < base["tail_c"] < 1e-3
+    report, err = _phases_at_offset(tmp_path, capsys, offset)
+    assert err == ""
+    assert report["tail_c"] == pytest.approx(base["tail_c"], rel=1e-9)
+    assert report["tail_residual"] == pytest.approx(base["tail_residual"], rel=1e-9)
+    assert report["envelope_pass"] is base["envelope_pass"]
 
 
 @pytest.mark.parametrize("case", sorted(PHASES_HOSTILE_EDITS))

@@ -91,31 +91,31 @@ def _forbid_draws(monkeypatch):
     monkeypatch.setattr(concentration, "draw_blocks", no_draw)
 
 
-def _mc_bytes(d, rows, temporaries):
+def _mc_bytes(d, rows, temporaries, trials=0):
     """check_mc_memory's bytes, written out: the draws, four d x d
-    accumulators, two vectors of one per matrix and ``temporaries``
-    block-sized arrays."""
+    accumulators, two vectors of one per matrix, ``temporaries``
+    block-sized arrays and one value per trial of ``trials``."""
     m = min(rows, problem.BLOCK)
-    return 8 * (d * d * (4 + temporaries * m) + 2 * m) + problem.block_bytes(d, rows)
+    return 8 * (d * d * (4 + temporaries * m) + 2 * m + trials) + problem.block_bytes(d, rows)
 
 
 def test_monte_carlo_memory_checked_before_any_draw(monkeypatch):
     _forbid_draws(monkeypatch)
     d, n = 10, 100
     for run, need in ((lambda: mc_noise_term(d=d, sigma=1.0, n=n, trials=3, seed=1),
-                       _mc_bytes(d, n, 0)),
+                       _mc_bytes(d, n, 0, 3)),
                       (lambda: mc_sensing_deviation(np.eye(d), n=n, trials=3, seed=1),
-                       _mc_bytes(d, n, 0)),
+                       _mc_bytes(d, n, 0, 3)),
                       (lambda: mc_second_moment(np.eye(d), trials=n, seed=1), _mc_bytes(d, n, 1)),
                       (lambda: mc_A_squared(d, trials=n, seed=1), _mc_bytes(d, n, 1))):
         monkeypatch.setattr(problem, "_memory_budget", lambda: need - 1)
         with pytest.raises(InputError, match="Monte Carlo draws needs"):
             run()
     monkeypatch.undo()  # draws are allowed again, at exactly the budget
-    monkeypatch.setattr(problem, "_memory_budget", lambda: _mc_bytes(d, n, 0))
+    monkeypatch.setattr(problem, "_memory_budget", lambda: _mc_bytes(d, n, 0, 3))
     assert mc_noise_term(d=d, sigma=1.0, n=n, trials=3, seed=1).trials == 3
     # Blocks hold at most BLOCK draws, whatever n is.
-    monkeypatch.setattr(problem, "_memory_budget", lambda: _mc_bytes(d, problem.BLOCK, 0))
+    monkeypatch.setattr(problem, "_memory_budget", lambda: _mc_bytes(d, problem.BLOCK, 0, 1))
     assert mc_noise_term(d=d, sigma=1.0, n=10 * problem.BLOCK, trials=1,
                          seed=1).trials == 1
 

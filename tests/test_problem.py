@@ -1,3 +1,8 @@
+import hashlib
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -324,8 +329,119 @@ def test_build_holds_one_operator_and_one_block():
         tracemalloc.stop()
     assert s.model.h.nbytes == 8 * p**2
     assert peak <= problem.sensing_bytes(d, n) + 16 * n
-    blocks = 8 * problem.BLOCK * (d * d + p)  # the mirrored and the gathered block
+    blocks = 8 * problem.BLOCK * (d * d + p)  # room for a mirrored and a gathered block
     assert peak < 2 * 8 * p**2 + blocks
+
+
+# Each n mod 4; last blocks of 1-3 matrices (n = 513, 514, 515, and one block
+# of 3); slice tails of 1-3 (d=17: 455 = 452 + 3; d=20: 325, 326 and
+# 839 = 512 + 324 + 3; d=50: 54 and 105 = 52 + 53; d=70: 537 = 512 + 24 + 1).
+# d=70 with n=537 and d=20 with n=325 are where 4-row slices that left their
+# tail apart moved y; at d=50, the whole-block product over a last block of
+# 325 gives other last bits with two BLAS threads than with one.
+ORACLE_CASES = [(1, 1), (1, 515), (5, 2), (5, 513), (16, 4), (16, 514), (17, 455), (17, 1024),
+                (20, 325), (20, 326), (20, 516), (20, 839), (50, 3), (50, 54), (50, 104),
+                (50, 105), (50, 325), (70, 537)]
+
+
+def _oracle_truth(d):
+    return generate_ground_truth(d, 1, [1.0], "zeros", seed=61)
+
+
+def _whole_block_build(d, n, distribution):
+    """y, epsilon, h and bbar as the build first made them: each block's
+    mirrored matrices in one (m, d^2) array, y = a vec(X*) + eps over the
+    whole block, the Gram of the gathered upper triangles tile by tile, then
+    the mirror and the weights."""
+    xstar = _oracle_truth(d).Xstar.ravel()
+    iu, ju = np.triu_indices(d)
+    tiles = problem._tiles(iu.size)
+    y, eps, h, b = np.empty(n), np.empty(n), np.zeros((iu.size, iu.size)), np.zeros(iu.size)
+    for j, lo in enumerate(range(0, n, problem.BLOCK)):
+        m, rng = min(problem.BLOCK, n - lo), stream(62, "sensing", j)
+        if distribution == "gaussian":
+            raw = rng.standard_normal((m, d, d))
+        else:
+            raw = rng.integers(0, 2, size=(m, d, d)) * 2.0 - 1.0
+        a = (np.triu(raw) + np.triu(raw, 1).transpose(0, 2, 1)).reshape(m, d * d)
+        e = 0.3 * stream(62, "noise", j).standard_normal(m)
+        y[lo : lo + m] = a @ xstar + e
+        eps[lo : lo + m] = e
+        g = np.ascontiguousarray(a[:, iu * d + ju])
+        for i, ra in enumerate(tiles):
+            for rb in tiles[i:]:
+                h[ra, rb] += g[:, ra].T @ g[:, rb]
+        b += y[lo : lo + m] @ g
+    for i, ra in enumerate(tiles):
+        for rb in tiles[i + 1 :]:
+            h[rb, ra] = h[ra, rb].T
+    h *= np.where(iu == ju, 1.0, 2.0) / n
+    bbar = np.empty((d, d))
+    bbar[iu, ju] = bbar[ju, iu] = b / n
+    return y, eps, h, bbar
+
+
+def _build_digests(kind):
+    """{case: sha256 of y, epsilon, h and bbar} over ORACLE_CASES and both
+    distributions, from the "whole"-block oracle or the "streamed" build."""
+    digests = {}
+    for d, n in ORACLE_CASES:
+        for distribution in problem.DISTRIBUTIONS:
+            if kind == "whole":
+                arrays = _whole_block_build(d, n, distribution)
+            else:
+                s = generate_sensing(_oracle_truth(d), n, 0.3, distribution, seed=62)
+                arrays = (s.observations, s.epsilon, s.model.h, s.model.bbar)
+            digests[f"d={d} n={n} {distribution}"] = [
+                hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest() for x in arrays]
+    return digests
+
+
+def _digests_at(threads, *kinds):
+    """{kind: _build_digests(kind)} from a child process whose BLAS runs ``threads`` threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    proc = subprocess.run([sys.executable, __file__, *kinds], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_streamed_build_matches_the_whole_block_build():
+    """With one BLAS thread, the build that forms y slice by slice and holds
+    no block of mirrored matrices gives the bytes of the whole-block build:
+    y, epsilon, h and bbar.  Its y keeps those bytes with two BLAS threads,
+    where a whole-block product can move in its last bits."""
+    one = _digests_at(1, "whole", "streamed")
+    assert one["streamed"] == one["whole"]
+    two = _digests_at(2, "streamed")["streamed"]
+    assert {case: v[0] for case, v in two.items()} == {
+        case: v[0] for case, v in one["streamed"].items()}
+
+
+# d=17, 20 and 50 slice by 452, 324 and 52 matrices; each n ends on a block
+# whose last slice takes a merged tail of 3, the largest slice there is.
+@pytest.mark.parametrize("distribution", problem.DISTRIBUTIONS)
+@pytest.mark.parametrize("d, n", [(17, 512 + 455), (20, 327), (50, 512 + 55)])
+def test_build_peak_is_within_sensing_bytes_at_slicing_shapes(d, n, distribution):
+    gt = generate_ground_truth(d, 1, [1.0], "zeros", seed=53)
+    tracemalloc.start()
+    try:
+        generate_sensing(gt, n=n, sigma=0.1, distribution=distribution, seed=54)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= problem.sensing_bytes(d, n) + 16 * n
+
+
+def test_sensing_bytes_hold_no_block_of_mirrored_matrices():
+    """At d=50, n=2000 the build's bytes are the operator, one tile, the
+    gathered block and three draw slices: at least 9 MB below the formula
+    that held a 512 x d^2 block of mirrored matrices next to two 52-matrix
+    slices."""
+    d, n = 50, 2000
+    p = d * (d + 1) // 2
+    mirrored_block = 8 * (p * p + 512**2 + 512 * p + (512 + 2 * 52 + 1) * d * d + np.getbufsize())
+    assert problem.sensing_bytes(d, n) <= mirrored_block - 9e6
 
 
 def test_operator_memory_checked_before_build(gt20, monkeypatch):
@@ -429,3 +545,7 @@ def test_parameter_validation(gt20):
         generate_sensing(gt20, n=5, sigma=0.0, distribution="cauchy", seed=1)
     with pytest.raises(InputError, match="memory_mode"):
         ExperimentConfig(d=20, r=3, k=4, n=5, iters=1, seed=1, memory_mode="mmap")
+
+
+if __name__ == "__main__":  # the child of test_streamed_build_matches_the_whole_block_build
+    print(json.dumps({kind: _build_digests(kind) for kind in sys.argv[1:]}))
