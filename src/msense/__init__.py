@@ -2,15 +2,7 @@
 with over-specified rank."""
 
 from .errors import DivergenceError, InputError, NumericError
-from .gradient import (
-    deviation_matrix,
-    loss_value,
-    op_MU,
-    op_MV,
-    population_gradient,
-    sample_gradient,
-    theory_step_size,
-)
+from .gradient import loss_value, op_MU, op_MV, population_gradient, theory_step_size
 from .harness import (
     ExperimentConfig,
     InitSpec,
@@ -21,18 +13,12 @@ from .harness import (
     run_experiment,
     sweep,
 )
-from .linalg import (
-    as_symmetric,
-    frobenius_norm,
-    orthonormalize,
-    spectral_norm,
-)
+from .linalg import as_symmetric, orthonormalize, spectral_norm
 from .problem import (
     GroundTruth,
     SensingSet,
     generate_ground_truth,
     generate_sensing,
-    inner_product,
 )
 from .subspace import (
     Decomposition,

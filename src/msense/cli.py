@@ -136,10 +136,8 @@ def _cmd_conc(args):
         raise InputError(f"conc {args.kind} writes no per-trial CSV; drop --out")
     if args.out:
         check_output_path(args.out)
-    if args.kind in ("deviation", "moment"):  # checked before the d x d matrix U is drawn
-        moment = args.kind == "moment"  # its statistic is one block-sized temporary
-        rows, values = (args.trials, 0) if moment else (args.n, args.trials)
-        conc.check_mc_memory(args.d, rows, temporaries=int(moment), values=values)
+    conc.check_mc_memory(args.kind, args.d, args.n, args.trials)  # before U is drawn
+    if args.kind in ("deviation", "moment"):
         u = stream(args.seed, f"mc_{args.kind}", 2**32).standard_normal((args.d, args.d))
         u = 0.5 * (u + u.T)
     report = {

@@ -19,11 +19,17 @@ from .errors import InputError
 from .linalg import as_symmetric, spectral_norm
 from .problem import BLOCK, _svec_indices, block_bytes, check_memory, draw_blocks
 
-def check_mc_memory(d, rows, temporaries=0, values=0):
-    """Reject, before any allocation, a Monte Carlo run whose draws, four d x d accumulators,
-    two per-matrix vectors, ``temporaries`` blocks and ``values`` doubles exceed the budget."""
-    if d < 1:
-        raise InputError(f"d must be at least 1, got {d}")
+def check_mc_memory(kind, d, n, trials):
+    """Reject, before any allocation, a Monte Carlo run of ``kind`` (noise, deviation, moment or
+    asq) with a size below 1, or whose draws, four d x d accumulators, two per-matrix vectors and
+    either one value per trial (noise, deviation: n draws a trial) or one block-sized temporary
+    (moment, asq: one draw a trial, and ``n`` is not read) exceed the budget."""
+    moment = kind in ("moment", "asq")
+    sizes = dict(d=d, trials=trials) if moment else dict(d=d, n=n, trials=trials)
+    for name, size in sizes.items():
+        if size < 1:
+            raise InputError(f"{name} must be at least 1, got {size}")
+    rows, temporaries, values = (trials, 1, 0) if moment else (n, 0, trials)
     m = min(rows, BLOCK)
     nbytes = 8 * (d * d * (4 + temporaries * m) + 2 * m + values) + block_bytes(d, rows)
     check_memory(nbytes, f"the d={d} Monte Carlo draws")
@@ -37,14 +43,14 @@ def _mean_stderr(acc, acc_sq, count):
     return mean, np.sqrt(np.clip(var, 0.0, None) / count)
 
 
-def _mc_matrix_moment(stat, d, trials, seed, tag, distribution):
-    """Mean of the d x d statistic ``stat`` over ``trials`` sensing draws, with its
-    per-entry standard error; each block of BLOCK draws comes from its own stream.
+def _mc_matrix_moment(stat, kind, d, trials, seed, distribution):
+    """Mean of the d x d statistic ``stat`` over ``trials`` sensing draws, with its per-entry
+    standard error; block j of BLOCK draws comes from the stream (seed, "mc_" + kind, j).
     ``stat`` maps an (m, d, d) block, which it may overwrite, to a new array."""
-    check_mc_memory(d, trials, temporaries=1)
+    check_mc_memory(kind, d, None, trials)
     acc, acc_sq = np.zeros((d, d)), np.zeros((d, d))
     buf = np.empty((min(trials, BLOCK), d * d))
-    for _, _, a in draw_blocks(seed, tag, trials, d, distribution, out=buf):
+    for _, _, a in draw_blocks(seed, f"mc_{kind}", trials, d, distribution, out=buf):
         x = stat(a)
         acc += x.sum(axis=0)
         acc_sq += np.square(x, out=x).sum(axis=0)
@@ -105,12 +111,10 @@ def mc_noise_term(d, sigma, n, trials, seed, distribution="gaussian"):
 
     eps_i ~ Normal(0, sigma^2); each trial draws a fresh (A, eps) batch.
     """
-    if d < 1 or n < 1 or trials < 1:
-        raise InputError("d, n and trials must be positive")
+    check_mc_memory("noise", d, n, trials)
     # Up to 1e150, d sigma^2 and every noise sum stay within the float range.
     if not (math.isfinite(sigma) and 0 <= sigma <= 1e150):
         raise InputError(f"sigma must be a finite number >= 0 and <= 1e150, got {sigma!r}")
-    check_mc_memory(d, n, values=trials)
     upper, pos = _svec_indices(d)
     mirror = upper[pos]
     vals = np.empty(trials)
@@ -145,10 +149,8 @@ def mc_sensing_deviation(u, n, trials, seed, distribution="gaussian"):
     u = as_symmetric(u)
     if not np.any(u):
         raise InputError("U must be nonzero")
-    if n < 1 or trials < 1:
-        raise InputError("n and trials must be positive")
     d = u.shape[0]
-    check_mc_memory(d, n, values=trials)
+    check_mc_memory("deviation", d, n, trials)
     vals = np.empty(trials)
     acc_mean, acc_sq = np.zeros((d, d)), np.zeros((d, d))
     buf = np.empty((min(n, BLOCK), d * d))
@@ -202,12 +204,15 @@ class MomentComparison:
     reference: np.ndarray
     exact: np.ndarray | None = None  # ensemble-exact moments, when available
 
+    def _z(self, target):
+        """Per-entry z-scores against ``target``; a zero stderr scores 0 on target, inf off it."""
+        diff = self.estimate - target
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(self.stderr > 0, diff / self.stderr, np.where(diff == 0, 0.0, np.inf))
+
     @property
     def z_scores(self):
-        diff = self.estimate - self.reference
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.where(self.stderr > 0, diff / self.stderr, np.where(diff == 0, 0.0, np.inf))
-        return z
+        return self._z(self.reference)
 
     @property
     def max_abs_z(self):
@@ -220,9 +225,7 @@ class MomentComparison:
             "max_abs_z": self.max_abs_z,
         }
         if self.exact is not None:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                z = np.where(self.stderr > 0, (self.estimate - self.exact) / self.stderr, 0.0)
-            out["max_abs_z_vs_exact"] = float(np.max(np.abs(z)))
+            out["max_abs_z_vs_exact"] = float(np.max(np.abs(self._z(self.exact))))
         return out
 
 
@@ -230,17 +233,14 @@ def mc_second_moment(u, trials, seed, distribution="gaussian"):
     """Monte Carlo estimate of E[(<A,U>A - U)^2] next to the stated closed
     form and, for the Gaussian ensemble, the exact moments."""
     u = as_symmetric(u)
-    if trials < 1:
-        raise InputError("trials must be positive")
 
     def centered_square(a):
         a *= np.einsum("nij,ij->n", a, u)[:, None, None]
         a -= u
         return np.einsum("nij,njk->nik", a, a)
 
-    est, stderr = _mc_matrix_moment(
-        centered_square, u.shape[0], trials, seed, "mc_moment", distribution
-    )
+    est, stderr = _mc_matrix_moment(centered_square, "moment", u.shape[0], trials, seed,
+                                    distribution)
     exact = second_moment_exact_gaussian(u) if distribution == "gaussian" else None
     return MomentComparison(
         statistic="second_moment_of_centered_sensing_term",
@@ -254,10 +254,8 @@ def mc_second_moment(u, trials, seed, distribution="gaussian"):
 
 def mc_A_squared(d, trials, seed, distribution="gaussian"):
     """Monte Carlo estimate of E[A^2] against d I."""
-    if d < 1 or trials < 1:
-        raise InputError("d and trials must be positive")
     est, stderr = _mc_matrix_moment(
-        lambda a: np.einsum("nij,njk->nik", a, a), d, trials, seed, "mc_asq", distribution
+        lambda a: np.einsum("nij,njk->nik", a, a), "asq", d, trials, seed, distribution
     )
     return MomentComparison(
         statistic="sensing_matrix_square",

@@ -54,7 +54,8 @@ def _finite_numbers(name, values):
 
 
 def worker_count():
-    """The package's thread cap: the CPU count, lowered by the MSENSE_THREADS env var."""
+    """The package's thread cap: the CPU count, lowered by the MSENSE_THREADS env var.
+    No command reads it, but perfbench/run.py records it in every run's provenance."""
     cap = os.environ.get("MSENSE_THREADS")
     default = os.cpu_count() or 1
     if cap is None:
@@ -413,7 +414,7 @@ def _linear_fit_r2(x, y):
 
 
 @np.errstate(all="ignore")  # a statistic that overflows is non-finite: the CLI prints null
-def detect_phases(traj, config=None, eta=None):
+def detect_phases(traj, eta=None):
     """Fit the linear-then-sublinear structure of a trajectory.
 
     The trajectory needs at least 50 rows, a strictly increasing t, and
@@ -421,7 +422,8 @@ def detect_phases(traj, config=None, eta=None):
 
     Head: linear fit of log(ss_err) over the first contiguous decreasing
     stretch, right edge chosen on a coarse grid maximizing R^2.  Tail: c/t
-    fit over the final 50% of iterations against D (noiseless) or A (noisy).
+    fit over the final 50% of iterations against D, or A when some row has
+    A < D (only a sample-mode run with sigma > 0 has a noise floor).
     Also reports the pass rate of the one-step floored recursion and whether
     the 4/(eta t + 4/A_0) envelope holds past the burn-in.
     """
@@ -434,11 +436,7 @@ def detect_phases(traj, config=None, eta=None):
             raise InputError(f"{name} must be finite in every row")
     if np.any(np.diff(t) <= 0):
         raise InputError("t must be strictly increasing")
-    if config is not None:
-        eta = config.eta_value()
-        noisy = config.sigma > 0 and config.gradient_mode == "sample"
-    else:
-        noisy = bool(np.any(a_vals < d_vals))
+    noisy = bool(np.any(a_vals < d_vals))
     if eta is not None and not (_is_finite_number(eta) and eta > 0):
         raise InputError(f"eta must be a positive finite number, got {eta!r}")
 

@@ -1,7 +1,7 @@
 """Dense symmetric/rectangular matrix primitives.
 
-Symmetrization, spectral and Frobenius norms, and orthonormalization used
-by the rest of the package.  Matrices are plain float64 ndarrays; the helpers
+Symmetrization, spectral norms and orthonormalization used by the rest of
+the package.  Matrices are plain float64 ndarrays; the helpers
 here enforce the contracts (symmetry, finiteness, orthonormal columns)
 rather than wrapping arrays in classes.
 """
@@ -16,25 +16,25 @@ SYM_TOL = 1e-12  # absolute asymmetry absorbed by symmetrization
 RANK_TOL = 1e-10  # smallest singular value accepted as full column rank
 
 
-def _check_finite(m, name="matrix"):
+def _check_finite(m):
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
-        raise InputError(f"{name} contains non-finite entries")
+        raise InputError("matrix contains non-finite entries")
     return m
 
 
-def as_symmetric(m, tol=SYM_TOL):
+def as_symmetric(m):
     """Validate and return a symmetric copy of ``m``.
 
-    Asymmetry up to ``tol`` (absolute, entrywise) is absorbed by
+    Asymmetry up to SYM_TOL (absolute, entrywise) is absorbed by
     (M + M^T)/2; anything larger is rejected as a bug in the caller.
     """
     m = _check_finite(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"expected a square matrix, got shape {m.shape}")
     asym = np.max(np.abs(m - m.T)) if m.size else 0.0
-    if asym > tol:
-        raise InputError(f"matrix asymmetry {asym:.3e} exceeds tolerance {tol:.1e}")
+    if asym > SYM_TOL:
+        raise InputError(f"matrix asymmetry {asym:.3e} exceeds tolerance {SYM_TOL:.1e}")
     return 0.5 * (m + m.T)
 
 
@@ -57,12 +57,6 @@ def spectral_norms(stack):
     if ok.any() and stack.shape[1] > 0:
         out[ok] = np.abs(np.linalg.eigvalsh(stack if ok.all() else stack[ok])).max(axis=1)
     return out
-
-
-def frobenius_norm(m):
-    """Square root of the sum of squared entries."""
-    m = _check_finite(m)
-    return float(np.linalg.norm(m))
 
 
 def orthonormalize(m):

@@ -355,11 +355,3 @@ def generate_sensing(gt, n, sigma, distribution="gaussian", seed=0):
         model=QuadraticModel(d, h, b / n),
     )
 
-
-def inner_product(a, x):
-    """Entrywise matrix inner product sum_ij A_ij X_ij."""
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if a.shape != x.shape:
-        raise InputError(f"dimension mismatch: {a.shape} vs {x.shape}")
-    return float(np.vdot(a, x))

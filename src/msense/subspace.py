@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, NumericError
-from .gradient import op_MU, op_MV, theory_step_size
+from .gradient import _check_factor, op_MU, op_MV, theory_step_size
 from .linalg import spectral_norm, spectral_norms
 from .rng import stream
 
@@ -34,9 +34,7 @@ class Decomposition:
 
 def decompose(f, gt):
     """Split F into subspace coefficients S = U^T F, T = V^T F."""
-    f = np.asarray(f, dtype=float)
-    if f.ndim != 2 or f.shape[0] != gt.d:
-        raise InputError(f"factor must be {gt.d} x k, got {f.shape}")
+    f = _check_factor(f, gt.d)
     return Decomposition(S=gt.U.T @ f, T=gt.V.T @ f)
 
 
@@ -232,26 +230,31 @@ def check_initialization(f0, gt, rho):
 
 
 REGION_BOUND = 0.1  # region radius in units of sigma_r for inequality verification
+REGION_TRIES = 10000  # rejection-sampling draws before region_sample gives up
 
 
-def region_sample(gt, k, seed, bound=REGION_BOUND, max_tries=10000):
+def _region_norms(s, t, gt):
+    """The three region norms |S S^T - DS*|_2, |T T^T - DT*|_2 and |S T^T|_2."""
+    return (spectral_norm(s @ s.T - np.diag(gt.ds)), spectral_norm(t @ t.T - np.diag(gt.dt)),
+            spectral_norm(s @ t.T))
+
+
+def region_sample(gt, k, seed):
     """Draw (S, T) near the exact factor with all three region norms below
-    ``bound * sigma_r`` (rejection sampling)."""
+    REGION_BOUND * sigma_r (rejection sampling)."""
     if k < gt.r:
         raise InputError("contraction verification region requires k >= r")
     rng = stream(seed, "region")
     base = decompose(exact_factor(gt, k), gt)
-    limit = bound * gt.sigma_r
-    for _ in range(max_tries):
-        amp = rng.uniform(0.0, 2.0 * bound) * gt.sigma_r
+    limit = REGION_BOUND * gt.sigma_r
+    for _ in range(REGION_TRIES):
+        amp = rng.uniform(0.0, 2.0 * REGION_BOUND) * gt.sigma_r
         s = base.S + amp * rng.standard_normal(base.S.shape) / np.sqrt(k)
         t = base.T + amp * rng.standard_normal(base.T.shape) / np.sqrt(gt.d)
-        ss = spectral_norm(s @ s.T - np.diag(gt.ds))
-        tt = spectral_norm(t @ t.T - np.diag(gt.dt))
-        st = spectral_norm(s @ t.T)
-        if max(ss, tt, st) <= limit and min(ss, tt, st) > 0.0:
+        norms = _region_norms(s, t, gt)
+        if max(norms) <= limit and min(norms) > 0.0:
             return s, t
-    raise NumericError(f"region sampling failed after {max_tries} tries")
+    raise NumericError(f"region sampling failed after {REGION_TRIES} tries")
 
 
 @dataclass(frozen=True)
@@ -284,9 +287,7 @@ def verify_population_contraction(s, t, gt, eta):
     t = np.asarray(t, dtype=float)
     ds_mat = np.diag(gt.ds)
     dt_mat = np.diag(gt.dt)
-    ss = spectral_norm(s @ s.T - ds_mat)
-    tt_err = spectral_norm(t @ t.T - dt_mat)
-    st = spectral_norm(s @ t.T)
+    ss, tt_err, st = _region_norms(s, t, gt)
     limit = REGION_BOUND * gt.sigma_r
     if max(ss, tt_err, st) > limit * (1 + 1e-12):
         raise InputError(

@@ -20,7 +20,6 @@ from msense import (
     ExperimentConfig,
     check_initialization,
     detect_phases,
-    deviation_matrix,
     generate_ground_truth,
     generate_sensing,
     loss_value,
@@ -28,7 +27,6 @@ from msense import (
     population_gradient,
     region_sample,
     run_experiment,
-    sample_gradient,
     sweep,
     verify_population_contraction,
 )
@@ -105,9 +103,10 @@ def test_criterion_2_overparameterized_slowdown(exact_rank_run, over_rank_run):
 
 def test_criterion_3_sublinear_envelope():
     pop_cfg = _base_config(k=4, gradient_mode="population", eta="theory", iters=4000)
-    pop_report = detect_phases(run_experiment(pop_cfg), config=pop_cfg)
+    pop_report = detect_phases(run_experiment(pop_cfg), eta=pop_cfg.eta_value())
     sample_cfg = _base_config(k=4, iters=2000)
-    sample_report = detect_phases(run_experiment(sample_cfg), config=sample_cfg)
+    sample_report = detect_phases(run_experiment(sample_cfg),
+                                  eta=sample_cfg.eta_value())
     ok = (
         pop_report.envelope_pass is True
         and pop_report.recursion_pass_rate == 1.0
@@ -268,7 +267,7 @@ def test_criterion_9_gradient_correctness():
         gt = generate_ground_truth(d, 2, [1.0, 0.6], "zeros", seed=SEED + case)
         s = generate_sensing(gt, n=n, sigma=sigma, seed=SEED + 1000 + case)
         f = rng.standard_normal((d, k))
-        g = sample_gradient(f, s)
+        g = s.model.gradient(f)
         h = 1e-6
         scale = max(1.0, float(np.max(np.abs(g))))
         for i in range(d):
@@ -278,7 +277,7 @@ def test_criterion_9_gradient_correctness():
                 fd = (loss_value(f + e, s) - loss_value(f - e, s)) / (2 * h)
                 rel = abs(fd - g[i, j]) / max(abs(g[i, j]), 1e-4 * scale)
                 worst_rel = max(worst_rel, rel)
-        gap = g - population_gradient(f, gt) - deviation_matrix(f, gt, s) @ f
+        gap = g - population_gradient(f, gt) - s.model.deviation(f, gt.Xstar) @ f
         worst_identity = max(worst_identity, float(np.max(np.abs(gap))))
     ok = worst_rel <= 1e-5 and worst_identity <= 1e-10
     detail = (

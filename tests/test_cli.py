@@ -276,7 +276,10 @@ def strict_json(text):
     ("noise --sigma 0 --d 4 --n 20 --trials 3", "ratio_median"),
     ("noise --d 4 --n 20 --trials 1", "stderr"),
     ("asq --d 2 --trials 1", "max_abs_z"),
-], ids=["deviation_d_1", "noise_sigma_0", "noise_trials_1", "asq_trials_1"])
+    # One trial: every stderr is 0, and the estimate is off d I, the exact moment, too.
+    ("asq --d 3 --trials 1", "max_abs_z_vs_exact"),
+], ids=["deviation_d_1", "noise_sigma_0", "noise_trials_1", "asq_trials_1",
+        "asq_trials_1_vs_exact"])
 def test_conc_prints_non_finite_values_as_null(capsys, argv, key):
     assert main(["conc", *argv.split()]) == 0
     out = capsys.readouterr().out
@@ -299,6 +302,26 @@ def test_conc_rejects_d_below_one_with_one_line(capsys):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", ["noise --n 0", "deviation --trials 0", "asq --d 0",
+                                  "moment --trials 0", "noise --trials -1"])
+def test_conc_checks_every_kind_before_drawing_u(argv, capsys, monkeypatch):
+    """Every kind is checked by check_mc_memory, sizes first, before U is drawn."""
+    def no_u(*args, **kwargs):
+        raise AssertionError("drew U")
+
+    monkeypatch.setattr(msense.cli, "stream", no_u)
+    monkeypatch.setattr(msense.concentration, "draw_blocks", no_u)
+    assert main(["conc", *argv.split()]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "must be at least 1" in err
+
+
+def test_conc_moment_never_reads_n(capsys):
+    assert main(["conc", "moment", "--d", "3", "--n", "0", "--trials", "20"]) == 0
+    assert strict_json(capsys.readouterr().out)["trials"] == 20
 
 
 def test_conc_huge_sigma_exits_1_with_one_line_and_no_warning():

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from msense import concentration, problem
 from msense.concentration import (
+    MomentComparison,
     mc_A_squared,
     mc_noise_term,
     mc_second_moment,
@@ -248,6 +249,17 @@ def test_second_moment_reference_disagrees_with_ensemble(rng):
     u = _sym(rng, 5)
     cmp_ = mc_second_moment(u, trials=20000, seed=5)
     assert cmp_.max_abs_z > 10.0
+
+
+def test_zero_stderr_scores_alike_against_both_targets():
+    """An entry with zero standard error scores 0 where the estimate equals
+    the target and inf where it does not, against reference and exact alike."""
+    est = np.array([[1.0, 2.0], [2.0, 1.0]])
+    cmp_ = MomentComparison("s", 1, est, np.zeros((2, 2)), reference=np.eye(2), exact=np.eye(2))
+    assert_array_equal(cmp_.z_scores, [[0.0, np.inf], [np.inf, 0.0]])
+    assert cmp_.summary()["max_abs_z"] == cmp_.summary()["max_abs_z_vs_exact"] == np.inf
+    same = MomentComparison("s", 1, est, np.zeros((2, 2)), reference=est, exact=est)
+    assert same.summary()["max_abs_z"] == same.summary()["max_abs_z_vs_exact"] == 0.0
 
 
 def test_a_squared_gaussian():

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from msense import (
     InputError,
-    deviation_matrix,
     generate_ground_truth,
     generate_sensing,
     loss_value,
@@ -12,7 +11,6 @@ from msense import (
     op_MV,
     population_gradient,
     region_sample,
-    sample_gradient,
     spectral_norm,
     theory_step_size,
 )
@@ -21,7 +19,7 @@ from msense.subspace import exact_factor
 
 def test_sample_gradient_zero_at_optimum(gt20, sensing20):
     f = exact_factor(gt20, 3)
-    g = sample_gradient(f, sensing20)
+    g = sensing20.model.gradient(f)
     assert spectral_norm(g) < 1e-12
 
 
@@ -32,7 +30,7 @@ def test_scalar_reduction_matches_hand_formula():
     a = np.concatenate([block for _, block in s.iter_blocks()])[:, 0, 0]
     y = s.observations
     hand = np.mean((a * 0.9**2 - y) * a) * 0.9
-    assert sample_gradient(f, s)[0, 0] == pytest.approx(hand, rel=1e-12)
+    assert s.model.gradient(f)[0, 0] == pytest.approx(hand, rel=1e-12)
 
 
 def test_sample_gradient_concentrates_to_ensemble_mean(gt20):
@@ -50,7 +48,7 @@ def test_sample_gradient_concentrates_to_ensemble_mean(gt20):
         per_seed = []
         for s_idx in range(5):
             s = generate_sensing(gt20, n=n, sigma=0.0, seed=500 + s_idx)
-            per_seed.append(spectral_norm(sample_gradient(f, s) - limit))
+            per_seed.append(spectral_norm(s.model.gradient(f) - limit))
         devs.append(np.median(per_seed))
     for a, b in zip(devs, devs[1:]):
         assert b / a == pytest.approx(0.5, rel=0.5)
@@ -73,15 +71,29 @@ def test_deviation_identity_and_symmetry(gt20):
     rng = np.random.default_rng(3)
     f = rng.standard_normal((20, 4))
     s = generate_sensing(gt20, n=150, sigma=0.4, seed=21)
-    delta = deviation_matrix(f, gt20, s)
-    gap = sample_gradient(f, s) - population_gradient(f, gt20) - delta @ f
+    delta = s.model.deviation(f, gt20.Xstar)
+    gap = s.model.gradient(f) - population_gradient(f, gt20) - delta @ f
     assert np.max(np.abs(gap)) < 1e-10
-    assert np.max(np.abs(delta - delta.T)) < 1e-12
+    assert_array_equal(delta, delta.T)
+
+
+@pytest.mark.parametrize("case", range(20))
+def test_deviation_is_exactly_symmetric(case):
+    """Delta is symmetric bit for bit, with no symmetrization: H(F F^T) and
+    bbar are mirrored from their upper triangles, F F^T comes from one
+    symmetric product and X* is symmetrized when it is built."""
+    d, k = 1 + case % 7, 1 + case % 4
+    gt = generate_ground_truth(d, 1, [1.0], "zeros", seed=case)
+    s = generate_sensing(gt, n=30 + 7 * case, sigma=0.3 * (case % 2),
+                         distribution=("gaussian", "rademacher")[case % 3 == 0], seed=case)
+    f = np.random.default_rng(case).standard_normal((d, k))
+    delta = s.model.deviation(f, gt.Xstar)
+    assert_array_equal(delta, delta.T)
 
 
 def test_deviation_zero_at_noiseless_optimum(gt20, sensing20):
     f = exact_factor(gt20, 3)
-    delta = deviation_matrix(f, gt20, sensing20)
+    delta = sensing20.model.deviation(f, gt20.Xstar)
     assert spectral_norm(delta) < 1e-12
 
 
@@ -101,7 +113,7 @@ def test_deviation_clt_rate(gt20):
         per_seed = []
         for s_idx in range(3):
             s = generate_sensing(gt20, n=n, sigma=0.1, seed=900 + s_idx)
-            per_seed.append(spectral_norm(deviation_matrix(f, gt20, s) - center))
+            per_seed.append(spectral_norm(s.model.deviation(f, gt20.Xstar) - center))
         devs.append(np.median(per_seed))
     slope = np.polyfit(np.log(sizes), np.log(devs), 1)[0]
     assert slope == pytest.approx(-0.5, abs=0.15)
@@ -112,7 +124,7 @@ def test_finite_difference_gradient():
     s = generate_sensing(gt, n=50, sigma=0.3, seed=11)
     rng = np.random.default_rng(11)
     f = rng.standard_normal((5, 2))
-    g = sample_gradient(f, s)
+    g = s.model.gradient(f)
     h = 1e-6
     for i in range(5):
         for j in range(2):

@@ -427,9 +427,37 @@ def test_phases_requires_length():
 def test_phases_on_population_run():
     cfg = small_config(k=4, gradient_mode="population", eta="theory", iters=2000)
     traj = run_experiment(cfg)
-    report = detect_phases(traj, config=cfg)
+    report = detect_phases(traj, eta=cfg.eta_value())
     assert report.recursion_pass_rate == 1.0
     assert report.envelope_pass is True
+
+
+def _tail_fit(traj, column):
+    """The c/t fit of detect_phases, written out, over the last half of ``column``."""
+    half = len(traj.metrics) // 2
+    t = traj.column("t")
+    y, tt = traj.column(column)[half:], t[half:] - t[0]
+    y, tt = y[tt > 0], tt[tt > 0]
+    c = float(np.sum(y / tt) / np.sum(1.0 / tt**2))
+    return c, float(np.linalg.norm(y - c / tt)) / float(np.linalg.norm(y))
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(gradient_mode="population", sigma=0.5, eta="theory"),
+    dict(sigma=0.0),
+    dict(sigma=1e-5),  # a floor low enough that A stays positive over the tail
+], ids=["population", "sample_noiseless", "sample_noisy"])
+def test_phases_fit_the_tail_on_A_exactly_for_noisy_sample_runs(overrides):
+    """A trajectory alone tells a noisy run (some A < D) from a noiseless
+    one, so the tail is fitted on A exactly when the run is in sample mode
+    with sigma > 0: the choice the run's config would make."""
+    cfg = small_config(k=4, iters=100, **overrides)
+    traj = run_experiment(cfg)
+    noisy = cfg.sigma > 0 and cfg.gradient_mode == "sample"
+    report = detect_phases(traj, eta=cfg.eta_value())
+    assert (report.tail_c, report.tail_residual) == _tail_fit(traj, "A" if noisy else "D")
+    if noisy:  # the two columns differ, so the fit tells them apart
+        assert _tail_fit(traj, "A") != _tail_fit(traj, "D")
 
 
 def test_phases_without_eta_skips_recursion():

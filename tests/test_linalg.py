@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 from msense import (
     InputError,
     as_symmetric,
-    frobenius_norm,
     orthonormalize,
     spectral_norm,
 )
@@ -41,18 +40,10 @@ def test_spectral_norms_of_a_symmetric_stack(rng):
     assert_allclose(spectral_norms(np.empty((2, 0, 0))), [0.0, 0.0])
 
 
-def test_frobenius_norm_examples():
-    assert frobenius_norm(np.diag([3.0, 4.0])) == pytest.approx(5.0)
-    assert frobenius_norm(np.zeros((3, 3))) == 0.0
-    assert frobenius_norm(np.eye(4)) == pytest.approx(2.0)
-
-
 def test_nonfinite_rejected():
     bad = np.array([[1.0, np.nan], [np.nan, 1.0]])
     with pytest.raises(InputError):
         spectral_norm(bad)
-    with pytest.raises(InputError):
-        frobenius_norm(np.array([[np.inf]]))
 
 
 def test_as_symmetric_absorbs_rounding_and_rejects_real_asymmetry():
@@ -90,7 +81,7 @@ def test_orthonormalize_rejects_rank_deficient():
 @given(sym_matrices)
 def test_norm_chain(m):
     spec = spectral_norm(m)
-    fro = frobenius_norm(m)
+    fro = np.linalg.norm(m)
     d = m.shape[0]
     assert spec <= fro + 1e-9 * max(1.0, fro)
     assert fro <= np.sqrt(d) * spec + 1e-9 * max(1.0, fro)

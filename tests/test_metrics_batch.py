@@ -11,7 +11,6 @@ from msense import (
     ExperimentConfig,
     InitSpec,
     derived_scales,
-    frobenius_norm,
     generate_ground_truth,
     generate_sensing,
     population_gradient,
@@ -38,7 +37,7 @@ def oracle_metrics(t, f, gt, scales, grad_norm, delta_norm=None):
     return IterateMetrics(
         t=t, ss_err=ss_err, st_norm=st_norm, tt_norm=tt_norm, tt_err=tt_err, D=d_val,
         A=max(d_val - 50.0 * scales.eps_stat, 0.0), err_spec=spectral_norm(m),
-        err_fro=frobenius_norm(m), grad_norm=float(grad_norm), delta_norm=delta_norm,
+        err_fro=float(np.linalg.norm(m)), grad_norm=float(grad_norm), delta_norm=delta_norm,
     )
 
 
@@ -62,7 +61,7 @@ def oracle_run(config):
         else:
             grad = model.gradient(f)
             delta = spectral_norm(model.deviation(f, gt.Xstar)) if tracked else None
-        rows.append(oracle_metrics(t, f, gt, scales, frobenius_norm(grad), delta))
+        rows.append(oracle_metrics(t, f, gt, scales, np.linalg.norm(grad), delta))
         if not rows[-1].err_spec <= DIVERGENCE_FACTOR * gt.sigma1:
             return rows, True
         if t < config.iters:
