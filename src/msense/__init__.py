@@ -1,6 +1,8 @@
 """Factorized gradient descent laboratory for noisy low-rank matrix sensing
 with over-specified rank."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import DivergenceError, InputError, NumericError
 from .gradient import loss_value, op_MU, op_MV, population_gradient, theory_step_size
 from .harness import (
@@ -38,4 +40,5 @@ from .subspace import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -14,13 +14,14 @@ import sys
 
 from . import concentration as conc
 from .csvio import check_output_path, read_trajectory_csv, write_trajectory_csv
-from .errors import DivergenceError, InputError, NumericError
+from .errors import DivergenceError, InputError, NumericError, count
 from .figures import reproduce_figures
 from .gradient import theory_step_size
 from .harness import ExperimentConfig, detect_phases, run_experiment, sweep
 from .problem import generate_ground_truth
 from .rng import stream
 from .subspace import (
+    RHO_MAX,
     check_initialization,
     planted_init,
     region_sample,
@@ -85,8 +86,7 @@ def _cmd_sweep(args):
 
 def _verify_trials(args):
     """The default ground truth of ``verify`` and each trial's seed, after checking --trials."""
-    if args.trials < 1:
-        raise InputError(f"--trials must be at least 1, got {args.trials}")
+    count("--trials", args.trials, 1)
     spec = DEFAULT_SPECTRUM
     gt = generate_ground_truth(spec["d"], spec["r"], spec["ds"], "zeros", args.seed)
     return gt, [(args.seed + trial) % 2**64 for trial in range(args.trials)]
@@ -101,8 +101,7 @@ def _cmd_verify_pop(args):
     for seed in seeds:
         s, t = region_sample(gt, DEFAULT_SPECTRUM["k"], seed)
         report = verify_population_contraction(s, t, gt, eta)
-        if report.all_passed:
-            all_pass += 1
+        all_pass += report.all_passed
         for chk in report.checks:
             counts[chk.name] = counts.get(chk.name, 0) + (1 if chk.passed else 0)
             gap = chk.lhs - chk.rhs
@@ -119,11 +118,10 @@ def _cmd_verify_pop(args):
 
 def _cmd_verify_init(args):
     gt, seeds = _verify_trials(args)
-    rho = 0.07
     ok_assumption = ok_lemma = 0
     for seed in seeds:
-        f0 = planted_init(gt, DEFAULT_SPECTRUM["k"], rho, seed)
-        report = check_initialization(f0, gt, rho)
+        f0 = planted_init(gt, DEFAULT_SPECTRUM["k"], RHO_MAX, seed)
+        report = check_initialization(f0, gt, RHO_MAX)
         ok_assumption += report.assumption_ok
         ok_lemma += report.lemma_ok
     print(f"basin assumption holds: {ok_assumption}/{args.trials}")

@@ -10,12 +10,11 @@ summary statistics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, count, number
 from .linalg import as_symmetric, spectral_norm
 from .problem import BLOCK, _svec_indices, block_bytes, check_memory, draw_blocks
 
@@ -27,8 +26,7 @@ def check_mc_memory(kind, d, n, trials):
     moment = kind in ("moment", "asq")
     sizes = dict(d=d, trials=trials) if moment else dict(d=d, n=n, trials=trials)
     for name, size in sizes.items():
-        if size < 1:
-            raise InputError(f"{name} must be at least 1, got {size}")
+        count(name, size, 1)
     rows, temporaries, values = (trials, 1, 0) if moment else (n, 0, trials)
     m = min(rows, BLOCK)
     nbytes = 8 * (d * d * (4 + temporaries * m) + 2 * m + values) + block_bytes(d, rows)
@@ -112,9 +110,7 @@ def mc_noise_term(d, sigma, n, trials, seed, distribution="gaussian"):
     eps_i ~ Normal(0, sigma^2); each trial draws a fresh (A, eps) batch.
     """
     check_mc_memory("noise", d, n, trials)
-    # Up to 1e150, d sigma^2 and every noise sum stay within the float range.
-    if not (math.isfinite(sigma) and 0 <= sigma <= 1e150):
-        raise InputError(f"sigma must be a finite number >= 0 and <= 1e150, got {sigma!r}")
+    number("sigma", sigma, 0, 1e150)  # up to 1e150, d sigma^2 and the noise sums stay finite
     upper, pos = _svec_indices(d)
     mirror = upper[pos]
     vals = np.empty(trials)
@@ -263,5 +259,5 @@ def mc_A_squared(d, trials, seed, distribution="gaussian"):
         estimate=est,
         stderr=stderr,
         reference=d * np.eye(d),
-        exact=d * np.eye(d) if distribution in ("gaussian", "rademacher") else None,
+        exact=d * np.eye(d),  # the stated form, exact for every unit-variance ensemble
     )

@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, count
 from .subspace import IterateMetrics
 
 TRAJECTORY_HEADER = (
@@ -65,10 +65,9 @@ def read_trajectory_csv(path):
             raise InputError(f"{path}, line {no}: expected 12 cells per row, got {len(parts)}")
         try:
             delta = float(parts[10]) if parts[10] else None
-            metrics.append(IterateMetrics(int(parts[0]), *map(float, parts[1:10]), delta))
-            if not 0 <= metrics[-1].t < 2**53:  # a step index, exact as a float
-                raise ValueError(f"t must be an integer in [0, 2**53), got {parts[0]}")
-        except ValueError as exc:
+            t = count("t", int(parts[0]), 0, 2**53 - 1)  # a step index, exact as a float
+            metrics.append(IterateMetrics(t, *map(float, parts[1:10]), delta))
+        except ValueError as exc:  # an InputError from count too
             raise InputError(f"{path}, line {no}: {exc}") from None
     return metrics
 

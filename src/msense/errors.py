@@ -1,13 +1,38 @@
-"""Exception types shared across the package.
+"""Exception types and the two input rules shared across the package.
 
 The CLI maps InputError to exit code 1 and NumericError to exit code 2.
 """
 
 from __future__ import annotations
 
+import numbers
+import sys
+
 
 class InputError(ValueError):
     """Rejected input: bad shapes, invalid parameters, malformed config."""
+
+
+def count(name, value, low, high=None):
+    """``value`` if it is an integer (not a bool) in [low, high]; else an InputError naming it."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and low <= value
+            and (high is None or value <= high)):
+        rule = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise InputError(f"{name} must be an integer {rule}, got {value!r}")
+    return value
+
+
+def number(name, value, low=None, high=None, strict=False):
+    """``value`` if it is a finite real (not a bool) >= ``low`` (> with ``strict``) and
+    <= ``high``; else an InputError naming it."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max  # not NaN, not infinite, and not 10**400
+            and (low is None or value > low or (value == low and not strict))
+            and (high is None or value <= high)):
+        rule = " and ".join(f"{op} {bound}" for op, bound in ((">" if strict else ">=", low),
+                                                              ("<=", high)) if bound is not None)
+        raise InputError(f"{name} must be a finite number {rule}".rstrip() + f", got {value!r}")
+    return value
 
 
 class NumericError(RuntimeError):

@@ -43,7 +43,7 @@ CURVE_LABELS = {
 
 
 def _figure_config(fig, seed):
-    init = InitSpec(mode=fig["init"], rho=0.07, scale=1e-3)
+    init = InitSpec(mode=fig["init"], scale=1e-3)
     return ExperimentConfig(
         **BASE, k=fig["k"], iters=fig["iters"], seed=seed, init=init
     )

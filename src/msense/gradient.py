@@ -15,14 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, number
 
 
 def theory_step_size(sigma1):
     """eta = 1/(100 sigma_1), the constant step size of the analysis."""
-    if not sigma1 > 0:
-        raise InputError("sigma1 must be positive")
-    return 1.0 / (100.0 * sigma1)
+    return 1.0 / (100.0 * number("sigma1", sigma1, 0, strict=True))
 
 
 def _check_factor(f, d):

@@ -10,7 +10,6 @@ run the cells in grid order.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -18,14 +17,14 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .csvio import check_output_path, metrics_column, write_sweep_csv, write_trajectory_csv
-from .errors import DivergenceError, InputError
+from .errors import DivergenceError, InputError, count, number
 from .gradient import population_gradient, theory_step_size
 from .linalg import spectral_norms
-from .problem import (DISTRIBUTIONS, MEMORY_MODES, _validate_spectrum, check_memory,
-                      generate_ground_truth, generate_sensing, sensing_bytes)
-from .rng import stable_hash64
-from .subspace import (batch_metrics, derived_scales, floored_recursion_bound, planted_init,
-                       random_init, spectral_init)
+from .problem import (DISTRIBUTIONS, MEMORY_MODES, _validate_spectrum, check_build_memory,
+                      generate_ground_truth, generate_sensing)
+from .rng import SEED_MAX, stable_hash64
+from .subspace import (RHO_MAX, batch_metrics, derived_scales, floored_recursion_bound,
+                       planted_init, random_init, spectral_init)
 
 INIT_MODES = ("planted", "spectral", "random")
 GRADIENT_MODES = ("sample", "population")
@@ -36,21 +35,8 @@ PLATEAU_FRACTION = 0.10  # final fraction of iterations defining the plateau
 BURN_IN_FRACTION = 0.05  # iterations skipped before the envelope check
 
 
-# Integer config fields and their smallest allowed value.
+# Integer config fields and their smallest values; k is at most d, a seed at most SEED_MAX.
 INT_FIELDS = dict(d=1, r=1, k=1, n=1, iters=1, seed=0, delta_every=1)
-
-
-def _is_finite_number(x):
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-
-
-def _finite_numbers(name, values):
-    """``values`` as a tuple of floats, or an InputError naming ``name``."""
-    iterable = hasattr(values, "__iter__") and not isinstance(values, str)
-    values = tuple(values) if iterable else values
-    if not iterable or not all(_is_finite_number(x) for x in values):
-        raise InputError(f"{name} must be a list of finite numbers, got {values!r}")
-    return tuple(float(x) for x in values)
 
 
 def worker_count():
@@ -70,16 +56,14 @@ def worker_count():
 @dataclass(frozen=True)
 class InitSpec:
     mode: str = "planted"
-    rho: float = 0.07
+    rho: float = RHO_MAX
     scale: float = 0.1
 
     def __post_init__(self):
         if self.mode not in INIT_MODES:
             raise InputError(f"init.mode must be one of {INIT_MODES}, got {self.mode!r}")
-        for name in ("rho", "scale"):
-            value = getattr(self, name)
-            if not _is_finite_number(value) or value <= 0:
-                raise InputError(f"init.{name} must be a positive finite number, got {value!r}")
+        number("init.rho", self.rho, 0, RHO_MAX if self.mode == "planted" else None, strict=True)
+        number("init.scale", self.scale, 0, strict=True)
 
 
 @dataclass(frozen=True)
@@ -106,23 +90,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name, low in INT_FIELDS.items():
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
-                raise InputError(f"{name} must be an integer >= {low}, got {value!r}")
-        if self.k > self.d:
-            raise InputError(f"k must be at most d={self.d}, got {self.k}")
-        if not _is_finite_number(self.sigma) or self.sigma < 0:
-            raise InputError(f"sigma must be a finite number >= 0, got {self.sigma!r}")
-        object.__setattr__(self, "ds", _finite_numbers("ds", self.ds))
-        if not isinstance(self.dt, str):
-            object.__setattr__(self, "dt", _finite_numbers("dt", self.dt))
-        elif self.dt != "zeros":
-            raise InputError(f"dt must be a list of numbers or 'zeros', got {self.dt!r}")
+            count(name, getattr(self, name), low, dict(k=self.d, seed=SEED_MAX).get(name))
+        number("sigma", self.sigma, 0)
+        ds, dt = _validate_spectrum(self.d, self.r, self.ds, self.dt)
+        object.__setattr__(self, "ds", ds)
+        object.__setattr__(self, "dt", dt)
         if not isinstance(self.track_delta, bool):
             raise InputError(f"track_delta must be true or false, got {self.track_delta!r}")
         if not (self.output is None or isinstance(self.output, (str, os.PathLike))):
             raise InputError(f"output must be a path or null, got {self.output!r}")
-        _validate_spectrum(self.d, self.r, self.ds, self.dt)
         for name, allowed in (("gradient_mode", GRADIENT_MODES),
                               ("distribution", DISTRIBUTIONS), ("memory_mode", MEMORY_MODES)):
             if getattr(self, name) not in allowed:
@@ -131,11 +107,9 @@ class ExperimentConfig:
             raise InputError("planted initialization requires k >= r")
         if self.init.mode == "spectral" and self.gradient_mode == "population":
             raise InputError("spectral initialization needs a sensing set (sample mode)")
-        if not (self.eta == "theory" or (_is_finite_number(self.eta) and self.eta > 0)):
-            raise InputError(f"eta must be a positive finite number or 'theory', got {self.eta!r}")
-        if self.gradient_mode == "sample":  # no sensing matrix is stored
-            check_memory(sensing_bytes(self.d, self.n),
-                         f"a sample-mode run at d={self.d}, n={self.n}")
+        if self.eta != "theory":
+            number("eta", self.eta, 0, strict=True)
+        check_build_memory(self.d, self.n if self.gradient_mode == "sample" else None)
 
     @property
     def sigma1(self):
@@ -232,9 +206,7 @@ def run_experiment(config, write_output=True, measure_from=0):
     the guard, and every later row is measured: the run aborts at the same
     row as the full run would.
     """
-    if not (isinstance(measure_from, numbers.Integral) and 0 <= measure_from <= config.iters):
-        raise InputError(f"measure_from must be an integer in [0, {config.iters}], "
-                         f"got {measure_from!r}")
+    count("measure_from", measure_from, 0, config.iters)
     if write_output and config.output:
         check_output_path(config.output)
     gt = generate_ground_truth(config.d, config.r, config.ds, config.dt, config.seed)
@@ -437,8 +409,8 @@ def detect_phases(traj, eta=None):
     if np.any(np.diff(t) <= 0):
         raise InputError("t must be strictly increasing")
     noisy = bool(np.any(a_vals < d_vals))
-    if eta is not None and not (_is_finite_number(eta) and eta > 0):
-        raise InputError(f"eta must be a positive finite number, got {eta!r}")
+    if eta is not None:
+        number("eta", eta, 0, strict=True)
 
     # Head fit.
     head_window = head_slope = head_r2 = None

@@ -20,7 +20,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, count, number
 from .linalg import orthonormalize
 from .rng import stream
 
@@ -54,26 +54,34 @@ class GroundTruth:
     kappa: float
 
 
+def _finite_numbers(name, values):
+    """``values`` as a tuple of floats, or an InputError naming ``name``."""
+    if not hasattr(values, "__iter__") or isinstance(values, str):
+        raise InputError(f"{name} must be a list of finite numbers, got {values!r}")
+    return tuple(float(number(f"{name} entry {i}", x)) for i, x in enumerate(values))
+
+
 def _validate_spectrum(d, r, ds, dt):
-    if not 1 <= r <= d:
-        raise InputError(f"need 1 <= r <= d, got r={r}, d={d}")
-    ds = np.asarray(ds, dtype=float)
-    if ds.shape != (r,):
-        raise InputError(f"ds must have length r={r}, got {ds.shape}")
-    if np.any(ds <= 0) or np.any(np.diff(ds) > 0):
+    """``ds`` and ``dt`` as tuples of floats ("zeros" stays a string), or an InputError."""
+    count("d", d, 1)
+    count("r", r, 1, d)
+    ds = _finite_numbers("ds", ds)
+    if len(ds) != r:
+        raise InputError(f"ds must have length r={r}, got {len(ds)}")
+    if min(ds) <= 0 or np.any(np.diff(ds) > 0):
         raise InputError("ds must be positive and descending")
     if isinstance(dt, str):  # "zeros" stays a string: nothing is allocated here
         if dt != "zeros":
             raise InputError(f"dt shorthand must be 'zeros', got {dt!r}")
         return ds, dt
-    dt = np.asarray(dt, dtype=float)
-    if dt.shape != (d - r,):
-        raise InputError(f"dt must have length d-r={d - r}, got {dt.shape}")
+    dt = _finite_numbers("dt", dt)
+    if len(dt) != d - r:
+        raise InputError(f"dt must have length d-r={d - r}, got {len(dt)}")
     if np.any(np.diff(np.abs(dt)) > 0):
         raise InputError("dt must be descending in absolute value")
-    if dt.size and np.max(np.abs(dt)) >= ds[-1]:
+    if dt and max(map(abs, dt)) >= ds[-1]:
         raise InputError(
-            f"spectrum gap violated: max|dt|={np.max(np.abs(dt))} >= ds[r-1]={ds[-1]}"
+            f"spectrum gap violated: max|dt|={max(map(abs, dt))} >= ds[r-1]={ds[-1]}"
         )
     return ds, dt
 
@@ -85,9 +93,9 @@ def generate_ground_truth(d, r, ds, dt, seed):
     splitting the first r / last d-r columns; identical arguments give a
     bitwise-identical result.
     """
-    check_memory(8 * d * d, f"the d={d} ground truth")
     ds, dt = _validate_spectrum(d, r, ds, dt)
-    dt = np.zeros(d - r) if isinstance(dt, str) else dt
+    check_build_memory(d)
+    dt = np.zeros(d - r) if isinstance(dt, str) else np.array(dt)
     rng = stream(seed, "basis")
     basis = orthonormalize(rng.standard_normal((d, d)))
     U, V = basis[:, :r], basis[:, r:]
@@ -98,7 +106,7 @@ def generate_ground_truth(d, r, ds, dt, seed):
         r=r,
         U=U,
         V=V,
-        ds=ds,
+        ds=np.array(ds),
         dt=dt,
         Xstar=Xstar,
         sigma1=float(ds[0]),
@@ -122,6 +130,13 @@ def check_memory(nbytes, what):
             f"{what} needs {nbytes / 1e9:.2f} GB, more than half of physical memory "
             f"({budget / 1e9:.2f} GB)"
         )
+
+
+def check_build_memory(d, n=None):
+    """The memory checks of generate_ground_truth and, given ``n``, of generate_sensing."""
+    check_memory(8 * d * d, f"the d={d} ground truth")
+    if n is not None:
+        check_memory(sensing_bytes(d, n), f"the d={d}, n={n} sensing build")
 
 
 @functools.lru_cache(maxsize=None)
@@ -169,12 +184,13 @@ def block_bytes(d, n, sliced=False):
 
 
 def sensing_bytes(d, n):
-    """Bytes generate_sensing allocates for a d x d, n-sample build beyond the 16 n bytes of
-    observations and noise: the p x p operator and the p-vector b, one Gram tile of at most
-    _TILE x _TILE, the gathered (block, p) upper triangles and the sliced draws' block_bytes.
-    Nothing in it grows with n past one block of BLOCK matrices."""
+    """Bytes generate_sensing allocates for a d x d, n-sample build: the n observations and
+    their noise, the p x p operator and the p-vector b, one Gram tile of at most _TILE x _TILE,
+    the gathered (block, p) upper triangles and the sliced draws' block_bytes.  Only the
+    observations and noise grow with n past one block of BLOCK matrices."""
     p = d * (d + 1) // 2
-    return 8 * (p * p + p + min(p, _TILE) ** 2 + min(n, BLOCK) * p) + block_bytes(d, n, True)
+    return (8 * (2 * n + p * p + p + min(p, _TILE) ** 2 + min(n, BLOCK) * p)
+            + block_bytes(d, n, True))
 
 
 def _fill(rng, out, distribution):
@@ -307,17 +323,14 @@ def generate_sensing(gt, n, sigma, distribution="gaussian", seed=0):
     return and fault in its pages on every block.  sensing_bytes(d, n)
     counts what the build allocates.
     """
-    if n < 1:
-        raise InputError(f"need n >= 1, got {n}")
-    if sigma < 0:
-        raise InputError(f"need sigma >= 0, got {sigma}")
+    count("n", n, 1)
+    number("sigma", sigma, 0)
     if distribution not in DISTRIBUTIONS:
         raise InputError(f"distribution must be one of {DISTRIBUTIONS}")
-    check_memory(16 * n, f"the n={n} observations")
     d = gt.d
+    check_build_memory(d, n)
     upper, _ = _svec_indices(d)
     p = upper.size
-    check_memory(sensing_bytes(d, n), f"the d={d} sensing operator")
     y, eps = np.empty(n), np.empty(n)
     h, b = np.zeros((p, p)), np.zeros(p)
     tiles = _tiles(p)

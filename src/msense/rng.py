@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, count
+
+SEED_MAX = 2**64 - 1  # seeds are 64-bit unsigned integers
 
 # Stable purpose -> integer table. Never reorder or reuse ids; append only.
 _PURPOSES = {
@@ -36,9 +38,8 @@ def stream(seed, purpose, index=0):
         pid = _PURPOSES[purpose]
     except KeyError:
         raise InputError(f"unknown rng purpose {purpose!r}") from None
-    if not 0 <= int(seed) < 2**64:
-        raise InputError("seed must be a 64-bit unsigned integer")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(pid, int(index)))
+    seed = int(count("seed", seed, 0, SEED_MAX))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(pid, int(index)))
     return np.random.Generator(np.random.Philox(ss))
 
 

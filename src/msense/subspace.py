@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, count, number
 from .gradient import _check_factor, op_MU, op_MV, theory_step_size
 from .linalg import spectral_norm, spectral_norms
 from .rng import stream
@@ -24,6 +24,7 @@ from .rng import stream
 FLOOR_MULTIPLIER = 50.0
 DELTA_HYP_D_FACTOR = 10.0
 DELTA_HYP_SIGMA_FACTOR = 4.0
+RHO_MAX = 0.07  # the largest basin radius, in units of sigma_r, of a planted start
 
 
 @dataclass(frozen=True)
@@ -135,12 +136,10 @@ def planted_init(gt, k, rho, seed):
 
     Starts from the exact padded factor, adds a seeded Gaussian perturbation,
     and rescales it so |F0 F0^T - X*|_2 = 0.7 rho sigma_r u with
-    u ~ Uniform(0.5, 1].
+    u ~ Uniform(0.5, 1], for k >= r and 0 < rho <= RHO_MAX.
     """
-    if k < gt.r:
-        raise InputError(f"planted initialization needs k >= r, got k={k} < r={gt.r}")
-    if not 0 < rho <= 0.07:
-        raise InputError(f"need 0 < rho <= 0.07, got {rho}")
+    count("k", k, gt.r)
+    number("rho", rho, 0, RHO_MAX, strict=True)
     rng = stream(seed, "init")
     base = exact_factor(gt, k)
     pert = rng.standard_normal((gt.d, k))
@@ -182,8 +181,7 @@ def spectral_init(s, k):
     symmetric by construction; F0 keeps the top-k eigenpairs by
     algebraic value with negative eigenvalues clipped to zero.
     """
-    if not 1 <= k <= s.d:
-        raise InputError(f"need 1 <= k <= d, got k={k}, d={s.d}")
+    count("k", k, 1, s.d)
     w, v = np.linalg.eigh(s.model.bbar)
     idx = np.argsort(-w, kind="stable")[:k]
     lam = np.clip(w[idx], 0.0, None)
@@ -192,8 +190,7 @@ def spectral_init(s, k):
 
 def random_init(d, k, scale, seed):
     """F0 with i.i.d. Normal(0, scale^2) entries (initialization near the origin)."""
-    if scale <= 0:
-        raise InputError(f"scale must be positive, got {scale}")
+    number("scale", scale, 0, strict=True)
     rng = stream(seed, "init")
     return scale * rng.standard_normal((d, k))
 
@@ -211,8 +208,7 @@ class InitReport:
 
 def check_initialization(f0, gt, rho):
     """Pure measurement of an initialization against the basin conditions."""
-    if rho <= 0:
-        raise InputError(f"rho must be positive, got {rho}")
+    number("rho", rho, 0, strict=True)
     m = batch_metrics(0, [f0], gt, DerivedScales(0.0, 0.0), [0.0], [None])[0]
     lhs, ss0, tt0, st0 = m.err_spec, m.ss_err, m.tt_err, m.st_norm
     bound = rho * gt.sigma_r
@@ -242,8 +238,7 @@ def _region_norms(s, t, gt):
 def region_sample(gt, k, seed):
     """Draw (S, T) near the exact factor with all three region norms below
     REGION_BOUND * sigma_r (rejection sampling)."""
-    if k < gt.r:
-        raise InputError("contraction verification region requires k >= r")
+    count("k", k, gt.r)
     rng = stream(seed, "region")
     base = decompose(exact_factor(gt, k), gt)
     limit = REGION_BOUND * gt.sigma_r
@@ -294,8 +289,7 @@ def verify_population_contraction(s, t, gt, eta):
             "verification hypotheses unmet: region norms "
             f"({ss:.4g}, {tt_err:.4g}, {st:.4g}) exceed {limit:.4g}"
         )
-    if eta > theory_step_size(gt.sigma1) * (1 + 1e-12):
-        raise InputError("verification hypotheses unmet: eta exceeds 1/(100 sigma_1)")
+    number("eta", eta, 0, theory_step_size(gt.sigma1) * (1 + 1e-12))  # at most 1/(100 sigma_1)
 
     sr = gt.sigma_r
     tt = spectral_norm(t @ t.T)

@@ -1,5 +1,6 @@
-"""Fuzz the argv and file boundary of `msense conc`, `msense phases` and
-`msense sweep`: whatever the flags, the trajectory file and the config hold,
+"""Fuzz the argv and file boundary of `msense conc`, `msense phases`,
+`msense sweep` and `msense verify pop|init`: whatever the flags, the
+trajectory file and the config hold,
 the command exits 0, 1 or 2, prints no traceback and no warning, prints
 exactly one `error:` line when it exits 1, and prints strict JSON when it
 exits 0 with a JSON report."""
@@ -287,3 +288,54 @@ def test_sweep_never_tracebacks_on_hostile_configs_and_argv(case, tmp_path, caps
     rc, out, _ = run_main(argv, capsys)
     if rc == 0:
         assert "plateau err_fro=" in out and "log-log slope" in out, (argv, out)
+
+
+# Each verify trial takes a few milliseconds, so a count past 4, or the
+# default of 100 or 200, becomes 2: a long battery is valid input.
+VERIFY_FLAGS = {
+    "--trials": (st.integers(1, 4).map(str), HOSTILE_INTS),
+    "--seed": (st.integers(0, 2**64 - 1).map(str), HOSTILE_INTS),
+}
+
+
+@st.composite
+def verify_argvs(draw, what):
+    argv = ["verify", draw(st.sampled_from([what] * 9 + ["bogus"]))]
+    for flag, (valid, hostile) in VERIFY_FLAGS.items():
+        choice = draw(st.sampled_from(["valid"] * 4 + ["missing", "hostile"]))
+        if choice != "missing":
+            argv += [flag, draw(valid if choice == "valid" else hostile)]
+    if "--trials" not in argv or (_int_or_none(argv[argv.index("--trials") + 1]) or 0) > 4:
+        argv += ["--trials", "2"]
+    extra = draw(st.sampled_from([[]] * 9 + [["--bogus"], ["--seed"], None]))
+    stray = st.text(max_size=4).filter(lambda a: not a.startswith(("-h", "--h")))  # not --help
+    argv += [draw(stray)] if extra is None else extra
+    return argv
+
+
+VERIFY_SUMMARY = {"pop": "samples with all 8 inequalities passing: ",
+                  "init": "basin assumption holds: "}
+
+
+def check_verify(argv, capsys):
+    rc, out, _ = run_main(argv, capsys)
+    if rc == 0:
+        assert out.startswith(VERIFY_SUMMARY[argv[1]]), (argv, out)
+
+
+@FUZZ
+@given(argv=verify_argvs("pop"))
+@example(argv=["verify", "pop", "--trials", "0"])
+@example(argv=["verify", "pop", "--trials", "2", "--seed", str(2**64)])
+@example(argv=["verify", "pop", "--trials", "2", "--seed", str(2**64 - 1)])
+def test_verify_pop_never_tracebacks_on_hostile_argv(argv, capsys):
+    check_verify(argv, capsys)
+
+
+@FUZZ
+@given(argv=verify_argvs("init"))
+@example(argv=["verify", "init", "--trials", "-1"])
+@example(argv=["verify", "init", "--trials", "2", "--seed", "-1"])
+@example(argv=["verify", "init", "--trials", "2", "--seed", str(2**64 - 1)])
+def test_verify_init_never_tracebacks_on_hostile_argv(argv, capsys):
+    check_verify(argv, capsys)

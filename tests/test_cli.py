@@ -84,7 +84,7 @@ def test_usage_errors_exit_1_with_one_line(capsys, argv):
 # first cell (d=10, or the d=2 cell that has r > d) runs.
 @pytest.mark.parametrize("overrides, values, needle", [
     (dict(d=10, dt=[0.0] * 7), "10,12", "dt must have length d-r=9"),
-    (dict(k=1, init={"mode": "random"}), "2,10", "need 1 <= r <= d"),
+    (dict(k=1, init={"mode": "random"}), "2,10", "r must be an integer in [1, 2], got 3"),
 ], ids=["dt_length", "r_above_d"])
 def test_d_sweep_spectrum_errors_exit_1_before_any_cell_runs(
         tmp_path, capsys, monkeypatch, overrides, values, needle):
@@ -97,7 +97,7 @@ def test_d_sweep_spectrum_errors_exit_1_before_any_cell_runs(
 
 # A planted start is built, and rejected, before the sensing operator.
 @pytest.mark.parametrize("overrides, needle", [
-    (dict(init={"rho": 0.5}), "need 0 < rho <= 0.07"),
+    (dict(init={"rho": 0.5}), "init.rho must be a finite number > 0 and <= 0.07"),
     (dict(dt=[0.5, 0.4] + [0.0] * 15), "rank/spectrum leaves no room"),
 ], ids=["rho_above_0.07", "no_room_for_the_start"])
 def test_planted_start_errors_exit_1_before_the_sensing_build(
@@ -123,6 +123,23 @@ def test_oversized_operator_exits_1_before_compute(tmp_path, capsys, monkeypatch
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "physical memory" in err and "Traceback" not in err
+
+
+# A config checks the bytes the library checks: the ground truth in both modes and, in
+# sample mode, the sensing build with its observations.  So a sweep's oversized last cell
+# fails before the first cell runs.
+@pytest.mark.parametrize("overrides, param, values", [
+    ({}, "n", "200,400,800,100000000000000"),
+    (dict(gradient_mode="population"), "d", "10,12,14,1000000"),
+], ids=["sample_n", "population_d"])
+def test_oversized_sweep_cell_exits_1_before_the_first_cell_runs(
+        tmp_path, capsys, monkeypatch, overrides, param, values):
+    monkeypatch.setattr(msense.harness, "run_experiment", no_compute)
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["sweep", "--config", str(cfg), "--param", param, "--values", values]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert "physical memory" in captured.err and captured.out == ""
 
 
 def test_run_missing_config_file_exits_1(tmp_path):
@@ -194,7 +211,7 @@ def test_verify_trials_below_one_exit_1_with_one_line(capsys):
         for trials in ("0", "-1"):
             assert main(["verify", what, "--trials", trials]) == 1
             captured = capsys.readouterr()
-            assert captured.err == f"error: --trials must be at least 1, got {trials}\n"
+            assert captured.err == f"error: --trials must be an integer >= 1, got {trials}\n"
             assert captured.out == ""
 
 
@@ -316,7 +333,7 @@ def test_conc_checks_every_kind_before_drawing_u(argv, capsys, monkeypatch):
     assert main(["conc", *argv.split()]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "must be at least 1" in err
+    assert "must be an integer >= 1" in err
 
 
 def test_conc_moment_never_reads_n(capsys):
@@ -557,10 +574,11 @@ def test_figures_command(tmp_path, monkeypatch):
 
 def test_figures_validates_the_seed_before_creating_out(tmp_path, capsys):
     out_dir = tmp_path / "figs"
-    assert main(["figures", "--out", str(out_dir), "--seed", "-1"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: seed ") and err.count("\n") == 1, err
-    assert not out_dir.exists()
+    for seed in ("-1", str(2**64)):  # a seed is a 64-bit unsigned integer
+        assert main(["figures", "--out", str(out_dir), "--seed", seed]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed ") and err.count("\n") == 1, err
+        assert not out_dir.exists()
 
 
 def test_console_entry_point_runs(tmp_path):

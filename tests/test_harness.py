@@ -79,6 +79,7 @@ def test_config_field_validation_names_field():
     ("sigma", float("nan")), ("sigma", "0.1"), ("ds", "abc"), ("ds", [1.0, float("inf"), 0.8]),
     ("dt", [0.1, "x"]), ("dt", "ones"), ("track_delta", "yes"), ("output", 5),
     ("k", 21), ("k", 100000000),
+    ("sigma", 10**400), ("ds", [10**400]),  # integers past the float range: not finite
 ])
 def test_config_rejects_malformed_values(field, bad):
     with pytest.raises(InputError, match=f"^{field} "):

@@ -166,8 +166,8 @@ def test_draw_blocks_matches_explicit_draws(n, distribution):
 
 def test_dense_sensing_set_allocated_once(gt20, monkeypatch):
     """No sensing matrix is stored in either memory mode: a run's sensing
-    set peaks at the build's buffers and the observations,
-    sensing_bytes(d, n) + 16 n bytes."""
+    set peaks at the build's buffers and the observations, sensing_bytes(d, n)
+    bytes."""
     generate = problem.generate_sensing
     peaks, sets = [], []
 
@@ -189,7 +189,7 @@ def test_dense_sensing_set_allocated_once(gt20, monkeypatch):
             s = sets[-1]
             assert s.n == n
             assert not any(isinstance(v, np.ndarray) and v.ndim == 3 for v in vars(s).values())
-            assert peaks[-1] <= problem.sensing_bytes(20, n) + 16 * n
+            assert peaks[-1] <= problem.sensing_bytes(20, n)
     assert len(peaks) == 4
 
 
@@ -312,8 +312,8 @@ def test_tiled_operator_matches_full_gram(d, distribution):
 
 def test_build_holds_one_operator_and_one_block():
     """At d=50 (p = 1275, three tiles) the build peaks within
-    sensing_bytes(d, n) + 16 n: one p x p operator, not an operator and a
-    p x p Gram buffer next to it."""
+    sensing_bytes(d, n): one p x p operator, not an operator and a p x p Gram
+    buffer next to it."""
     d, n = 50, 2 * problem.BLOCK
     p = d * (d + 1) // 2
     gt = generate_ground_truth(d, 2, [1.0, 0.5], "zeros", seed=51)
@@ -324,7 +324,7 @@ def test_build_holds_one_operator_and_one_block():
     finally:
         tracemalloc.stop()
     assert s.model.h.nbytes == 8 * p**2
-    assert peak <= problem.sensing_bytes(d, n) + 16 * n
+    assert peak <= problem.sensing_bytes(d, n)
     blocks = 8 * problem.BLOCK * (d * d + p)  # room for a mirrored and a gathered block
     assert peak < 2 * 8 * p**2 + blocks
 
@@ -426,17 +426,18 @@ def test_build_peak_is_within_sensing_bytes_at_slicing_shapes(d, n, distribution
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= problem.sensing_bytes(d, n) + 16 * n
+    assert peak <= problem.sensing_bytes(d, n)
 
 
 def test_sensing_bytes_hold_no_block_of_mirrored_matrices():
-    """At d=50, n=2000 the build's bytes are the operator, one tile, the
-    gathered block and three draw slices: at least 9 MB below the formula
-    that held a 512 x d^2 block of mirrored matrices next to two 52-matrix
-    slices."""
+    """At d=50, n=2000 the build's bytes are the observations, the operator,
+    one tile, the gathered block and three draw slices: at least 9 MB below
+    the formula that held a 512 x d^2 block of mirrored matrices next to two
+    52-matrix slices."""
     d, n = 50, 2000
     p = d * (d + 1) // 2
-    mirrored_block = 8 * (p * p + 512**2 + 512 * p + (512 + 2 * 52 + 1) * d * d + np.getbufsize())
+    mirrored_block = 8 * (2 * n + p * p + 512**2 + 512 * p + (512 + 2 * 52 + 1) * d * d
+                          + np.getbufsize())
     assert problem.sensing_bytes(d, n) <= mirrored_block - 9e6
 
 
@@ -451,7 +452,7 @@ def test_operator_memory_checked_before_build(gt20, monkeypatch):
 
     monkeypatch.setattr(problem, "draw_blocks", counting)
     monkeypatch.setattr(problem, "_memory_budget", lambda: build - 1)
-    with pytest.raises(InputError, match="sensing operator needs"):
+    with pytest.raises(InputError, match="sensing build needs"):
         generate_sensing(gt20, n=10, sigma=0.0, seed=3)
     assert calls == []
     monkeypatch.setattr(problem, "_memory_budget", lambda: build)
@@ -460,18 +461,24 @@ def test_operator_memory_checked_before_build(gt20, monkeypatch):
 
 def test_config_memory_check_counts_the_operator_in_both_modes(monkeypatch):
     base = dict(d=20, r=3, k=4, n=problem.BLOCK, iters=5, seed=1)
-    build = problem.sensing_bytes(20, problem.BLOCK)  # no term grows past one block
-    assert problem.sensing_bytes(20, 10**9) == build
+    build = problem.sensing_bytes(20, problem.BLOCK)
+    # Past one block only the observations and their noise grow, by 16 bytes a sample.
+    assert problem.sensing_bytes(20, 10**9) == build + 16 * (10**9 - problem.BLOCK)
     monkeypatch.setattr(problem, "_memory_budget", lambda: build)
     for memory_mode in problem.MEMORY_MODES:  # no mode stores the matrices
         ExperimentConfig(**base, memory_mode=memory_mode)
-        ExperimentConfig(**dict(base, n=10**9), memory_mode=memory_mode)
+        with pytest.raises(InputError, match="sensing build needs"):
+            ExperimentConfig(**dict(base, n=10**9), memory_mode=memory_mode)
     monkeypatch.setattr(problem, "_memory_budget", lambda: build - 1)
     for memory_mode in problem.MEMORY_MODES:
         with pytest.raises(InputError, match="more than half of physical memory"):
             ExperimentConfig(**base, memory_mode=memory_mode)
-    monkeypatch.setattr(problem, "_memory_budget", lambda: 0)
+    # A population run allocates the 8 d^2-byte ground truth, and no sensing set.
+    monkeypatch.setattr(problem, "_memory_budget", lambda: 8 * 20 * 20)
     ExperimentConfig(**base, gradient_mode="population")
+    monkeypatch.setattr(problem, "_memory_budget", lambda: 8 * 20 * 20 - 1)
+    with pytest.raises(InputError, match="ground truth needs"):
+        ExperimentConfig(**base, gradient_mode="population")
 
 
 def test_d100_regenerate_run_fits_a_2gb_budget(monkeypatch):
@@ -485,7 +492,7 @@ def test_d100_regenerate_run_fits_a_2gb_budget(monkeypatch):
 def test_ground_truth_and_observations_checked_before_allocation(gt20):
     with pytest.raises(InputError, match="ground truth needs"):
         generate_ground_truth(10**12, 1, [1.0], "zeros", seed=1)
-    with pytest.raises(InputError, match="observations needs"):
+    with pytest.raises(InputError, match="sensing build needs"):  # 16 bytes a sample
         generate_sensing(gt20, n=10**15, sigma=0.0, seed=1)
 
 
