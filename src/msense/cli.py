@@ -13,11 +13,11 @@ import math
 import sys
 
 from . import concentration as conc
-from .csvio import check_output_path, read_trajectory_csv, write_trajectory_csv
+from .csvio import check_output_path, read_trajectory_csv, write_mc_csv, write_trajectory_csv
 from .errors import DivergenceError, InputError, NumericError, count
 from .figures import reproduce_figures
 from .gradient import theory_step_size
-from .harness import ExperimentConfig, detect_phases, run_experiment, sweep
+from .harness import SWEEP_PARAMS, ExperimentConfig, detect_phases, run_experiment, sweep
 from .problem import generate_ground_truth
 from .rng import stream
 from .subspace import (
@@ -95,37 +95,25 @@ def _verify_trials(args):
 def _cmd_verify_pop(args):
     gt, seeds = _verify_trials(args)
     eta = theory_step_size(gt.sigma1)
-    counts = {}
-    worst = {}
-    all_pass = 0
-    for seed in seeds:
-        s, t = region_sample(gt, DEFAULT_SPECTRUM["k"], seed)
-        report = verify_population_contraction(s, t, gt, eta)
-        all_pass += report.all_passed
-        for chk in report.checks:
-            counts[chk.name] = counts.get(chk.name, 0) + (1 if chk.passed else 0)
-            gap = chk.lhs - chk.rhs
-            if chk.name not in worst or gap > worst[chk.name]:
-                worst[chk.name] = gap
-    print(f"samples with all 8 inequalities passing: {all_pass}/{args.trials}")
-    for name in counts:
+    reports = [verify_population_contraction(*region_sample(gt, DEFAULT_SPECTRUM["k"], seed),
+                                             gt, eta) for seed in seeds]
+    passed = sum(report.all_passed for report in reports)
+    print(f"samples with all 8 inequalities passing: {passed}/{args.trials}")
+    for checks in zip(*(report.checks for report in reports)):  # one inequality over all samples
+        worst = max(chk.lhs - chk.rhs for chk in checks)
         print(
-            f"  {name}: {counts[name]}/{args.trials} pass, "
-            f"worst lhs-rhs = {worst[name]:.3e} (units of sigma_r: {worst[name] / gt.sigma_r:.3e})"
+            f"  {checks[0].name}: {sum(chk.passed for chk in checks)}/{args.trials} pass, "
+            f"worst lhs-rhs = {worst:.3e} (units of sigma_r: {worst / gt.sigma_r:.3e})"
         )
     return 0
 
 
 def _cmd_verify_init(args):
     gt, seeds = _verify_trials(args)
-    ok_assumption = ok_lemma = 0
-    for seed in seeds:
-        f0 = planted_init(gt, DEFAULT_SPECTRUM["k"], RHO_MAX, seed)
-        report = check_initialization(f0, gt, RHO_MAX)
-        ok_assumption += report.assumption_ok
-        ok_lemma += report.lemma_ok
-    print(f"basin assumption holds: {ok_assumption}/{args.trials}")
-    print(f"decomposed-norm implication holds: {ok_lemma}/{args.trials}")
+    reports = [check_initialization(planted_init(gt, DEFAULT_SPECTRUM["k"], RHO_MAX, seed), gt,
+                                    RHO_MAX) for seed in seeds]
+    print(f"basin assumption holds: {sum(r.assumption_ok for r in reports)}/{args.trials}")
+    print(f"decomposed-norm implication holds: {sum(r.lemma_ok for r in reports)}/{args.trials}")
     return 0
 
 
@@ -148,7 +136,7 @@ def _cmd_conc(args):
     if args.kind == "asq":
         print(f"max |estimate - d I| entry: {abs(report.estimate - report.reference).max():.4f}")
     if args.out:
-        conc.write_mc_csv(report, args.out)
+        write_mc_csv(report, args.out)
         print(f"wrote {args.out}")
     return 0
 
@@ -195,7 +183,7 @@ def build_parser():
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter over a grid")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--param", required=True, choices=("n", "k", "sigma", "d"))
+    p_sweep.add_argument("--param", required=True, choices=SWEEP_PARAMS)
     p_sweep.add_argument("--values", required=True, help="comma-separated grid values")
     p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -212,7 +200,7 @@ def build_parser():
     p_init.set_defaults(func=_cmd_verify_init)
 
     p_conc = sub.add_parser("conc", help="Monte Carlo concentration checks")
-    p_conc.add_argument("kind", choices=("noise", "deviation", "moment", "asq"))
+    p_conc.add_argument("kind", choices=conc.KINDS)
     p_conc.add_argument("--d", type=int, default=20)
     p_conc.add_argument("--n", type=int, default=1000)
     p_conc.add_argument("--trials", type=int, default=50)

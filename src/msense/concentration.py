@@ -14,23 +14,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, count, number
+from .errors import InputError, _shown, choice, count, number
 from .linalg import as_symmetric, spectral_norm
-from .problem import BLOCK, _svec_indices, block_bytes, check_memory, draw_blocks
+from .problem import (BLOCK, DISTRIBUTIONS, _svec_indices, block_bytes, check_memory,
+                      draw_blocks)
+
+KINDS = ("noise", "deviation", "moment", "asq")  # the Monte Carlo runs, one per mc_* function
+
 
 def check_mc_memory(kind, d, n, trials):
-    """Reject, before any allocation, a Monte Carlo run of ``kind`` (noise, deviation, moment or
-    asq) with a size below 1, or whose draws, four d x d accumulators, two per-matrix vectors and
-    either one value per trial (noise, deviation: n draws a trial) or one block-sized temporary
-    (moment, asq: one draw a trial, and ``n`` is not read) exceed the budget."""
-    moment = kind in ("moment", "asq")
+    """Reject, before any allocation, a Monte Carlo run of an unknown ``kind`` or with a size
+    below 1, or whose draws, four d x d accumulators, two per-matrix vectors and either one
+    value per trial (noise, deviation: n draws a trial) or one block-sized temporary (moment,
+    asq: one draw a trial, and ``n`` is not read) exceed the budget."""
+    moment = choice("kind", kind, KINDS) in ("moment", "asq")
     sizes = dict(d=d, trials=trials) if moment else dict(d=d, n=n, trials=trials)
     for name, size in sizes.items():
         count(name, size, 1)
     rows, temporaries, values = (trials, 1, 0) if moment else (n, 0, trials)
     m = min(rows, BLOCK)
     nbytes = 8 * (d * d * (4 + temporaries * m) + 2 * m + values) + block_bytes(d, rows)
-    check_memory(nbytes, f"the d={d} Monte Carlo draws")
+    check_memory(nbytes, f"the d={_shown(d)} Monte Carlo draws")
 
 
 def _mean_stderr(acc, acc_sq, count):
@@ -97,18 +101,12 @@ class MCReport:
         }
 
 
-def write_mc_csv(report, path):
-    with open(path, "w", newline="") as fh:
-        fh.write("trial,value\n")
-        for i, v in enumerate(report.values):
-            fh.write(f"{i},{float(v)!r}\n")
-
-
 def mc_noise_term(d, sigma, n, trials, seed, distribution="gaussian"):
     """Distribution of |(1/n) sum_i eps_i A_i|_2 against sqrt(d sigma^2 / n).
 
     eps_i ~ Normal(0, sigma^2); each trial draws a fresh (A, eps) batch.
     """
+    choice("distribution", distribution, DISTRIBUTIONS)
     check_mc_memory("noise", d, n, trials)
     number("sigma", sigma, 0, 1e150)  # up to 1e150, d sigma^2 and the noise sums stay finite
     upper, pos = _svec_indices(d)
@@ -142,6 +140,7 @@ def mc_sensing_deviation(u, n, trials, seed, distribution="gaussian"):
     """Distribution of |(1/n) sum_i (<A_i, U> A_i - U)|_2 against
     sqrt(d log d / n) |U|_F, plus the raw per-entry mean of <A, U> A for
     unbiasedness checks."""
+    choice("distribution", distribution, DISTRIBUTIONS)
     u = as_symmetric(u)
     if not np.any(u):
         raise InputError("U must be nonzero")
@@ -228,6 +227,7 @@ class MomentComparison:
 def mc_second_moment(u, trials, seed, distribution="gaussian"):
     """Monte Carlo estimate of E[(<A,U>A - U)^2] next to the stated closed
     form and, for the Gaussian ensemble, the exact moments."""
+    choice("distribution", distribution, DISTRIBUTIONS)
     u = as_symmetric(u)
 
     def centered_square(a):
@@ -250,6 +250,7 @@ def mc_second_moment(u, trials, seed, distribution="gaussian"):
 
 def mc_A_squared(d, trials, seed, distribution="gaussian"):
     """Monte Carlo estimate of E[A^2] against d I."""
+    choice("distribution", distribution, DISTRIBUTIONS)
     est, stderr = _mc_matrix_moment(
         lambda a: np.einsum("nij,njk->nik", a, a), "asq", d, trials, seed, distribution
     )

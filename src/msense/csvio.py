@@ -23,16 +23,15 @@ SWEEP_HEADER = "param,value,cell_seed,plateau_err_fro,plateau_err_fro_sq,D_final
 
 
 def _f(x):
-    return repr(float(x))
+    """A float cell: its repr, or an empty cell for None."""
+    return "" if x is None else repr(float(x))
 
 
 def trajectory_rows(traj, timing=False):
     yield TRAJECTORY_HEADER
     elapsed = traj.elapsed_ms if timing else [None] * len(traj.metrics)
     for m, ms in zip(traj.metrics, elapsed):
-        delta = "" if m.delta_norm is None else _f(m.delta_norm)
-        clock = "" if ms is None else _f(ms)
-        yield ",".join([str(m.t), *map(_f, m[1:10]), delta, clock])
+        yield ",".join([str(m.t), *map(_f, m[1:]), _f(ms)])
 
 
 def check_output_path(path):
@@ -76,14 +75,16 @@ def write_sweep_csv(result, path):
     with open(path, "w", newline="") as fh:
         fh.write(SWEEP_HEADER + "\n")
         for row in result.rows:
-            plateau = "" if row.plateau_err_fro is None else _f(row.plateau_err_fro)
-            plateau_sq = "" if row.plateau_err_fro_sq is None else _f(row.plateau_err_fro_sq)
-            d_final = "" if row.D_final is None else _f(row.D_final)
             value = repr(row.value) if isinstance(row.value, float) else str(row.value)
-            fh.write(
-                f"{row.param},{value},{row.cell_seed},{plateau},{plateau_sq},"
-                f"{d_final},{row.status}\n"
-            )
+            fh.write(f"{row.param},{value},{row.cell_seed},{_f(row.plateau_err_fro)},"
+                     f"{_f(row.plateau_err_fro_sq)},{_f(row.D_final)},{row.status}\n")
+
+
+def write_mc_csv(report, path):
+    with open(path, "w", newline="") as fh:
+        fh.write("trial,value\n")
+        for i, v in enumerate(report.values):
+            fh.write(f"{i},{_f(v)}\n")
 
 
 def metrics_column(metrics, name):

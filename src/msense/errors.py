@@ -1,4 +1,4 @@
-"""Exception types and the two input rules shared across the package.
+"""Exception types and the three input rules shared across the package.
 
 The CLI maps InputError to exit code 1 and NumericError to exit code 2.
 """
@@ -13,12 +13,20 @@ class InputError(ValueError):
     """Rejected input: bad shapes, invalid parameters, malformed config."""
 
 
+def _shown(value):
+    """``repr(value)``, or a description of an integer too long to print (past 4300 digits)."""
+    try:
+        return repr(value)
+    except ValueError:  # an int, or a container holding one
+        return f"<{type(value).__name__} too long to print>"
+
+
 def count(name, value, low, high=None):
     """``value`` if it is an integer (not a bool) in [low, high]; else an InputError naming it."""
     if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and low <= value
             and (high is None or value <= high)):
         rule = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise InputError(f"{name} must be an integer {rule}, got {value!r}")
+        raise InputError(f"{name} must be an integer {rule}, got {_shown(value)}")
     return value
 
 
@@ -31,7 +39,15 @@ def number(name, value, low=None, high=None, strict=False):
             and (high is None or value <= high)):
         rule = " and ".join(f"{op} {bound}" for op, bound in ((">" if strict else ">=", low),
                                                               ("<=", high)) if bound is not None)
-        raise InputError(f"{name} must be a finite number {rule}".rstrip() + f", got {value!r}")
+        raise InputError(f"{name} must be a finite number {rule}".rstrip() + ", got "
+                         + _shown(value))
+    return value
+
+
+def choice(name, value, allowed):
+    """``value`` if it is a str in ``allowed``; else an InputError naming it."""
+    if not (isinstance(value, str) and value in allowed):
+        raise InputError(f"{name} must be one of {list(allowed)}, got {_shown(value)}")
     return value
 
 

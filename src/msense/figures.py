@@ -58,7 +58,7 @@ def reproduce_figures(out_dir, seed=2020):
     configs = {name: _figure_config(FIGURES[name], seed) for name in names}  # validates seed
     try:
         os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise InputError(f"cannot create output directory {out_dir}: {exc}") from exc
     if not os.access(out_dir, os.W_OK):
         raise InputError(f"output directory {out_dir} is not writable")

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .csvio import check_output_path, metrics_column, write_sweep_csv, write_trajectory_csv
-from .errors import DivergenceError, InputError, count, number
+from .errors import DivergenceError, InputError, choice, count, number
 from .gradient import population_gradient, theory_step_size
 from .linalg import spectral_norms
 from .problem import (DISTRIBUTIONS, MEMORY_MODES, _validate_spectrum, check_build_memory,
@@ -60,8 +60,7 @@ class InitSpec:
     scale: float = 0.1
 
     def __post_init__(self):
-        if self.mode not in INIT_MODES:
-            raise InputError(f"init.mode must be one of {INIT_MODES}, got {self.mode!r}")
+        choice("init.mode", self.mode, INIT_MODES)
         number("init.rho", self.rho, 0, RHO_MAX if self.mode == "planted" else None, strict=True)
         number("init.scale", self.scale, 0, strict=True)
 
@@ -101,8 +100,7 @@ class ExperimentConfig:
             raise InputError(f"output must be a path or null, got {self.output!r}")
         for name, allowed in (("gradient_mode", GRADIENT_MODES),
                               ("distribution", DISTRIBUTIONS), ("memory_mode", MEMORY_MODES)):
-            if getattr(self, name) not in allowed:
-                raise InputError(f"{name} must be one of {allowed}")
+            choice(name, getattr(self, name), allowed)
         if self.init.mode == "planted" and self.k < self.r:
             raise InputError("planted initialization requires k >= r")
         if self.init.mode == "spectral" and self.gradient_mode == "population":
@@ -306,9 +304,7 @@ class SweepResult:
 
 def _cell_config(base, param, value):
     """The cell's config; its value goes through the same validation as a config file."""
-    if param not in SWEEP_PARAMS:
-        raise InputError(f"sweep param must be one of {SWEEP_PARAMS}, got {param!r}")
-    return replace(base, **{param: value}, output=None)
+    return replace(base, **{choice("param", param, SWEEP_PARAMS): value}, output=None)
 
 
 def _run_cell(base, param, value):
@@ -348,13 +344,10 @@ def sweep(base_config, param, values, out=None):
 
     slope = intercept = None
     if param == "n" and base_config.sigma > 0:
-        ok = [(r.value, r.plateau_err_fro_sq) for r in rows if r.status == "ok"]
-        positive = [(v, p) for v, p in ok if p and p > 0]
-        if len(positive) >= 2:
-            lx = np.log([v for v, _ in positive])
-            ly = np.log([p for _, p in positive])
-            slope_, intercept_ = np.polyfit(lx, ly, 1)
-            slope, intercept = float(slope_), float(intercept_)
+        positive = [(r.value, r.plateau_err_fro_sq) for r in rows
+                    if r.status == "ok" and r.plateau_err_fro_sq > 0]
+        if len(positive) >= 2:  # a least-squares line through (log n, log plateau^2)
+            slope, intercept = map(float, np.polyfit(*np.log(positive).T, 1))
 
     result = SweepResult(
         param=param, values=tuple(values), rows=tuple(rows), slope=slope, intercept=intercept

@@ -20,7 +20,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from .errors import InputError, count, number
+from .errors import InputError, _shown, choice, count, number
 from .linalg import orthonormalize
 from .rng import stream
 
@@ -71,9 +71,7 @@ def _validate_spectrum(d, r, ds, dt):
     if min(ds) <= 0 or np.any(np.diff(ds) > 0):
         raise InputError("ds must be positive and descending")
     if isinstance(dt, str):  # "zeros" stays a string: nothing is allocated here
-        if dt != "zeros":
-            raise InputError(f"dt shorthand must be 'zeros', got {dt!r}")
-        return ds, dt
+        return ds, choice("dt", dt, ("zeros",))
     dt = _finite_numbers("dt", dt)
     if len(dt) != d - r:
         raise InputError(f"dt must have length d-r={d - r}, got {len(dt)}")
@@ -125,18 +123,19 @@ def check_memory(nbytes, what):
     """Reject ``what`` with an InputError, before it is allocated, when it
     needs more than half of physical memory."""
     budget = _memory_budget()
-    if nbytes > budget:
+    if nbytes > budget:  # a count near or past the float range is shown by its bit length
+        need = (f"{nbytes / 1e9:.2f} GB" if nbytes < 2**1000
+                else f"at least 2**{nbytes.bit_length() - 1} bytes")
         raise InputError(
-            f"{what} needs {nbytes / 1e9:.2f} GB, more than half of physical memory "
-            f"({budget / 1e9:.2f} GB)"
+            f"{what} needs {need}, more than half of physical memory ({budget / 1e9:.2f} GB)"
         )
 
 
 def check_build_memory(d, n=None):
     """The memory checks of generate_ground_truth and, given ``n``, of generate_sensing."""
-    check_memory(8 * d * d, f"the d={d} ground truth")
+    check_memory(8 * d * d, f"the d={_shown(d)} ground truth")
     if n is not None:
-        check_memory(sensing_bytes(d, n), f"the d={d}, n={n} sensing build")
+        check_memory(sensing_bytes(d, n), f"the d={d}, n={_shown(n)} sensing build")
 
 
 @functools.lru_cache(maxsize=None)
@@ -197,11 +196,9 @@ def _fill(rng, out, distribution):
     """Fill ``out`` with unit-variance draws from ``rng``, in stream order."""
     if distribution == "gaussian":
         rng.standard_normal(out=out)
-    elif distribution == "rademacher":
+    else:  # "rademacher": every entry point checks the choice before it allocates
         np.multiply(rng.integers(0, 2, size=out.shape), 2.0, out=out)
         out -= 1.0
-    else:
-        raise InputError(f"unknown distribution {distribution!r}")
 
 
 def _slices(rng, count, d, distribution, raw=False, out=None):
@@ -325,8 +322,7 @@ def generate_sensing(gt, n, sigma, distribution="gaussian", seed=0):
     """
     count("n", n, 1)
     number("sigma", sigma, 0)
-    if distribution not in DISTRIBUTIONS:
-        raise InputError(f"distribution must be one of {DISTRIBUTIONS}")
+    choice("distribution", distribution, DISTRIBUTIONS)
     d = gt.d
     check_build_memory(d, n)
     upper, _ = _svec_indices(d)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError, count
+from .errors import choice, count
 
 SEED_MAX = 2**64 - 1  # seeds are 64-bit unsigned integers
 
@@ -34,10 +34,7 @@ def stream(seed, purpose, index=0):
 
     Same arguments give a bitwise-identical stream on every platform.
     """
-    try:
-        pid = _PURPOSES[purpose]
-    except KeyError:
-        raise InputError(f"unknown rng purpose {purpose!r}") from None
+    pid = _PURPOSES[choice("purpose", purpose, _PURPOSES)]
     seed = int(count("seed", seed, 0, SEED_MAX))
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(pid, int(index)))
     return np.random.Generator(np.random.Philox(ss))

@@ -119,16 +119,17 @@ def batch_metrics(t0, fs, gt, scales, grad_norms, delta_norms):
     return list(map(IterateMetrics._make, rows))
 
 
+def _top_factor(vals, vecs, k):
+    """The eigenvectors of the k largest eigenvalues (stable order), each scaled by the square
+    root of its eigenvalue clipped at zero: the best rank-<=k PSD factor."""
+    order = np.argsort(-vals, kind="stable")[:k]
+    return vecs[:, order] * np.sqrt(np.clip(vals[order], 0.0, None))
+
+
 def exact_factor(gt, k):
     """Best rank-<=k PSD factor of X* built from its known eigen-split."""
-    vals = np.concatenate([gt.ds, gt.dt])
-    vecs = np.concatenate([gt.U, gt.V], axis=1)
-    order = np.argsort(-vals, kind="stable")[:k]
-    lam = np.clip(vals[order], 0.0, None)
-    f = vecs[:, order] * np.sqrt(lam)
-    if k > len(order):  # k > d never happens; keep shape
-        f = np.pad(f, ((0, 0), (0, k - len(order))))
-    return f
+    f = _top_factor(np.concatenate([gt.ds, gt.dt]), np.concatenate([gt.U, gt.V], axis=1), k)
+    return np.pad(f, ((0, 0), (0, k - f.shape[1])))  # zero columns past d when k > d
 
 
 def planted_init(gt, k, rho, seed):
@@ -182,10 +183,7 @@ def spectral_init(s, k):
     algebraic value with negative eigenvalues clipped to zero.
     """
     count("k", k, 1, s.d)
-    w, v = np.linalg.eigh(s.model.bbar)
-    idx = np.argsort(-w, kind="stable")[:k]
-    lam = np.clip(w[idx], 0.0, None)
-    return v[:, idx] * np.sqrt(lam)
+    return _top_factor(*np.linalg.eigh(s.model.bbar), k)
 
 
 def random_init(d, k, scale, seed):

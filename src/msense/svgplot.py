@@ -22,7 +22,7 @@ def _ticks_log(lo, hi):
     return [10.0**e for e in range(lo_e, hi_e + 1, step)]
 
 
-def write_line_chart(path, series, title="", xlabel="iteration", ylabel="value"):
+def write_line_chart(path, series, title="", ylabel="value"):
     """Write a log-y line chart.  ``series`` is a list of (label, xs, ys)."""
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
@@ -77,7 +77,7 @@ def write_line_chart(path, series, title="", xlabel="iteration", ylabel="value")
             f'<text x="{xpix:.1f}" y="{MARGIN_T + plot_h + 20}" text-anchor="middle">{int(xv)}</text>'
         )
     parts.append(
-        f'<text x="{MARGIN_L + plot_w / 2:.1f}" y="{HEIGHT - 10}" text-anchor="middle">{xlabel}</text>'
+        f'<text x="{MARGIN_L + plot_w / 2:.1f}" y="{HEIGHT - 10}" text-anchor="middle">iteration</text>'
     )
     parts.append(
         f'<text x="18" y="{MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '

@@ -1,18 +1,22 @@
 """Fuzz the argv and file boundary of `msense conc`, `msense phases`,
-`msense sweep` and `msense verify pop|init`: whatever the flags, the
-trajectory file and the config hold,
+`msense sweep`, `msense verify pop|init` and `msense figures`: whatever the
+flags, the trajectory file and the config hold,
 the command exits 0, 1 or 2, prints no traceback and no warning, prints
 exactly one `error:` line when it exits 1, and prints strict JSON when it
 exits 0 with a JSON report."""
 
 import json
 import math
+import os
 import warnings
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import msense.figures
 from msense.cli import main
 from msense.csvio import TRAJECTORY_HEADER
+from msense.harness import Trajectory
+from msense.subspace import IterateMetrics
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -281,6 +285,8 @@ def sweep_cases(draw):
 @example(case=(["sweep", "--config", "c.json", "--param", "n", "--values", TOO_DEEP], SWEEP_CONFIG))
 @example(case=(["sweep", "--config", "c.json", "--param", "n", "--values", "8"], TOO_DEEP))
 @example(case=(["sweep", "--config", "c.json", "--param", "n", "--values", "8"], HUGE_N))
+@example(case=(["sweep", "--config", "c.json", "--param", "n", "--values", "5,1" + "0" * 3999],
+               SWEEP_CONFIG))  # the cell's byte count is past the float range
 def test_sweep_never_tracebacks_on_hostile_configs_and_argv(case, tmp_path, capsys):
     argv, content = case
     (tmp_path / "c.json").write_text(content)
@@ -339,3 +345,47 @@ def test_verify_pop_never_tracebacks_on_hostile_argv(argv, capsys):
 @example(argv=["verify", "init", "--trials", "2", "--seed", str(2**64 - 1)])
 def test_verify_init_never_tracebacks_on_hostile_argv(argv, capsys):
     check_verify(argv, capsys)
+
+
+def stub_run(config):
+    """A five-row trajectory in place of the run: this fuzz is about the command's boundary."""
+    rows = [IterateMetrics(t, *[0.5**t] * 9) for t in range(5)]
+    return Trajectory(config=config, metrics=rows, elapsed_ms=[0.0] * len(rows))
+
+
+@st.composite
+def figures_argvs(draw):
+    """``figures`` argv; an --out path is resolved under tmp_path/out, unless it is empty."""
+    argv = ["figures"]
+    out = draw(st.sampled_from(["valid"] * 5 + ["missing", "hostile", "hostile"]))
+    if out != "missing":
+        argv += ["--out", draw(st.sampled_from(["figs", "a/b", "", ".", "file", "file/sub"])
+                              if out == "valid" else st.text(max_size=4))]
+    seed = draw(st.sampled_from(["valid"] * 4 + ["missing", "hostile"]))
+    if seed != "missing":
+        argv += ["--seed", draw(st.integers(0, 2**64 - 1).map(str) if seed == "valid"
+                                else HOSTILE_INTS)]
+    extra = draw(st.sampled_from([[]] * 9 + [["--bogus"], ["--out"], None]))
+    stray = st.text(max_size=4).filter(lambda a: not a.startswith(("-h", "--h")))  # not --help
+    argv += [draw(stray)] if extra is None else extra
+    return argv
+
+
+@FUZZ
+@given(argv=figures_argvs())
+@example(argv=["figures", "--out", "figs", "--seed", "2020"])
+@example(argv=["figures", "--out", "file", "--seed", "1"])
+@example(argv=["figures", "--out", "", "--seed", "1"])
+@example(argv=["figures", "--out", "a\x00b"])  # a library caller can pass what argv cannot
+def test_figures_never_tracebacks_on_hostile_argv(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(msense.figures, "run_experiment", stub_run)
+    base = tmp_path / "out"
+    base.mkdir(exist_ok=True)
+    (base / "file").write_text("not a directory")
+    if "--out" in argv[:-1]:
+        i = argv.index("--out") + 1
+        argv[i] = f"{base}/{argv[i]}" if argv[i] else ""
+    rc, out, _ = run_main(argv, capsys)
+    if rc == 0:
+        written = [line.removeprefix("wrote ") for line in out.split("\n")[:-1]]
+        assert len(written) == 12 and all(os.path.isfile(p) for p in written), (argv, out)

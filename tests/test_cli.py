@@ -581,6 +581,16 @@ def test_figures_validates_the_seed_before_creating_out(tmp_path, capsys):
         assert not out_dir.exists()
 
 
+def test_cli_choices_are_the_library_lists():
+    """`sweep --param` and `conc KIND` offer the lists the library checks, not copies."""
+    parser = msense.cli.build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    param = next(a for a in commands["sweep"]._actions if a.dest == "param")
+    kind = next(a for a in commands["conc"]._actions if a.dest == "kind")
+    assert param.choices is msense.harness.SWEEP_PARAMS
+    assert kind.choices is msense.concentration.KINDS
+
+
 def test_console_entry_point_runs(tmp_path):
     cfg = write_config(tmp_path, iters=10)
     proc = subprocess.run(

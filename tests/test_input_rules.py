@@ -1,6 +1,6 @@
-"""The package's two input rules, ``msense.errors.count`` and ``msense.errors.number``, and
-the library entry points that apply them: a malformed size or scalar is an InputError
-naming its argument, raised before any compute and with no numpy warning."""
+"""The package's three input rules, ``msense.errors.count``, ``number`` and ``choice``, and
+the library entry points that apply them: a malformed size, scalar or enumerated value is an
+InputError naming its argument, raised before any compute and with no numpy warning."""
 
 import re
 import warnings
@@ -10,8 +10,12 @@ import pytest
 
 from msense import (InputError, check_initialization, generate_ground_truth, generate_sensing,
                     planted_init, random_init, spectral_init)
-from msense.concentration import mc_noise_term
-from msense.errors import count, number
+from msense import concentration, problem
+from msense.concentration import (check_mc_memory, mc_A_squared, mc_noise_term,
+                                  mc_second_moment, mc_sensing_deviation)
+from msense.errors import choice, count, number
+from msense.problem import check_memory
+from msense.rng import stream
 
 NAN, INF = float("nan"), float("inf")
 
@@ -65,3 +69,85 @@ def test_the_two_rules_accept_and_return_their_value():
     assert count("n", np.int64(3), 1, 3) == 3 and count("seed", 2**64 - 1, 0, 2**64 - 1)
     assert number("x", 0, 0) == 0 and number("x", 0.07, 0, 0.07, strict=True) == 0.07
     assert number("x", np.float64(-2.5)) == -2.5 and number("x", 10**300) == 10**300
+
+
+@pytest.mark.parametrize("value", ["c", "", "A", 1, None, True, ["a"], ("a",), b"a"])
+def test_the_choice_rule_rejects_anything_but_a_listed_string(value):
+    with pytest.raises(InputError, match=r"^x must be one of \['a', 'b'\], got "):
+        choice("x", value, ("a", "b"))
+
+
+def test_the_choice_rule_accepts_and_returns_its_value():
+    assert choice("x", "b", ("a", "b")) == "b" and choice("x", "a", {"a": 1}) == "a"
+
+
+HUGE = 10**5000  # past Python's 4300-digit limit for int-to-str conversion
+UNPRINTABLE_INT = "<int too long to print>"
+
+# Each message used to end in a ValueError raised while formatting the rejected value
+# (or, for the byte count, an OverflowError converting it to a float).
+UNPRINTABLE = {
+    "count": (rf"^n must be an integer in \[1, 10\], got {UNPRINTABLE_INT}$",
+              lambda gt: count("n", HUGE, 1, 10)),
+    "count_list": (r"^n must be an integer >= 1, got <list too long to print>$",
+                   lambda gt: count("n", [HUGE], 1)),
+    "number": (rf"^sigma must be a finite number >= 0, got {UNPRINTABLE_INT}$",
+               lambda gt: number("sigma", -HUGE, 0)),
+    "choice": (r"^x must be one of \['a'\], got <list too long to print>$",
+               lambda gt: choice("x", [HUGE], ("a",))),
+    "sensing_n": (rf"^the d=20, n={UNPRINTABLE_INT} sensing build needs at least 2\*\*\d+ ",
+                  lambda gt: generate_sensing(gt, HUGE, 0.1)),
+    "ground_truth_d": (rf"^the d={UNPRINTABLE_INT} ground truth needs at least 2\*\*\d+ ",
+                       lambda gt: generate_ground_truth(HUGE, 1, [1.0], "zeros", seed=1)),
+    "monte_carlo_d": (rf"^the d={UNPRINTABLE_INT} Monte Carlo draws needs at least 2\*\*",
+                      lambda gt: check_mc_memory("noise", HUGE, 10, 2)),
+    "byte_count": (r"^x needs at least 2\*\*1024 bytes, more than half of physical memory",
+                   lambda gt: check_memory(2**1024 + 1, "x")),
+}
+
+
+@pytest.mark.parametrize("pattern, call", UNPRINTABLE.values(), ids=UNPRINTABLE)
+def test_values_too_long_to_print_are_described(pattern, call, gt20):
+    with pytest.raises(InputError, match=pattern):
+        call(gt20)
+
+
+def test_a_byte_count_in_the_float_range_keeps_its_gb_form(monkeypatch):
+    monkeypatch.setattr(problem, "_memory_budget", lambda: 10**9)
+    with pytest.raises(InputError, match=r"^x needs 12\.35 GB, more than half of physical "
+                                         r"memory \(1\.00 GB\)$"):
+        check_memory(12_345_678_901, "x")
+
+
+MONTE_CARLO = {
+    "noise": lambda distribution: mc_noise_term(4, 1.0, 10, 2, 1, distribution),
+    "deviation": lambda distribution: mc_sensing_deviation(np.eye(3), 10, 2, 1, distribution),
+    "moment": lambda distribution: mc_second_moment(np.eye(3), 2, 1, distribution),
+    "asq": lambda distribution: mc_A_squared(3, 2, 1, distribution),
+}
+
+
+@pytest.mark.parametrize("call", MONTE_CARLO.values(), ids=MONTE_CARLO)
+def test_monte_carlo_checks_its_distribution_before_any_allocation(call, monkeypatch):
+    allocations = []
+    for name in ("empty", "zeros"):
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, real=real, **k: allocations.append(a)
+                            or real(*a, **k))
+    for distribution in ("cauchy", None, ["gaussian"]):
+        with pytest.raises(InputError, match="distribution"):
+            call(distribution)
+    assert allocations == []
+
+
+def test_monte_carlo_memory_check_rejects_an_unknown_kind():
+    with pytest.raises(InputError, match=r"^kind must be one of \['noise', 'deviation', "):
+        check_mc_memory("bogus", 3, 10, 2)
+    assert concentration.KINDS == ("noise", "deviation", "moment", "asq")
+
+
+def test_rng_purpose_is_a_choice():
+    with pytest.raises(InputError, match=r"^purpose must be one of \['basis', "):
+        stream(1, "bogus")
+    with pytest.raises(InputError, match="^purpose must be one of .*, got \\['noise'\\]$"):
+        stream(1, ["noise"])  # unhashable: the lookup never sees it
