@@ -4,12 +4,14 @@ Fixed schemas, '.' decimal, no locale.  Floats are written with repr so a
 round-trip parse recovers them exactly (up to 17 significant digits).
 Missing optional values are empty cells, never 0.  Timing cells are left
 empty unless explicitly requested, so default output is byte-identical
-across reruns.
+across reruns.  A trajectory is formatted a column at a time, CHUNK_ROWS rows
+at once, so each value is formatted once and the bytes match a per-row writer.
 """
 
 from __future__ import annotations
 
 import os
+from array import array
 
 import numpy as np
 
@@ -20,6 +22,7 @@ TRAJECTORY_HEADER = (
     "t,ss_err,st_norm,tt_norm,tt_err,D,A,err_spec,err_fro,grad_norm,delta_norm,elapsed_ms"
 )
 SWEEP_HEADER = "param,value,cell_seed,plateau_err_fro,plateau_err_fro_sq,D_final,status"
+CHUNK_ROWS = 64  # trajectory rows formatted together: about 100 KiB of strings held at once
 
 
 def _f(x):
@@ -27,16 +30,46 @@ def _f(x):
     return "" if x is None else repr(float(x))
 
 
+def _cells(col, formatted):
+    """One column's cells.  A column of numbers bitwise equal to one already in
+    ``formatted`` (bytes -> cells) reuses its strings: A and D when eps_stat = 0,
+    tt_err and tt_norm when DT* = 0.  Bits, not ``==``: -0.0 and NaN."""
+    try:
+        values = array("d", col)
+    except TypeError:  # a None (missing) cell
+        return list(map(_f, col))
+    key = values.tobytes()
+    if key not in formatted:
+        formatted[key] = list(map(repr, values))
+    return formatted[key]
+
+
+def _row_chunks(traj, timing):
+    """The trajectory's rows as lists of at most CHUNK_ROWS strings."""
+    metrics = traj.metrics
+    if timing:  # a row needs its elapsed cell
+        metrics = metrics[:len(traj.elapsed_ms)]
+    for lo in range(0, len(metrics), CHUNK_ROWS):
+        t, *values = zip(*metrics[lo:lo + CHUNK_ROWS])
+        elapsed = traj.elapsed_ms[lo:lo + CHUNK_ROWS] if timing else [None] * len(t)
+        formatted = {}
+        cells = [map(str, t), *(_cells(col, formatted) for col in (*values, elapsed))]
+        yield list(map(",".join, zip(*cells)))
+
+
 def trajectory_rows(traj, timing=False):
     yield TRAJECTORY_HEADER
-    elapsed = traj.elapsed_ms if timing else [None] * len(traj.metrics)
-    for m, ms in zip(traj.metrics, elapsed):
-        yield ",".join([str(m.t), *map(_f, m[1:]), _f(ms)])
+    for rows in _row_chunks(traj, timing):
+        yield from rows
 
 
 def check_output_path(path):
     """Raise InputError unless ``path`` can be written as a file; called
     before any compute so a bad path fails fast."""
+    try:
+        os.access(path, os.F_OK)
+    except ValueError as exc:  # a NUL byte, or a lone surrogate the file system cannot encode
+        raise InputError(f"cannot write output {path!r}: {exc}") from None
     parent = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path) or not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
         raise InputError(f"cannot write output {path}: not a file in a writable directory")
@@ -44,8 +77,9 @@ def check_output_path(path):
 
 def write_trajectory_csv(traj, path, timing=False):
     with open(path, "w", newline="") as fh:
-        for row in trajectory_rows(traj, timing=timing):
-            fh.write(row + "\n")
+        fh.write(TRAJECTORY_HEADER + "\n")
+        for rows in _row_chunks(traj, timing):
+            fh.write("\n".join(rows) + "\n")
 
 
 def read_trajectory_csv(path):

@@ -14,11 +14,13 @@ class InputError(ValueError):
 
 
 def _shown(value):
-    """``repr(value)``, or a description of an integer too long to print (past 4300 digits)."""
+    """``repr(value)``, cut short past 200 characters, or a description of an integer
+    too long to print (past 4300 digits)."""
     try:
-        return repr(value)
+        text = repr(value)
     except ValueError:  # an int, or a container holding one
         return f"<{type(value).__name__} too long to print>"
+    return text if len(text) <= 200 else f"{text[:60]}... ({len(text)} characters)"
 
 
 def count(name, value, low, high=None):

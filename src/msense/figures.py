@@ -52,7 +52,8 @@ def _figure_config(fig, seed):
 def reproduce_figures(out_dir, seed=2020):
     """Write the six reference figures, from four runs, into ``out_dir``.
 
-    Returns the list of files written (a CSV and an SVG per figure).
+    Returns the list of files written (a CSV and an SVG per figure, in
+    figure-name order).  Each run's figures are written as soon as it ends.
     """
     names = sorted(FIGURES)
     configs = {name: _figure_config(FIGURES[name], seed) for name in names}  # validates seed
@@ -63,22 +64,27 @@ def reproduce_figures(out_dir, seed=2020):
     if not os.access(out_dir, os.W_OK):
         raise InputError(f"output directory {out_dir} is not writable")
 
-    trajectories = {c: run_experiment(c) for c in dict.fromkeys(configs.values())}
+    for config in dict.fromkeys(configs.values()):  # one trajectory held at a time
+        _write_figures(run_experiment(config), [n for n in names if configs[n] == config],
+                       out_dir)
+    return [os.path.join(out_dir, f"{name}.{ext}") for name in names for ext in ("csv", "svg")]
 
-    written, csv_of = [], {}  # config -> the CSV already written for its run
+
+def _write_figures(traj, names, out_dir):
+    """Write the CSV and SVG of each figure in ``names``, all plotting ``traj``: the
+    first CSV is written, the others copy it."""
+    t = traj.column("t")
+    first_csv = None
     for name in names:
-        config = configs[name]
-        traj = trajectories[config]
         fig = FIGURES[name]
         csv_path = os.path.join(out_dir, f"{name}.csv")
         svg_path = os.path.join(out_dir, f"{name}.svg")
         try:
-            if config in csv_of:
-                shutil.copyfile(csv_of[config], csv_path)
-            else:
+            if first_csv is None:
                 write_trajectory_csv(traj, csv_path)
-                csv_of[config] = csv_path
-            t = traj.column("t")
+                first_csv = csv_path
+            else:
+                shutil.copyfile(first_csv, csv_path)
             series = [
                 (CURVE_LABELS[c], t, traj.column(c).clip(min=0.0)) for c in fig["curves"]
             ]
@@ -86,5 +92,3 @@ def reproduce_figures(out_dir, seed=2020):
             write_line_chart(svg_path, series, title=title, ylabel="spectral norm")
         except OSError as exc:
             raise InputError(f"failed writing {name} outputs: {exc}") from exc
-        written.extend([csv_path, svg_path])
-    return written

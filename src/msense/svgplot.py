@@ -1,7 +1,8 @@
 """Minimal hand-written SVG line charts (log-y), no plotting dependencies.
 
 A curve's pixels are one numpy expression in the per-point formulas' order,
-with math.log10 per value, so the bytes match a per-point writer."""
+with math.log10 per value, so the bytes match a per-point writer.  Curves with
+bitwise-equal x values share one formatted copy of their x pixels."""
 
 from __future__ import annotations
 
@@ -84,9 +85,13 @@ def write_line_chart(path, series, title="", ylabel="value"):
         f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.1f})">{ylabel}</text>'
     )
 
+    x_cells = {}  # xs bytes -> formatted x pixels: a figure's curves all share t
     for i, ((label, _, _), xs, ys) in enumerate(zip(series, xs_each, ys_each)):
         color = COLORS[i % len(COLORS)]
-        pts = " ".join(map("{:.1f},{:.1f}".format, px(xs).tolist(), py(ys.tolist()).tolist()))
+        key = xs.tobytes()
+        if key not in x_cells:
+            x_cells[key] = list(map("{:.1f}".format, px(xs).tolist()))
+        pts = " ".join(map("{},{:.1f}".format, x_cells[key], py(ys.tolist()).tolist()))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = MARGIN_T + 16 + 18 * i
         lx = MARGIN_L + plot_w + 12

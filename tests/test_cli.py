@@ -49,7 +49,9 @@ def test_run_invalid_config_exits_1(tmp_path, capsys):
 def test_run_malformed_config_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(msense.cli, "run_experiment", no_compute)
     cases = (("d", "20"), ("iters", 5.5), ("ds", "abc"), ("n", True), ("sigma", float("nan")),
-             ("k", 100000000), ("output", str(tmp_path / "missing" / "traj.csv")))
+             ("k", 100000000), ("output", str(tmp_path / "missing" / "traj.csv")),
+             # Names open() refuses with a ValueError: a NUL byte, a lone surrogate.
+             ("output", str(tmp_path / "x\x00y.csv")), ("output", str(tmp_path / "x\ud800.csv")))
     for field, bad in cases:
         cfg = write_config(tmp_path, **{field: bad})
         assert main(["run", "--config", str(cfg)]) == 1
@@ -536,13 +538,15 @@ def test_run_binary_config_exits_1_with_one_line(tmp_path, capsys):
     assert err.startswith("error: config ") and err.count("\n") == 1, err
 
 
-def test_figures_command(tmp_path, monkeypatch):
-    runs = []
+def test_figures_command(tmp_path, monkeypatch, capsys, trajectory_rows_oracle,
+                         line_chart_oracle):
+    runs = {}
     real_run = msense.figures.run_experiment
 
     def counting_run(config, *args, **kwargs):
-        runs.append(config)
-        return real_run(config, *args, **kwargs)
+        assert config not in runs
+        runs[config] = real_run(config, *args, **kwargs)
+        return runs[config]
 
     monkeypatch.setattr(msense.figures, "run_experiment", counting_run)
     csv_writes = []
@@ -570,6 +574,20 @@ def test_figures_command(tmp_path, monkeypatch):
     assert svg.startswith("<svg") and "polyline" in svg
     for decomp, err in (("fig2a", "fig1a"), ("fig2b", "fig1b")):
         assert (out_dir / f"{decomp}.csv").read_bytes() == (out_dir / f"{err}.csv").read_bytes()
+    # The files come back in figure-name order, each with the per-row and per-point
+    # writers' bytes for its run.
+    assert capsys.readouterr().out.splitlines() == [f"wrote {out_dir / name}" for name in expected]
+    for name, fig in msense.figures.FIGURES.items():
+        traj = runs[msense.figures._figure_config(fig, 11)]
+        csv = "".join(row + "\n" for row in trajectory_rows_oracle(traj))
+        assert (out_dir / f"{name}.csv").read_text() == csv, name
+        t = traj.column("t")
+        series = [(msense.figures.CURVE_LABELS[c], t, traj.column(c).clip(min=0.0))
+                  for c in fig["curves"]]
+        want = tmp_path / f"{name}.svg"
+        line_chart_oracle(want, series, title=f"{name}: k={fig['k']}, {fig['init']} init",
+                          ylabel="spectral norm")
+        assert (out_dir / f"{name}.svg").read_bytes() == want.read_bytes(), name
 
 
 def test_figures_validates_the_seed_before_creating_out(tmp_path, capsys):

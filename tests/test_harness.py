@@ -282,7 +282,8 @@ def test_unwritable_output_fails_before_compute(tmp_path, monkeypatch):
         raise AssertionError("compute started")
 
     monkeypatch.setattr(msense.harness, "generate_ground_truth", no_compute)
-    for out in (tmp_path / "missing" / "out.csv", tmp_path):
+    for out in (tmp_path / "missing" / "out.csv", tmp_path, tmp_path / "x\x00y.csv",
+                tmp_path / "x\ud800.csv"):
         with pytest.raises(InputError, match="output"):
             run_experiment(small_config(output=str(out)))
         with pytest.raises(InputError, match="output"):

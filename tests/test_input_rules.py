@@ -2,6 +2,7 @@
 the library entry points that apply them: a malformed size, scalar or enumerated value is an
 InputError naming its argument, raised before any compute and with no numpy warning."""
 
+import json
 import re
 import warnings
 
@@ -11,6 +12,7 @@ import pytest
 from msense import (InputError, check_initialization, generate_ground_truth, generate_sensing,
                     planted_init, random_init, spectral_init)
 from msense import concentration, problem
+from msense.cli import main
 from msense.concentration import (check_mc_memory, mc_A_squared, mc_noise_term,
                                   mc_second_moment, mc_sensing_deviation)
 from msense.errors import choice, count, number
@@ -82,6 +84,7 @@ def test_the_choice_rule_accepts_and_returns_its_value():
 
 
 HUGE = 10**5000  # past Python's 4300-digit limit for int-to-str conversion
+LONG = 10**3999
 UNPRINTABLE_INT = "<int too long to print>"
 
 # Each message used to end in a ValueError raised while formatting the rejected value
@@ -103,13 +106,28 @@ UNPRINTABLE = {
                       lambda gt: check_mc_memory("noise", HUGE, 10, 2)),
     "byte_count": (r"^x needs at least 2\*\*1024 bytes, more than half of physical memory",
                    lambda gt: check_memory(2**1024 + 1, "x")),
+    # Printable, but 4,000 digits: cut short, with the length it had.
+    "long_count": (r"^n must be an integer in \[1, 10\], got 10{59}\.\.\. \(4000 characters\)$",
+                   lambda gt: count("n", LONG, 1, 10)),
+    "long_sensing_n": (r"^the d=20, n=10{59}\.\.\. \(4000 characters\) sensing build needs ",
+                       lambda gt: generate_sensing(gt, LONG, 0.1)),
 }
 
 
 @pytest.mark.parametrize("pattern, call", UNPRINTABLE.values(), ids=UNPRINTABLE)
 def test_values_too_long_to_print_are_described(pattern, call, gt20):
-    with pytest.raises(InputError, match=pattern):
+    with pytest.raises(InputError, match=pattern) as exc_info:
         call(gt20)
+    assert len(str(exc_info.value)) < 300
+
+
+def test_a_long_config_value_gives_a_short_error_line(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(d=4, r=1, k=1, n=LONG, iters=2, seed=1, ds=[1.0])))
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the d=4, n=1000") and err.count("\n") == 1, err
+    assert len(err) < 300 and "(4000 characters)" in err
 
 
 def test_a_byte_count_in_the_float_range_keeps_its_gb_form(monkeypatch):
