@@ -13,6 +13,7 @@ from .harness import (
     Trajectory,
     detect_phases,
     run_experiment,
+    sample_contraction,
     sweep,
 )
 from .linalg import as_symmetric, orthonormalize, spectral_norm
@@ -35,7 +36,6 @@ from .subspace import (
     region_sample,
     spectral_init,
     verify_population_contraction,
-    verify_sample_contraction,
 )
 
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from array import array
+from operator import itemgetter
 
 import numpy as np
 
@@ -123,4 +124,5 @@ def write_mc_csv(report, path):
 
 def metrics_column(metrics, name):
     """Extract one metrics field as a float array (NaN for missing)."""
-    return np.array([getattr(m, name) for m in metrics], dtype=float)
+    column = map(itemgetter(IterateMetrics._fields.index(name)), metrics)
+    return np.array(list(column), dtype=float)

@@ -1,5 +1,5 @@
-"""Experiment orchestration: configured runs, parameter sweeps, and
-convergence-phase detection.
+"""Experiment orchestration: configured runs, parameter sweeps, and the
+trajectory-wide statements: convergence phases and finite-sample contraction.
 
 A run builds the ground truth and sensing set from its seed, iterates the
 factored gradient step, and records per-iteration subspace metrics.  Runs
@@ -23,8 +23,8 @@ from .linalg import spectral_norms
 from .problem import (DISTRIBUTIONS, MEMORY_MODES, _validate_spectrum, check_build_memory,
                       generate_ground_truth, generate_sensing)
 from .rng import SEED_MAX, stable_hash64
-from .subspace import (RHO_MAX, batch_metrics, derived_scales, floored_recursion_bound,
-                       planted_init, random_init, spectral_init)
+from .subspace import (RHO_MAX, batch_metrics, derived_scales, planted_init, random_init,
+                       spectral_init)
 
 INIT_MODES = ("planted", "spectral", "random")
 GRADIENT_MODES = ("sample", "population")
@@ -175,15 +175,12 @@ def _chunk_rows(d):
     return max(1, min(256, 2**15 // (d * d)))
 
 
-def _diverged(config, row, guard, metrics, elapsed):
+def _diverged(traj, row, guard):
     err = row.err_spec
     cause = (f"grad_norm={row.grad_norm:.3e} is not finite" if err <= guard
              else f"err_spec={err:.3e} > {guard:.3e}")
-    return DivergenceError(
-        f"run diverged at t={row.t}: {cause}",
-        trajectory=Trajectory(config=config, metrics=metrics, elapsed_ms=elapsed),
-        residual=float(err),
-    )
+    return DivergenceError(f"run diverged at t={row.t}: {cause}", trajectory=traj,
+                           residual=float(err))
 
 
 def run_experiment(config, write_output=True, measure_from=0):
@@ -193,9 +190,9 @@ def run_experiment(config, write_output=True, measure_from=0):
     ``iters`` steps, one batch_metrics call per chunk of ``_chunk_rows(d)``
     consecutive iterates.  A row's elapsed_ms is its own step time plus an
     equal share of its chunk's metrics time.  Aborts with DivergenceError,
-    carrying the partial trajectory, at the first row with err_spec > 1e6
-    sigma_1 or a non-finite value; the message names err_spec, or the
-    gradient norm when only that is non-finite.
+    carrying the partial trajectory (also written to config.output), at the
+    first row with err_spec > 1e6 sigma_1 or a non-finite value; the message
+    names err_spec, or the gradient norm when only that is non-finite.
 
     Rows t < ``measure_from`` are stepped but not recorded: the trajectory
     holds rows measure_from..iters, bit for bit the tail of the full run.
@@ -267,18 +264,19 @@ def run_experiment(config, write_output=True, measure_from=0):
             times = [(step + share) * 1000.0 for step in steps]
             bad = ~(np.array([row.err_spec for row in rows]) <= guard)
             bad[-1] |= stopped  # a non-finite gradient norm also stops stepping
+            end = int(np.argmax(bad)) + 1 if bad.any() else m  # through the first bad row
             skip = max(0, measure_from - t0)  # measured, but before the recorded rows
+            metrics += rows[skip:end]
+            elapsed += times[skip:end]
             if bad.any():
-                i = int(np.argmax(bad))
-                raise _diverged(config, rows[i], guard, metrics + rows[skip : i + 1],
-                                elapsed + times[skip : i + 1])
-            metrics += rows[skip:]
-            elapsed += times[skip:]
+                break
             t0, steps, deviations = t + 1, [], {}
 
     traj = Trajectory(config=config, metrics=metrics, elapsed_ms=elapsed)
-    if write_output and config.output:
+    if write_output and config.output:  # a diverged run keeps its partial trajectory
         write_trajectory_csv(traj, config.output)
+    if bad.any():  # the last chunk measured stopped the run at its row end - 1
+        raise _diverged(traj, rows[end - 1], guard)
     return traj
 
 
@@ -355,6 +353,11 @@ def sweep(base_config, param, values, out=None):
     if out:
         write_sweep_csv(result, out)
     return result
+
+
+def floored_recursion_bound(a, eta):
+    """The right side of the floored recursion A' <= (1 - eta A / 2) A."""
+    return (1.0 - 0.5 * eta * a) * a
 
 
 @dataclass(frozen=True)
@@ -462,3 +465,50 @@ def detect_phases(traj, eta=None):
         envelope_pass=envelope_pass,
         eta=eta,
     )
+
+
+# The (10, 4) pair in the deviation hypothesis; overridable for sensitivity studies.
+DELTA_HYP_D_FACTOR = 10.0
+DELTA_HYP_SIGMA_FACTOR = 4.0
+
+
+@dataclass(frozen=True)
+class SampleContraction:
+    """One entry per checked pair (t, t+1).  lhs, rhs and status have one column
+    per check: the ss and st contractions, then the floored recursion."""
+
+    t: np.ndarray
+    held: np.ndarray  # |Delta_t|_2 within the deviation hypothesis
+    above_floor: np.ndarray  # A_t > 0, that is D_t > 50 eps_stat
+    lhs: np.ndarray
+    rhs: np.ndarray
+    status: np.ndarray  # pass | fail | vacuous
+
+
+def sample_contraction(traj):
+    """Check the finite-sample one-step statements on every pair of consecutive
+    rows (t, t+1) whose first row records delta_norm: the ss / st contractions
+    and the floored recursion A' <= (1 - eta A / 2) A, given the deviation
+    hypothesis |Delta|_2 <= 10 sqrt(k d log d / n) D + 4 sqrt(d log d / n) sigma
+    and A_t > 0.  A failed check whose conditions do not hold is vacuous.
+    The run's constants come from traj.config; no qualifying pair is an InputError."""
+    t, delta, ss, st, d_val, a_val = map(
+        traj.column, ("t", "delta_norm", "ss_err", "st_norm", "D", "A"))
+    i = np.flatnonzero(~np.isnan(delta[:-1]) & (t[1:] == t[:-1] + 1))
+    if not len(i):
+        raise InputError("no row with delta_norm is followed by its next step; set track_delta")
+    cfg = traj.config
+    sr, eta, sigma = cfg.sigma_r, cfg.eta_value(), cfg.sigma
+    c_kd = np.sqrt(cfg.k * cfg.d * np.log(cfg.d) / cfg.n)
+    c_d = np.sqrt(cfg.d * np.log(cfg.d) / cfg.n)
+    tol = 1e-9 * sr
+    d_i = d_val[i]
+    held = delta[i] <= DELTA_HYP_D_FACTOR * c_kd * d_i + DELTA_HYP_SIGMA_FACTOR * c_d * sigma + tol
+    above_floor = a_val[i] > 0.0  # A = max(D - 50 eps_stat, 0)
+    lhs = np.stack([ss[i + 1], st[i + 1], a_val[i + 1]], axis=1)
+    rhs = np.stack([(1 - 0.7 * eta * sr) * ss[i] + c_kd * d_i + 0.4 * c_d * sigma,
+                    (1 - eta * sr) * st[i] + c_kd * d_i + 0.4 * c_d * sigma,
+                    floored_recursion_bound(a_val[i], eta)], axis=1)
+    applicable = (held & above_floor)[:, None]
+    status = np.where(lhs <= rhs + tol, "pass", np.where(applicable, "fail", "vacuous"))
+    return SampleContraction(t[i].astype(int), held, above_floor, lhs, rhs, status)

@@ -1,5 +1,5 @@
 """Subspace decomposition of iterates, per-iteration metrics, initializers,
-and numerical verification of the contraction statements.
+and the population contraction battery.
 
 An iterate F splits as F = U S + V T against the ground-truth basis; all
 progress quantities are functions of S S^T, T T^T and S T^T.  The master
@@ -19,11 +19,7 @@ from .gradient import _check_factor, op_MU, op_MV, theory_step_size
 from .linalg import spectral_norm, spectral_norms
 from .rng import stream
 
-# Noise-floor multiplier in A = D - 50 eps_stat and the (10, 4) pair in the
-# deviation hypothesis; overridable for sensitivity studies.
-FLOOR_MULTIPLIER = 50.0
-DELTA_HYP_D_FACTOR = 10.0
-DELTA_HYP_SIGMA_FACTOR = 4.0
+FLOOR_MULTIPLIER = 50.0  # A = D - 50 eps_stat; overridable for sensitivity studies
 RHO_MAX = 0.07  # the largest basin radius, in units of sigma_r, of a planted start
 
 
@@ -328,76 +324,3 @@ def verify_population_contraction(s, t, gt, eta):
         for name, lhs, rhs in raw
     )
     return ContractionReport(checks=checks, eta=float(eta), tolerance=tol)
-
-
-@dataclass(frozen=True)
-class SampleCheck:
-    name: str
-    lhs: float
-    rhs: float
-    status: str  # pass | fail | vacuous
-
-
-@dataclass(frozen=True)
-class SampleContractionReport:
-    checks: tuple
-    hypothesis_held: bool  # |Delta|_2 within the assumed deviation envelope
-    above_floor: bool  # D_t > 50 eps_stat, the regime of the contraction
-    delta_lhs: float
-    delta_rhs: float
-
-    @property
-    def all_ok(self):
-        return all(c.status != "fail" for c in self.checks)
-
-
-def floored_recursion_bound(a, eta):
-    """The right side of the floored recursion A' <= (1 - eta A / 2) A."""
-    return (1.0 - 0.5 * eta * a) * a
-
-
-def verify_sample_contraction(m_before, m_after, scales, config):
-    """Check the finite-sample one-step contraction statements between two
-    consecutive iterates.
-
-    Verifies the ss / st contractions and the floored recursion
-    A' <= (1 - eta A / 2) A, conditioned on the deviation hypothesis
-    |Delta|_2 <= 10 sqrt(k d log d / n) D + 4 sqrt(d log d / n) sigma.
-    A failed inequality whose hypothesis does not hold is vacuous.
-    ``config`` is the run's ExperimentConfig.
-    """
-    if m_before.delta_norm is None:
-        raise InputError("sample contraction check needs delta_norm on the before-iterate")
-    if m_after.t != m_before.t + 1:
-        raise InputError("iterates must be consecutive")
-    sr = config.sigma_r
-    eta = config.eta_value()
-    d, k, n, sigma = config.d, config.k, config.n, config.sigma
-    c_kd = np.sqrt(k * d * np.log(d) / n)
-    c_d = np.sqrt(d * np.log(d) / n)
-    tol = 1e-9 * sr
-
-    delta_rhs = DELTA_HYP_D_FACTOR * c_kd * m_before.D + DELTA_HYP_SIGMA_FACTOR * c_d * sigma
-    hypothesis_held = m_before.delta_norm <= delta_rhs + tol
-    above_floor = m_before.D > FLOOR_MULTIPLIER * scales.eps_stat
-    applicable = hypothesis_held and above_floor
-
-    raw = [
-        ("ss_sample_contraction", m_after.ss_err,
-         (1 - 0.7 * eta * sr) * m_before.ss_err + c_kd * m_before.D + 0.4 * c_d * sigma),
-        ("st_sample_contraction", m_after.st_norm,
-         (1 - eta * sr) * m_before.st_norm + c_kd * m_before.D + 0.4 * c_d * sigma),
-        ("floored_recursion", m_after.A, floored_recursion_bound(m_before.A, eta)),
-    ]
-    checks = tuple(
-        SampleCheck(name, float(lhs), float(rhs),
-                    "pass" if lhs <= rhs + tol else "fail" if applicable else "vacuous")
-        for name, lhs, rhs in raw
-    )
-    return SampleContractionReport(
-        checks=checks,
-        hypothesis_held=bool(hypothesis_held),
-        above_floor=bool(above_floor),
-        delta_lhs=float(m_before.delta_norm),
-        delta_rhs=float(delta_rhs),
-    )

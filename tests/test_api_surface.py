@@ -10,8 +10,8 @@ PUBLIC = [
     "SensingSet", "SweepResult", "Trajectory", "as_symmetric", "check_initialization",
     "decompose", "derived_scales", "detect_phases", "generate_ground_truth", "generate_sensing",
     "loss_value", "op_MU", "op_MV", "orthonormalize", "planted_init", "population_gradient",
-    "random_init", "region_sample", "run_experiment", "spectral_init", "spectral_norm", "sweep",
-    "theory_step_size", "verify_population_contraction", "verify_sample_contraction",
+    "random_init", "region_sample", "run_experiment", "sample_contraction", "spectral_init",
+    "spectral_norm", "sweep", "theory_step_size", "verify_population_contraction",
 ]
 
 

@@ -164,6 +164,20 @@ def test_run_divergence_writes_the_partial_trajectory(tmp_path, capsys):
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3", "4"]
 
 
+def test_library_divergence_writes_the_same_partial_trajectory(tmp_path):
+    """run_experiment keeps a diverging run's rows at config.output, byte for
+    byte the file that msense run writes for the same config."""
+    cfg = write_config(tmp_path, d=10, n=400, eta=5.0, seed=1)
+    cli_out, lib_out = tmp_path / "cli.csv", tmp_path / "lib.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(cli_out)]) == 2
+    config = msense.ExperimentConfig.from_dict(
+        {**json.loads(cfg.read_text()), "output": str(lib_out)})
+    with pytest.raises(msense.DivergenceError) as exc_info:
+        msense.run_experiment(config)
+    assert len(exc_info.value.trajectory.metrics) == 5
+    assert lib_out.read_bytes() == cli_out.read_bytes()
+
+
 # 1e200 overflows the gradient norm at t=0 while err_spec is small;
 # 1e140 overflows the gradient and the metrics at t=1.
 @pytest.mark.parametrize("sigma, cause", [(1e200, "t=0: grad_norm=inf is not finite"),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -5,18 +7,22 @@ from numpy.testing import assert_allclose, assert_array_equal
 import msense.subspace
 
 from msense import (
+    ExperimentConfig,
+    InitSpec,
     InputError,
     check_initialization,
     decompose,
     derived_scales,
+    generate_ground_truth,
     generate_sensing,
     planted_init,
     random_init,
     region_sample,
+    run_experiment,
+    sample_contraction,
     spectral_init,
     spectral_norm,
     verify_population_contraction,
-    verify_sample_contraction,
 )
 from msense.problem import QuadraticModel, SensingSet
 from msense.rng import stream
@@ -292,86 +298,119 @@ def test_population_contraction_region_battery(gt20):
                 )
 
 
-def _run_for_sample_checks(gt, k, n, sigma, eta, iters, seed):
-    from msense import ExperimentConfig, run_experiment
-
-    cfg = ExperimentConfig(
-        d=gt.d, r=gt.r, k=k, n=n, sigma=sigma, ds=tuple(gt.ds), dt="zeros",
-        eta=eta, iters=iters, seed=seed, track_delta=True, delta_every=1,
-    )
-    return cfg, run_experiment(cfg, write_output=False)
+def _sample_run(**overrides):
+    """A track_delta run on the reference spectrum, with delta_norm on every row."""
+    base = dict(d=20, r=3, k=4, n=200, sigma=0.0, ds=(1.0, 0.9, 0.8), eta=0.1, iters=200,
+                seed=3, track_delta=True)
+    return run_experiment(ExperimentConfig(**{**base, **overrides}), write_output=False)
 
 
-def test_sample_contraction_on_noiseless_run(gt20):
-    """On the reference noiseless run the floored recursion passes at every
-    step where the deviation hypothesis holds (here: all of them)."""
-    cfg, traj = _run_for_sample_checks(gt20, k=4, n=200, sigma=0.0, eta=0.1, iters=200, seed=3)
-    scales = derived_scales(gt20, n=200, sigma=0.0, k=4)
-    for before, after in zip(traj.metrics[:-1], traj.metrics[1:]):
-        report = verify_sample_contraction(before, after, scales, cfg)
-        assert report.hypothesis_held
-        by_name = {c.name: c for c in report.checks}
-        assert by_name["floored_recursion"].status == "pass"
+def _sample_pair(m_before, m_after, scales, config):
+    """The finite-sample check of one pair of consecutive rows as first written,
+    the oracle for sample_contraction: (held, above_floor, lhs, rhs, status)."""
+    sr, eta = config.sigma_r, config.eta_value()
+    d, k, n, sigma = config.d, config.k, config.n, config.sigma
+    c_kd = np.sqrt(k * d * np.log(d) / n)
+    c_d = np.sqrt(d * np.log(d) / n)
+    tol = 1e-9 * sr
+    held = m_before.delta_norm <= 10.0 * c_kd * m_before.D + 4.0 * c_d * sigma + tol
+    above_floor = m_before.D > 50.0 * scales.eps_stat
+    lhs = (m_after.ss_err, m_after.st_norm, m_after.A)
+    rhs = ((1 - 0.7 * eta * sr) * m_before.ss_err + c_kd * m_before.D + 0.4 * c_d * sigma,
+           (1 - eta * sr) * m_before.st_norm + c_kd * m_before.D + 0.4 * c_d * sigma,
+           (1.0 - 0.5 * eta * m_before.A) * m_before.A)
+    status = ["pass" if a <= b + tol else "fail" if held and above_floor else "vacuous"
+              for a, b in zip(lhs, rhs)]
+    return held, above_floor, lhs, rhs, status
 
 
-def test_sample_contraction_noiseless_reduces_to_plain_recursion(gt20):
-    cfg, traj = _run_for_sample_checks(gt20, k=4, n=200, sigma=0.0, eta=0.1, iters=5, seed=3)
-    scales = derived_scales(gt20, n=200, sigma=0.0, k=4)
+def _matches_the_per_pair_oracle(traj):
+    """sample_contraction(traj), asserted bit for bit equal to the oracle on
+    every pair whose first row has delta_norm; eps_stat comes from the config."""
+    cfg = traj.config
+    gt = generate_ground_truth(cfg.d, cfg.r, cfg.ds, cfg.dt, cfg.seed)
+    scales = derived_scales(gt, None if cfg.gradient_mode == "population" else cfg.n,
+                            cfg.sigma, cfg.k)
+    pairs = [(b, a) for b, a in zip(traj.metrics, traj.metrics[1:]) if b.delta_norm is not None]
+    held, above_floor, lhs, rhs, status = map(
+        np.array, zip(*(_sample_pair(b, a, scales, cfg) for b, a in pairs)))
+    got = sample_contraction(traj)
+    assert got.t.tolist() == [b.t for b, _ in pairs]
+    assert got.held.tolist() == held.tolist()
+    assert got.above_floor.tolist() == above_floor.tolist()
+    assert got.lhs.shape == got.rhs.shape == lhs.shape == rhs.shape
+    assert got.lhs.tobytes() == lhs.tobytes() and got.rhs.tobytes() == rhs.tobytes()
+    assert got.status.tolist() == status.tolist()
+    return got
+
+
+SAMPLE_RUNS = {
+    "d20_k4_noiseless": dict(),
+    "sigma03_every3": dict(sigma=0.3, delta_every=3, seed=4),
+    "population": dict(gradient_mode="population", eta="theory", seed=5),
+    "d10_n2000_sigma05": dict(d=10, n=2000, sigma=0.5, seed=6),
+    "k6_sigma1": dict(k=6, sigma=1.0, seed=7),
+    # Outside the basin: A crosses the floor and the floored recursion fails 18 times.
+    "random_start": dict(d=10, n=2000, sigma=0.05, seed=6, init=InitSpec("random")),
+}
+
+
+@pytest.mark.parametrize("overrides", SAMPLE_RUNS.values(), ids=SAMPLE_RUNS)
+def test_sample_contraction_matches_the_per_pair_oracle(overrides):
+    _matches_the_per_pair_oracle(_sample_run(**overrides))
+
+
+def test_sample_contraction_on_noiseless_run():
+    """On the reference noiseless run the deviation hypothesis holds and the
+    floored recursion passes at every step."""
+    report = sample_contraction(_sample_run())
+    assert report.t.tolist() == list(range(200)) and report.held.all()
+    assert (report.status[:, 2] == "pass").all()
+
+
+def test_sample_contraction_noiseless_reduces_to_plain_recursion():
+    traj = _sample_run(iters=5)
     before, after = traj.metrics[0], traj.metrics[1]
     assert before.A == before.D and after.A == after.D  # eps_stat = 0
-    report = verify_sample_contraction(before, after, scales, cfg)
-    rec = {c.name: c for c in report.checks}["floored_recursion"]
-    assert rec.lhs == pytest.approx(after.D)
-    assert rec.rhs == pytest.approx((1 - 0.05 * before.D) * before.D)
+    report = sample_contraction(traj)
+    assert report.lhs[0, 2] == pytest.approx(after.D)
+    assert report.rhs[0, 2] == pytest.approx((1 - 0.05 * before.D) * before.D)
 
 
-def test_sample_contraction_population_run_is_trivial(gt20):
-    from msense import ExperimentConfig, run_experiment
-
-    cfg = ExperimentConfig(
-        d=20, r=3, k=4, n=200, sigma=0.0, ds=(1.0, 0.9, 0.8), eta="theory",
-        iters=60, seed=5, gradient_mode="population", track_delta=True,
-    )
-    traj = run_experiment(cfg, write_output=False)
-    scales = derived_scales(gt20, n=None, sigma=0.0, k=4)
-    before, after = traj.metrics[10], traj.metrics[11]
-    assert before.delta_norm == 0.0
-    report = verify_sample_contraction(before, after, scales, cfg)
-    assert report.hypothesis_held
-    assert report.all_ok
+def test_sample_contraction_population_run_is_trivial():
+    traj = _sample_run(gradient_mode="population", eta="theory", iters=60, seed=5)
+    assert {m.delta_norm for m in traj.metrics} == {0.0}
+    report = sample_contraction(traj)
+    assert report.held.all() and not (report.status == "fail").any()
 
 
-def test_sample_contraction_requires_delta(gt20, one_row_metrics):
-    scales = derived_scales(gt20, n=200, sigma=0.0, k=4)
-    f0 = planted_init(gt20, 4, 0.07, seed=1)
-    m0 = one_row_metrics(0, f0, gt20, scales)
-    m1 = one_row_metrics(1, f0, gt20, scales)
-
-    class Cfg:
-        d, k, n, sigma, ds, eta = 20, 4, 200, 0.0, (1.0, 0.9, 0.8), 0.1
-
-    with pytest.raises(InputError):
-        verify_sample_contraction(m0, m1, scales, Cfg)
+def test_sample_contraction_requires_delta():
+    """No pair qualifies without a delta_norm row followed by its next step."""
+    traj = _sample_run(iters=5)
+    for metrics in (_sample_run(iters=5, track_delta=False).metrics, traj.metrics[-1:],
+                    traj.metrics[::2]):
+        with pytest.raises(InputError):
+            sample_contraction(replace(traj, metrics=metrics))
 
 
-def test_sample_contraction_fails_or_is_vacuous_when_the_recursion_breaks(gt20):
+def test_sample_contraction_fails_or_is_vacuous_when_the_recursion_breaks():
     """A' above (1 - eta A / 2) A fails where the deviation hypothesis holds
     above the floor, and is vacuous where the hypothesis fails or the
-    iterate is below the floor; the other checks still pass."""
-    cfg, traj = _run_for_sample_checks(gt20, k=4, n=200, sigma=0.0, eta=0.1, iters=5, seed=3)
-    scales = derived_scales(gt20, n=200, sigma=0.0, k=4)
+    iterate is at the floor; the other checks still pass.  Every constructed
+    pair matches the per-pair oracle."""
+    traj = _sample_run(iters=5)
     before, after = traj.metrics[0], traj.metrics[1]._replace(A=2.0 * traj.metrics[0].A)
-    report = verify_sample_contraction(before, after, scales, cfg)
-    assert report.hypothesis_held and report.above_floor and not report.all_ok
-    assert [c.status for c in report.checks] == ["pass", "pass", "fail"]
-    no_hypothesis = before._replace(delta_norm=2.0 * report.delta_rhs)
-    below_floor = derived_scales(gt20, n=200, sigma=1.0, k=4)  # 50 eps_stat > D
-    for args, held, above in (((no_hypothesis, after, scales, cfg), False, True),
-                              ((before, after, below_floor, cfg), True, False)):
-        report = verify_sample_contraction(*args)
-        assert (report.hypothesis_held, report.above_floor) == (held, above)
-        assert [c.status for c in report.checks] == ["pass", "pass", "vacuous"]
-        assert report.all_ok
+    report = _matches_the_per_pair_oracle(replace(traj, metrics=[before, after]))
+    assert (report.held[0], report.above_floor[0]) == (True, True)
+    assert report.status[0].tolist() == ["pass", "pass", "fail"]
+    no_hypothesis = replace(traj, metrics=[before._replace(delta_norm=1e3), after])
+    # At sigma = 1, 50 eps_stat > D: the first row's A is 0.
+    at_floor = replace(traj, config=replace(traj.config, sigma=1.0),
+                       metrics=[before._replace(A=0.0), after])
+    for case, held, above in ((no_hypothesis, False, True), (at_floor, True, False)):
+        report = _matches_the_per_pair_oracle(case)
+        assert (report.held[0], report.above_floor[0]) == (held, above)
+        assert report.status[0].tolist() == ["pass", "pass", "vacuous"]
 
 
 def test_one_row_metrics_floor_clamp(gt20, one_row_metrics):
