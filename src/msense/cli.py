@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 from . import concentration as conc
@@ -62,7 +63,6 @@ def _cmd_run(args):
         f"final t={last.t} err_fro={last.err_fro:.6e} err_spec={last.err_spec:.6e} "
         f"D={last.D:.6e}"
     )
-    return 0
 
 
 def _cmd_sweep(args):
@@ -81,7 +81,6 @@ def _cmd_sweep(args):
         print("log-log slope: undefined for this sweep")
     if args.out:
         print(f"wrote {args.out}")
-    return 0
 
 
 def _verify_trials(args):
@@ -105,7 +104,6 @@ def _cmd_verify_pop(args):
             f"  {checks[0].name}: {sum(chk.passed for chk in checks)}/{args.trials} pass, "
             f"worst lhs-rhs = {worst:.3e} (units of sigma_r: {worst / gt.sigma_r:.3e})"
         )
-    return 0
 
 
 def _cmd_verify_init(args):
@@ -114,7 +112,6 @@ def _cmd_verify_init(args):
                                     RHO_MAX) for seed in seeds]
     print(f"basin assumption holds: {sum(r.assumption_ok for r in reports)}/{args.trials}")
     print(f"decomposed-norm implication holds: {sum(r.lemma_ok for r in reports)}/{args.trials}")
-    return 0
 
 
 def _cmd_conc(args):
@@ -132,13 +129,13 @@ def _cmd_conc(args):
         "moment": lambda: conc.mc_second_moment(u, args.trials, args.seed),
         "asq": lambda: conc.mc_A_squared(args.d, args.trials, args.seed),
     }[args.kind]()
+    if args.out:  # the file comes first, as for every subcommand that writes one
+        write_mc_csv(report, args.out)
     _print_json(report.summary())
     if args.kind == "asq":
         print(f"max |estimate - d I| entry: {abs(report.estimate - report.reference).max():.4f}")
     if args.out:
-        write_mc_csv(report, args.out)
         print(f"wrote {args.out}")
-    return 0
 
 
 def _print_json(report):
@@ -151,14 +148,12 @@ def _print_json(report):
 def _cmd_phases(args):
     metrics = read_trajectory_csv(args.traj)
     _print_json(dataclasses.asdict(detect_phases(metrics, eta=args.eta)))
-    return 0
 
 
 def _cmd_figures(args):
     written = reproduce_figures(args.out, seed=args.seed)
     for path in written:
         print(f"wrote {path}")
-    return 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -229,13 +224,19 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the exit flush
+        return 0
     except InputError as exc:  # one line, even when the input holds a newline
         print("error: " + str(exc).replace("\n", "\\n"), file=sys.stderr)
         return 1
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError as exc:  # stdout closed early, as by `msense ... | head`
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit flush passes
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

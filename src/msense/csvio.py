@@ -19,9 +19,9 @@ import numpy as np
 from .errors import InputError, count
 from .subspace import IterateMetrics
 
-TRAJECTORY_HEADER = (
-    "t,ss_err,st_norm,tt_norm,tt_err,D,A,err_spec,err_fro,grad_norm,delta_norm,elapsed_ms"
-)
+TRAJECTORY_COLUMNS = IterateMetrics._fields + ("elapsed_ms",)
+TRAJECTORY_HEADER = ",".join(TRAJECTORY_COLUMNS)
+OPTIONAL_COLUMNS = {*IterateMetrics._field_defaults, "elapsed_ms"}  # may be an empty cell
 SWEEP_HEADER = "param,value,cell_seed,plateau_err_fro,plateau_err_fro_sq,D_final,status"
 CHUNK_ROWS = 64  # trajectory rows formatted together: about 100 KiB of strings held at once
 
@@ -92,17 +92,18 @@ def read_trajectory_csv(path):
         raise InputError(f"cannot read trajectory {path}: {exc}") from exc
     if not lines or lines[0][1] != TRAJECTORY_HEADER:
         raise InputError(f"{path}: missing or unexpected trajectory header")
-    metrics = []
+    metrics, width = [], len(TRAJECTORY_COLUMNS)
     for no, ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 12:
-            raise InputError(f"{path}, line {no}: expected 12 cells per row, got {len(parts)}")
+        row = ln.split(",")
+        if len(row) != width:
+            raise InputError(f"{path}, line {no}: expected {width} cells per row, got {len(row)}")
         try:
-            delta = float(parts[10]) if parts[10] else None
-            t = count("t", int(parts[0]), 0, 2**53 - 1)  # a step index, exact as a float
-            metrics.append(IterateMetrics(t, *map(float, parts[1:10]), delta))
+            t = count("t", int(row[0]), 0, 2**53 - 1)  # a step index, exact as a float
+            *values, _ = (None if not cell and name in OPTIONAL_COLUMNS else float(cell)
+                          for name, cell in zip(TRAJECTORY_COLUMNS[1:], row[1:]))
         except ValueError as exc:  # an InputError from count too
             raise InputError(f"{path}, line {no}: {exc}") from None
+        metrics.append(IterateMetrics(t, *values))
     return metrics
 
 

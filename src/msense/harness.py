@@ -9,6 +9,7 @@ run the cells in grid order.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import time
@@ -175,24 +176,35 @@ def _chunk_rows(d):
     return max(1, min(256, 2**15 // (d * d)))
 
 
-def _diverged(traj, row, guard):
-    err = row.err_spec
-    cause = (f"grad_norm={row.grad_norm:.3e} is not finite" if err <= guard
-             else f"err_spec={err:.3e} > {guard:.3e}")
-    return DivergenceError(f"run diverged at t={row.t}: {cause}", trajectory=traj,
-                           residual=float(err))
+def _steps(f, gradient, eta, iters, stop_sq):
+    """Step F from t = 0 to ``iters``, yielding (t, F_t, |grad_t|, |F_t|_F^2,
+    seconds) per row; a row's seconds cover its gradient and its step.  The
+    first row past ``stop_sq``, or with a non-finite gradient norm, is
+    yielded and not stepped: it ends the run."""
+    for t in range(iters + 1):
+        tic = time.perf_counter()
+        grad, grad_norm = gradient(f)
+        # A non-finite gradient norm counts as an unbounded iterate.
+        f_sq = np.vdot(f, f) if grad_norm < math.inf else math.inf
+        stopped = not f_sq <= stop_sq
+        f_next = f if stopped or t == iters else f - eta * grad
+        yield t, f, grad_norm, f_sq, time.perf_counter() - tic
+        if stopped:
+            return
+        f = f_next
 
 
 def run_experiment(config, write_output=True, measure_from=0):
     """Run one configured experiment and return its Trajectory.
 
-    Records metrics for the initial factor (t=0) and after each of the
-    ``iters`` steps, one batch_metrics call per chunk of ``_chunk_rows(d)``
-    consecutive iterates.  A row's elapsed_ms is its own step time plus an
-    equal share of its chunk's metrics time.  Aborts with DivergenceError,
-    carrying the partial trajectory (also written to config.output), at the
-    first row with err_spec > 1e6 sigma_1 or a non-finite value; the message
-    names err_spec, or the gradient norm when only that is non-finite.
+    ``_steps`` steps the factor; this function measures the rows it yields,
+    t = 0 (the initial factor) to ``iters``, one batch_metrics call per chunk
+    of ``_chunk_rows(d)`` rows.  A row's elapsed_ms is its own step time plus
+    an equal share of its chunk's measuring time (|Delta|_2 when tracked, and
+    the metrics).  Aborts with DivergenceError, carrying the partial
+    trajectory (also written to config.output), at the first row with
+    err_spec > 1e6 sigma_1 or a non-finite value; the message names
+    err_spec, or the gradient norm when only that is non-finite.
 
     Rows t < ``measure_from`` are stepped but not recorded: the trajectory
     holds rows measure_from..iters, bit for bit the tail of the full run.
@@ -220,63 +232,45 @@ def run_experiment(config, write_output=True, measure_from=0):
         grad = population_gradient(f, gt) if population else model.gradient(f)
         return grad, math.sqrt(grad.ravel().dot(grad.ravel()))
 
+    def deviation(f):  # the population operator is exact: Delta = 0
+        return np.zeros_like(gt.Xstar) if population else model.deviation(f, gt.Xstar)
+
     guard = DIVERGENCE_FACTOR * gt.sigma1
     # err_spec >= |F|_F^2 / k - sigma_1, so a row past this bound trips the
     # guard: stepping stops there, long before an iterate could overflow.
     stop_sq = 2.0 * config.k * (guard + gt.sigma1)
     # err_spec <= |F|_F^2 + sigma_1, so a row within this bound cannot trip it.
     safe_sq = guard - gt.sigma1
-    fs = np.empty((_chunk_rows(config.d),) + f.shape)
-    grad_norms = np.empty(len(fs))
-    metrics, elapsed, t0 = [], [], None  # t0: the chunk's first row, None until measuring
+    metrics, elapsed, cut = [], [], None  # cut: 1 + the index of the chunk's first bad row
     # Overflow makes a row non-finite, and such a row stops the run below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(config.iters + 1):
+        stepped = itertools.dropwhile(lambda row: row[0] < measure_from and row[3] <= safe_sq,
+                                      _steps(f, gradient, eta, config.iters, stop_sq))
+        while cut is None and (chunk := list(itertools.islice(stepped, _chunk_rows(config.d)))):
             tic = time.perf_counter()
-            grad, grad_norm = gradient(f)
-            # A non-finite gradient norm counts as an unbounded iterate.
-            f_sq = np.vdot(f, f) if grad_norm < math.inf else math.inf
-            stopped = not f_sq <= stop_sq
-            if t0 is None and (t >= measure_from or not f_sq <= safe_sq):
-                t0, steps, deviations = t, [], {}
-            if t0 is not None:
-                fs[t - t0], grad_norms[t - t0] = f, grad_norm
-                if config.track_delta and t % config.delta_every == 0:
-                    # The population operator is exact: Delta = 0.
-                    deviations[t - t0] = (np.zeros_like(gt.Xstar) if population
-                                          else model.deviation(f, gt.Xstar))
-            if t < config.iters and not stopped:
-                f = f - eta * grad
-            if t0 is None:
-                continue
-            toc = time.perf_counter()
-            steps.append(toc - tic)
-            m = len(steps)
-            if m < len(fs) and t < config.iters and not stopped:
-                continue
-            norms = {}
-            if deviations:
-                stack = np.stack(list(deviations.values()))
-                norms = dict(zip(deviations, spectral_norms(stack).tolist()))
-            rows = batch_metrics(t0, fs[:m], gt, scales, grad_norms[:m],
-                                 [norms.get(i) for i in range(m)])
-            share = (time.perf_counter() - toc) / m
-            times = [(step + share) * 1000.0 for step in steps]
-            bad = ~(np.array([row.err_spec for row in rows]) <= guard)
-            bad[-1] |= stopped  # a non-finite gradient norm also stops stepping
-            end = int(np.argmax(bad)) + 1 if bad.any() else m  # through the first bad row
-            skip = max(0, measure_from - t0)  # measured, but before the recorded rows
-            metrics += rows[skip:end]
-            elapsed += times[skip:end]
-            if bad.any():
-                break
-            t0, steps, deviations = t + 1, [], {}
+            ts, fs, grad_norms, _, seconds = zip(*chunk)
+            tracked = [i for i, t in enumerate(ts)
+                       if config.track_delta and t % config.delta_every == 0]
+            norms = dict(zip(tracked, spectral_norms([deviation(fs[i]) for i in tracked]).tolist()
+                             if tracked else []))
+            rows = batch_metrics(ts[0], fs, gt, scales, grad_norms,
+                                 [norms.get(i) for i in range(len(ts))])
+            share = (time.perf_counter() - tic) / len(ts)
+            cut = next((i for i, row in enumerate(rows, 1)
+                        if not (row.err_spec <= guard and row.grad_norm < math.inf)), None)
+            skip = max(0, measure_from - ts[0])  # measured, but before the recorded rows
+            metrics += rows[skip:cut]
+            elapsed += [(step + share) * 1000.0 for step in seconds[skip:cut]]
 
     traj = Trajectory(config=config, metrics=metrics, elapsed_ms=elapsed)
     if write_output and config.output:  # a diverged run keeps its partial trajectory
         write_trajectory_csv(traj, config.output)
-    if bad.any():  # the last chunk measured stopped the run at its row end - 1
-        raise _diverged(traj, rows[end - 1], guard)
+    if cut is not None:  # the run stopped at this row
+        row = rows[cut - 1]
+        cause = (f"grad_norm={row.grad_norm:.3e} is not finite" if row.err_spec <= guard
+                 else f"err_spec={row.err_spec:.3e} > {guard:.3e}")
+        raise DivergenceError(f"run diverged at t={row.t}: {cause}", trajectory=traj,
+                              residual=float(row.err_spec))
     return traj
 
 
@@ -491,7 +485,10 @@ def sample_contraction(traj):
     and the floored recursion A' <= (1 - eta A / 2) A, given the deviation
     hypothesis |Delta|_2 <= 10 sqrt(k d log d / n) D + 4 sqrt(d log d / n) sigma
     and A_t > 0.  A failed check whose conditions do not hold is vacuous.
-    The run's constants come from traj.config; no qualifying pair is an InputError."""
+    The run's constants come from traj.config; no config or no qualifying pair is an InputError."""
+    if traj.config is None:
+        raise InputError("sample_contraction needs the run's config (d, k, n, sigma, eta), "
+                         "which a trajectory CSV does not carry")
     t, delta, ss, st, d_val, a_val = map(
         traj.column, ("t", "delta_norm", "ss_err", "st_norm", "D", "A"))
     i = np.flatnonzero(~np.isnan(delta[:-1]) & (t[1:] == t[:-1] + 1))

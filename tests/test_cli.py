@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -420,13 +421,15 @@ def test_phases_malformed_trajectory_exits_1_with_one_line(tmp_path, capsys):
     row = lines[3].split(",")
     bad_cell = ",".join(row[:1] + ["abc"] + row[2:])  # ss_err
     bad_t = ",".join(["1.5"] + row[1:])
+    bad_elapsed = ",".join(row[:-1] + ["abc"])
     cases = {"bad_cell.csv": lines[:3] + [bad_cell] + lines[4:],
-             "bad_t.csv": lines[:3] + [bad_t] + lines[4:]}
+             "bad_t.csv": lines[:3] + [bad_t] + lines[4:],
+             "bad_elapsed.csv": lines[:3] + [bad_elapsed] + lines[4:]}
     for name, content in cases.items():
         (tmp_path / name).write_text("\n".join(content) + "\n")
     (tmp_path / "binary.csv").write_bytes(BINARY)
     for name, needle in (("bad_cell.csv", "line 4"), ("bad_t.csv", "line 4"),
-                         ("binary.csv", "binary.csv")):
+                         ("bad_elapsed.csv", "line 4"), ("binary.csv", "binary.csv")):
         assert main(["phases", "--traj", str(tmp_path / name)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -632,3 +635,44 @@ def test_console_entry_point_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "final" in proc.stdout
+
+
+# A subcommand that writes a file writes it before it prints.
+CLOSED_STDOUT_COMMANDS = {
+    "run": "run --config {cfg} --out {tmp}/out.csv",
+    "sweep": "sweep --config {cfg} --param n --values 100,200",
+    "verify": "verify init --trials 5",
+    "conc": "conc noise --d 5 --n 50 --trials 3 --out {tmp}/out.csv",
+    "phases": "phases --traj {tmp}/traj.csv",
+    "figures": "figures --out {tmp}/figures",
+}
+
+
+# Buffered, as a pipe is by default, stdout fails when main flushes it;
+# unbuffered, it fails in the first print.
+CLOSED_STDOUT_CASES = [(c, True) for c in sorted(CLOSED_STDOUT_COMMANDS)] + [("conc", False)]
+
+
+@pytest.mark.parametrize("command, buffered", CLOSED_STDOUT_CASES,
+                         ids=[c if b else c + "_unbuffered" for c, b in CLOSED_STDOUT_CASES])
+def test_a_closed_stdout_gives_one_error_line(tmp_path, command, buffered):
+    cfg = write_config(tmp_path, iters=60)
+    if command == "phases":
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "traj.csv")]) == 0
+    argv = CLOSED_STDOUT_COMMANDS[command].format(cfg=cfg, tmp=tmp_path).split()
+    env = {key: v for key, v in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)  # every write to stdout fails with EPIPE
+    try:
+        proc = subprocess.run([sys.executable, "-m", "msense.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    if "--out" in argv and command != "figures":  # the file of a normal run, byte for byte
+        assert main(argv[:-1] + [str(tmp_path / "ref.csv")]) == 0
+        assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -125,7 +125,9 @@ def test_kernel_matches_oracle_on_random_iterates(name, rng, one_row_metrics):
 
 
 def test_iterate_metrics_schema_is_locked():
-    assert IterateMetrics._fields == tuple(TRAJECTORY_HEADER.split(",")[:11])
+    # The header is built from IterateMetrics._fields: the literal pins both.
+    assert TRAJECTORY_HEADER == (
+        "t,ss_err,st_norm,tt_norm,tt_err,D,A,err_spec,err_fro,grad_norm,delta_norm,elapsed_ms")
     row = IterateMetrics(t=3, ss_err=0.1, st_norm=0.2, tt_norm=0.3, tt_err=0.4, D=0.5,
                          A=0.6, err_spec=0.7, err_fro=0.8, grad_norm=0.9)
     assert row.delta_norm is None

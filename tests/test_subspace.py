@@ -24,6 +24,8 @@ from msense import (
     spectral_norm,
     verify_population_contraction,
 )
+from msense.csvio import read_trajectory_csv, write_trajectory_csv
+from msense.harness import Trajectory
 from msense.problem import QuadraticModel, SensingSet
 from msense.rng import stream
 from msense.subspace import exact_factor
@@ -391,6 +393,14 @@ def test_sample_contraction_requires_delta():
                     traj.metrics[::2]):
         with pytest.raises(InputError):
             sample_contraction(replace(traj, metrics=metrics))
+
+
+def test_sample_contraction_of_a_csv_trajectory_needs_the_config(tmp_path):
+    """A trajectory CSV carries no config: an InputError, not an AttributeError."""
+    write_trajectory_csv(_sample_run(iters=5), tmp_path / "t.csv")
+    traj = Trajectory(config=None, metrics=read_trajectory_csv(tmp_path / "t.csv"), elapsed_ms=[])
+    with pytest.raises(InputError, match="needs the run's config"):
+        sample_contraction(traj)
 
 
 def test_sample_contraction_fails_or_is_vacuous_when_the_recursion_breaks():

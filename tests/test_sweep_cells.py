@@ -11,6 +11,7 @@ from msense import DivergenceError, ExperimentConfig, InputError, run_experiment
 from msense import harness
 from msense.csvio import trajectory_rows
 from msense.harness import PLATEAU_FRACTION, CellResult, _chunk_rows, _run_cell
+from msense.problem import QuadraticModel
 from msense.rng import stable_hash64
 
 
@@ -120,6 +121,26 @@ def test_divergence_inside_the_measured_rows_keeps_them():
         run_experiment(config, measure_from=t - 5)
     assert str(part.value) == str(full.value)
     assert part.value.trajectory.metrics == full.value.trajectory.metrics[t - 5:]
+
+
+def test_stepping_stops_at_the_stop_row(monkeypatch):
+    """The stepping stage computes no gradient past the row that stops the
+    run, however far measuring lags behind it."""
+    calls, exact = [], QuadraticModel.gradient
+
+    def gradient(model, f):
+        calls.append(None)
+        return exact(model, f)
+
+    monkeypatch.setattr(QuadraticModel, "gradient", gradient)
+    eta_1 = replace(cell_config(eta=1.0), n=400, seed=(1 ^ stable_hash64("n", 400)) % 2**64)
+    for config, measure_from, t in ((cell_config(seed=1, n=400, eta=5.0), 0, 4),
+                                    (cell_config(seed=1, n=400, eta=5.0), 100, 4),
+                                    (eta_1, 0, 296)):
+        calls.clear()
+        with pytest.raises(DivergenceError, match=f"at t={t}:"):
+            run_experiment(config, measure_from=measure_from)
+        assert len(calls) == t + 1, (measure_from, t)
 
 
 def test_non_finite_gradient_in_the_unmeasured_rows_diverges(monkeypatch):
