@@ -1,0 +1,78 @@
+"""Record the output of a fixed set of msense commands, to compare two checkouts.
+
+    python scripts/output_digests.py OUT.json
+
+Each command runs as ``python -m msense.cli`` in one fresh temporary directory
+with OPENBLAS_NUM_THREADS=1.  OUT.json holds each command's argv, exit code,
+stdout and stderr, and the sha256 of every file the commands leave behind.
+Paths are relative to the temporary directory, so two checkouts that produce
+the same bytes give the same JSON.
+
+msense is imported from PYTHONPATH when it names one, and from this
+checkout's ``src`` otherwise, so a parent commit without this script is
+measured with ``PYTHONPATH=/path/to/parent/src python scripts/output_digests.py
+parent.json``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+SMALL = dict(d=10, r=2, k=3, n=400, iters=300, seed=1, sigma=0.1, ds=[1.0, 0.8], dt="zeros")
+CONFIGS = {
+    "sweep.json": dict(SMALL, eta=0.1),
+    # dt != 0, a spectral start and |Delta|_2 on every third row.
+    "delta.json": dict(SMALL, eta=0.1, dt=[0.3, -0.2, 0.1, 0.05, -0.05, 0.02, 0.01, 0.0],
+                       init=dict(mode="spectral"), track_delta=True, delta_every=3),
+    # Diverges at t=4: exit 2 and a 5-row partial CSV.
+    "diverge.json": dict(SMALL, eta=5.0),
+    "population.json": dict(SMALL, eta=0.1, gradient_mode="population", track_delta=True),
+}
+COMMANDS = [
+    "figures --out figs2020 --seed 2020",
+    "figures --out figs11 --seed 11",
+    "sweep --config sweep.json --param n --values 100,200,400 --out sweep.csv",
+    "run --config delta.json --out delta.csv",
+    "run --config diverge.json --out diverge.csv",
+    "run --config population.json --out population.csv",
+    "conc noise --d 10 --n 500 --trials 20 --seed 3 --out conc.csv",
+    "phases --traj figs2020/fig1a.csv --eta 0.1",
+]
+
+
+def main(argv):
+    if len(argv) != 2:
+        sys.exit(__doc__)
+    paths = [os.path.abspath(p) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(paths + [SRC]))
+    with tempfile.TemporaryDirectory() as work:
+        for name, config in CONFIGS.items():
+            with open(os.path.join(work, name), "w") as fh:
+                json.dump(config, fh)
+        commands = []
+        for command in COMMANDS:
+            proc = subprocess.run([sys.executable, "-m", "msense.cli", *command.split()],
+                                  cwd=work, env=env, capture_output=True, text=True)
+            commands.append(dict(argv=command, exit=proc.returncode, stdout=proc.stdout,
+                                 stderr=proc.stderr))
+        files = {}
+        for root, _, names in os.walk(work):
+            for name in names:
+                path = os.path.join(root, name)
+                with open(path, "rb") as fh:
+                    files[os.path.relpath(path, work)] = hashlib.sha256(fh.read()).hexdigest()
+    with open(argv[1], "w") as fh:
+        json.dump(dict(commands=commands, files=files), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main(sys.argv)

@@ -1,12 +1,13 @@
 """Command line interface.
 
 Subcommands: run, sweep, verify (pop|init), conc (noise|deviation|moment|asq),
-phases, figures.  Exit codes: 0 success, 1 bad input, 2 numeric failure.
+phases, figures.  Exit codes: 0 success, 1 bad input or a failed write, 2 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -48,16 +49,17 @@ def _cmd_run(args):
     out = args.out or config.output
     if out:
         check_output_path(out)
-    traj = None
     try:
         traj = run_experiment(config, write_output=False)
     except DivergenceError as exc:
-        traj = exc.trajectory  # keep the rows recorded up to the abort
+        if out:  # keep the rows recorded up to the abort
+            write_trajectory_csv(exc.trajectory, out, timing=args.timing)
+            with contextlib.suppress(BrokenPipeError):  # the divergence is the error to report
+                print(f"wrote {out} ({len(exc.trajectory.metrics)} rows)")
         raise
-    finally:
-        if out and traj is not None:
-            write_trajectory_csv(traj, out, timing=args.timing)
-            print(f"wrote {out} ({len(traj.metrics)} rows)")
+    if out:
+        write_trajectory_csv(traj, out, timing=args.timing)
+        print(f"wrote {out} ({len(traj.metrics)} rows)")
     last = traj.metrics[-1]
     print(
         f"final t={last.t} err_fro={last.err_fro:.6e} err_spec={last.err_spec:.6e} "
@@ -232,10 +234,17 @@ def main(argv=None):
         return 1
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()  # the lines before the failure, as on success
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     except BrokenPipeError as exc:  # stdout closed early, as by `msense ... | head`
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit flush passes
         print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an output file that cannot be written, as on a full disk
+        print(f"error: write failed: {exc}", file=sys.stderr)
         return 1
 
 

@@ -1,14 +1,18 @@
+import errno
+import io
 import json
 import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import msense.cli
 import msense.concentration
+import msense.csvio
 import msense.harness
 import msense.problem
 import msense.figures
@@ -211,9 +215,11 @@ def test_sweep_command(tmp_path, capsys):
     assert len(lines) == 3
 
 
-def test_sweep_bad_values_exit_1(tmp_path):
+def test_sweep_bad_values_exit_1(tmp_path, capsys):
     cfg = write_config(tmp_path)
-    assert main(["sweep", "--config", str(cfg), "--param", "n", "--values", "200,100"]) == 1
+    for values, message in (("200,100", "strictly increasing"), (",", "at least one value")):
+        assert main(["sweep", "--config", str(cfg), "--param", "n", "--values", values]) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_verify_pop_command(capsys):
@@ -561,24 +567,25 @@ def test_figures_command(tmp_path, monkeypatch, capsys, trajectory_rows_oracle,
     real_run = msense.figures.run_experiment
 
     def counting_run(config, *args, **kwargs):
-        assert config not in runs
-        runs[config] = real_run(config, *args, **kwargs)
-        return runs[config]
+        assert config.output not in runs
+        runs[config.output] = real_run(config, *args, **kwargs)
+        return runs[config.output]
 
     monkeypatch.setattr(msense.figures, "run_experiment", counting_run)
     csv_writes = []
-    real_write = msense.figures.write_trajectory_csv
+    real_write = msense.harness.write_trajectory_csv
 
     def counting_write(traj, path, *args, **kwargs):
         csv_writes.append(path)
         return real_write(traj, path, *args, **kwargs)
 
-    monkeypatch.setattr(msense.figures, "write_trajectory_csv", counting_write)
+    monkeypatch.setattr(msense.harness, "write_trajectory_csv", counting_write)
     out_dir = tmp_path / "figs"
     rc = main(["figures", "--out", str(out_dir), "--seed", "11"])
     assert rc == 0
     assert len(runs) == 4  # fig2a/fig2b replot the fig1a/fig1b runs
-    assert len(csv_writes) == 4  # and copy their CSVs
+    assert len({replace(traj.config, output=None) for traj in runs.values()}) == 4
+    assert sorted(csv_writes) == sorted(runs)  # each run writes its first CSV; the rest copy it
     names = sorted(p.name for p in out_dir.iterdir())
     expected = []
     for stem in ("fig1a", "fig1b", "fig1c", "fig1d", "fig2a", "fig2b"):
@@ -594,17 +601,18 @@ def test_figures_command(tmp_path, monkeypatch, capsys, trajectory_rows_oracle,
     # The files come back in figure-name order, each with the per-row and per-point
     # writers' bytes for its run.
     assert capsys.readouterr().out.splitlines() == [f"wrote {out_dir / name}" for name in expected]
-    for name, fig in msense.figures.FIGURES.items():
-        traj = runs[msense.figures._figure_config(fig, 11)]
+    for k, init, _, figs in msense.figures.RUNS:
+        traj = runs[str(out_dir / f"{next(iter(figs))}.csv")]
         csv = "".join(row + "\n" for row in trajectory_rows_oracle(traj))
-        assert (out_dir / f"{name}.csv").read_text() == csv, name
         t = traj.column("t")
-        series = [(msense.figures.CURVE_LABELS[c], t, traj.column(c).clip(min=0.0))
-                  for c in fig["curves"]]
-        want = tmp_path / f"{name}.svg"
-        line_chart_oracle(want, series, title=f"{name}: k={fig['k']}, {fig['init']} init",
-                          ylabel="spectral norm")
-        assert (out_dir / f"{name}.svg").read_bytes() == want.read_bytes(), name
+        for name, curves in figs.items():
+            assert (out_dir / f"{name}.csv").read_text() == csv, name
+            series = [(msense.figures.CURVE_LABELS[c], t, traj.column(c).clip(min=0.0))
+                      for c in curves]
+            want = tmp_path / f"{name}.svg"
+            line_chart_oracle(want, series, title=f"{name}: k={k}, {init} init",
+                              ylabel="spectral norm")
+            assert (out_dir / f"{name}.svg").read_bytes() == want.read_bytes(), name
 
 
 def test_figures_validates_the_seed_before_creating_out(tmp_path, capsys):
@@ -637,26 +645,31 @@ def test_console_entry_point_runs(tmp_path):
     assert "final" in proc.stdout
 
 
-# A subcommand that writes a file writes it before it prints.
+# A subcommand that writes a file writes it before it prints.  A diverging run
+# reports its divergence (exit 2), not the closed stdout.
 CLOSED_STDOUT_COMMANDS = {
     "run": "run --config {cfg} --out {tmp}/out.csv",
+    "run_diverging": "run --config {cfg} --out {tmp}/out.csv",
     "sweep": "sweep --config {cfg} --param n --values 100,200",
     "verify": "verify init --trials 5",
     "conc": "conc noise --d 5 --n 50 --trials 3 --out {tmp}/out.csv",
     "phases": "phases --traj {tmp}/traj.csv",
     "figures": "figures --out {tmp}/figures",
 }
+DIVERGING = dict(d=10, r=2, k=3, n=400, sigma=0.1, seed=1, ds=[1.0, 0.8], eta=5.0, iters=300)
 
 
 # Buffered, as a pipe is by default, stdout fails when main flushes it;
 # unbuffered, it fails in the first print.
-CLOSED_STDOUT_CASES = [(c, True) for c in sorted(CLOSED_STDOUT_COMMANDS)] + [("conc", False)]
+CLOSED_STDOUT_CASES = ([(c, True) for c in sorted(CLOSED_STDOUT_COMMANDS)]
+                       + [("conc", False), ("run_diverging", False)])
 
 
 @pytest.mark.parametrize("command, buffered", CLOSED_STDOUT_CASES,
                          ids=[c if b else c + "_unbuffered" for c, b in CLOSED_STDOUT_CASES])
 def test_a_closed_stdout_gives_one_error_line(tmp_path, command, buffered):
-    cfg = write_config(tmp_path, iters=60)
+    diverging = command == "run_diverging"
+    cfg = write_config(tmp_path, **(DIVERGING if diverging else dict(iters=60)))
     if command == "phases":
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "traj.csv")]) == 0
     argv = CLOSED_STDOUT_COMMANDS[command].format(cfg=cfg, tmp=tmp_path).split()
@@ -670,9 +683,37 @@ def test_a_closed_stdout_gives_one_error_line(tmp_path, command, buffered):
                               stderr=subprocess.PIPE, text=True, env=env)
     finally:
         os.close(write)
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    code, prefix = (2, "numeric failure: ") if diverging else (1, "error: ")
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1, proc.stderr
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
     if "--out" in argv and command != "figures":  # the file of a normal run, byte for byte
-        assert main(argv[:-1] + [str(tmp_path / "ref.csv")]) == 0
+        assert main(argv[:-1] + [str(tmp_path / "ref.csv")]) == (2 if diverging else 0)
         assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+class FullDisk(io.StringIO):
+    """A file on a full disk: every write fails with ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+WRITE_FAILURES = {
+    "run": "run --config {cfg} --out {tmp}/out.csv",
+    "sweep": "sweep --config {cfg} --param n --values 100,200 --out {tmp}/out.csv",
+    "conc": "conc noise --d 5 --n 50 --trials 3 --out {tmp}/out.csv",
+    "figures": "figures --out {tmp}/figures",
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRITE_FAILURES))
+def test_a_failed_write_gives_one_error_line(tmp_path, monkeypatch, capsys, command):
+    """Every output file is written through csvio; a disk that fills up under it is
+    one error line and exit 1, and nothing claims the file was written."""
+    cfg = write_config(tmp_path, iters=60)
+    monkeypatch.setattr(msense.csvio, "open", lambda *args, **kwargs: FullDisk(), raising=False)
+    assert main(WRITE_FAILURES[command].format(cfg=cfg, tmp=tmp_path).split()) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: write failed: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"

@@ -58,6 +58,8 @@ def test_population_gradient_examples(gt20):
     f = exact_factor(gt20, 3)
     assert spectral_norm(population_gradient(f, gt20)) < 1e-12
     assert spectral_norm(population_gradient(np.zeros((20, 4)), gt20)) == 0.0
+    with pytest.raises(InputError, match="factor must be 20 x k"):
+        population_gradient(np.zeros((19, 4)), gt20)
 
     gt2 = generate_ground_truth(2, 1, [1.0], [0.0], seed=1)
     # work in the eigenbasis: X* = diag(1, 0), F = (1.1, 0)^T
@@ -157,6 +159,8 @@ def test_op_MU_edge_cases(gt20):
     s_exact[:, :3] = np.diag(np.sqrt(gt20.ds))
     out = op_MU(s_exact, np.zeros((17, 4)), gt20.ds, 0.013)
     assert_allclose(out, s_exact, atol=1e-14)
+    with pytest.raises(InputError, match="column count k"):
+        op_MU(s_coef, t_coef[:, :3], gt20.ds, 0.1)
 
 
 def test_op_MU_contraction_spot_check(gt20):

@@ -51,9 +51,10 @@ def test_config_requires_core_fields():
 
 
 def test_config_round_trip():
-    cfg = small_config(track_delta=True, delta_every=5)
-    again = ExperimentConfig.from_dict(cfg.to_dict())
-    assert again == cfg
+    for cfg in (small_config(track_delta=True, delta_every=5),
+                small_config(dt=[0.1 * 0.9**i for i in range(17)])):
+        again = ExperimentConfig.from_dict(cfg.to_dict())
+        assert again == cfg
 
 
 def test_config_field_validation_names_field():

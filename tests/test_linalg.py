@@ -52,6 +52,8 @@ def test_as_symmetric_absorbs_rounding_and_rejects_real_asymmetry():
     assert_allclose(out, out.T)
     with pytest.raises(InputError):
         as_symmetric(np.array([[1.0, 2.0], [2.1, 3.0]]))
+    with pytest.raises(InputError, match="square"):
+        as_symmetric(np.ones((2, 3)))
 
 
 def test_orthonormalize_examples(rng):

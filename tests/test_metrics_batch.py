@@ -10,6 +10,7 @@ from msense import (
     DivergenceError,
     ExperimentConfig,
     InitSpec,
+    InputError,
     derived_scales,
     generate_ground_truth,
     generate_sensing,
@@ -165,6 +166,12 @@ def test_kernel_non_finite_row_is_nan_and_isolated(gt20, rng, monkeypatch, one_r
             assert np.isnan(getattr(rows[i], name)), (i, name)
     assert rows[0] == one_row_metrics(0, fs[0], gt20, scales, 1.0)
     assert rows[2] == one_row_metrics(2, fs[2], gt20, scales, 1.0)
+
+
+def test_kernel_takes_only_a_stack_of_factors(gt20, rng):
+    scales = derived_scales(gt20, n=200, sigma=0.0, k=4)
+    with pytest.raises(InputError, match="factors must be B x 20 x k"):
+        batch_metrics(0, rng.standard_normal((20, 4)), gt20, scales, [1.0], [None])
 
 
 @pytest.mark.parametrize("dt", ["zeros", (0.3, -0.2) + (0.0,) * 15])

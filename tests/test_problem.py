@@ -66,6 +66,8 @@ def test_spectrum_validation():
         generate_ground_truth(4, 2, [1.0, -0.1], "zeros", seed=0)  # not positive
     with pytest.raises(InputError):
         generate_ground_truth(4, 0, [], "zeros", seed=0)
+    with pytest.raises(InputError, match="descending in absolute value"):
+        generate_ground_truth(5, 2, [1.0, 0.5], [0.1, -0.05, 0.2], seed=0)
     # nonzero dt below the gap is accepted
     gt = generate_ground_truth(4, 2, [1.0, 0.5], [0.1, -0.05], seed=0)
     assert gt.sigma_r_plus_1 == pytest.approx(0.1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from msense.csvio import metrics_column, read_trajectory_csv
-from msense.figures import CURVE_LABELS, FIGURES, reproduce_figures
+from msense.figures import CURVE_LABELS, RUNS, reproduce_figures
 from msense.svgplot import write_line_chart
 
 
@@ -18,15 +18,16 @@ def assert_same_bytes(tmp_path, oracle, series, **kwargs):
 def test_figure_charts_match_the_per_point_writer(tmp_path, line_chart_oracle):
     out = tmp_path / "figs"
     reproduce_figures(str(out), seed=2020)
-    for name, fig in sorted(FIGURES.items()):
-        metrics = read_trajectory_csv(out / f"{name}.csv")  # repr round-trips exactly
-        t = metrics_column(metrics, "t")
-        series = [(CURVE_LABELS[c], t, metrics_column(metrics, c).clip(min=0.0))
-                  for c in fig["curves"]]
-        want = tmp_path / f"{name}.svg"
-        title = f"{name}: k={fig['k']}, {fig['init']} init"
-        line_chart_oracle(want, series, title=title, ylabel="spectral norm")
-        assert (out / f"{name}.svg").read_bytes() == want.read_bytes(), name
+    for k, init, _, figs in RUNS:
+        for name, curves in figs.items():
+            metrics = read_trajectory_csv(out / f"{name}.csv")  # repr round-trips exactly
+            t = metrics_column(metrics, "t")
+            series = [(CURVE_LABELS[c], t, metrics_column(metrics, c).clip(min=0.0))
+                      for c in curves]
+            want = tmp_path / f"{name}.svg"
+            title = f"{name}: k={k}, {init} init"
+            line_chart_oracle(want, series, title=title, ylabel="spectral norm")
+            assert (out / f"{name}.svg").read_bytes() == want.read_bytes(), name
 
 
 EDGE_SERIES = {
