@@ -42,6 +42,8 @@ COMMANDS = [
     "run --config delta.json --out delta.csv",
     "run --config diverge.json --out diverge.csv",
     "run --config population.json --out population.csv",
+    # A failed write: one error line and exit 1.
+    "run --config sweep.json --out /dev/full",
     "conc noise --d 10 --n 500 --trials 20 --seed 3 --out conc.csv",
     "phases --traj figs2020/fig1a.csv --eta 0.1",
 ]

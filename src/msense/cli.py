@@ -2,12 +2,13 @@
 
 Subcommands: run, sweep, verify (pop|init), conc (noise|deviation|moment|asq),
 phases, figures.  Exit codes: 0 success, 1 bad input or a failed write, 2 numeric failure.
+Each subcommand yields its stdout lines and prints nothing: ``main`` prints them once
+the command has returned or raised, so its files are written first.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import math
@@ -46,25 +47,22 @@ def _load_config(path):
 
 def _cmd_run(args):
     config = _load_config(args.config)
-    out = args.out or config.output
-    if out:
+    out = config.output if args.out is None else args.out
+    if out is not None:
         check_output_path(out)
     try:
         traj = run_experiment(config, write_output=False)
     except DivergenceError as exc:
-        if out:  # keep the rows recorded up to the abort
+        if out is not None:  # keep the rows recorded up to the abort
             write_trajectory_csv(exc.trajectory, out, timing=args.timing)
-            with contextlib.suppress(BrokenPipeError):  # the divergence is the error to report
-                print(f"wrote {out} ({len(exc.trajectory.metrics)} rows)")
+            yield f"wrote {out} ({len(exc.trajectory.metrics)} rows)"
         raise
-    if out:
+    if out is not None:
         write_trajectory_csv(traj, out, timing=args.timing)
-        print(f"wrote {out} ({len(traj.metrics)} rows)")
+        yield f"wrote {out} ({len(traj.metrics)} rows)"
     last = traj.metrics[-1]
-    print(
-        f"final t={last.t} err_fro={last.err_fro:.6e} err_spec={last.err_spec:.6e} "
-        f"D={last.D:.6e}"
-    )
+    yield (f"final t={last.t} err_fro={last.err_fro:.6e} err_spec={last.err_spec:.6e} "
+           f"D={last.D:.6e}")
 
 
 def _cmd_sweep(args):
@@ -76,13 +74,13 @@ def _cmd_sweep(args):
     result = sweep(config, args.param, values, out=args.out)
     for row in result.rows:
         plateau = "n/a" if row.plateau_err_fro is None else f"{row.plateau_err_fro:.6e}"
-        print(f"{row.param}={row.value}: plateau err_fro={plateau} status={row.status}")
+        yield f"{row.param}={row.value}: plateau err_fro={plateau} status={row.status}"
     if result.slope is not None:
-        print(f"log-log slope of plateau err_fro^2 vs n: {result.slope:.4f}")
+        yield f"log-log slope of plateau err_fro^2 vs n: {result.slope:.4f}"
     else:
-        print("log-log slope: undefined for this sweep")
-    if args.out:
-        print(f"wrote {args.out}")
+        yield "log-log slope: undefined for this sweep"
+    if args.out is not None:
+        yield f"wrote {args.out}"
 
 
 def _verify_trials(args):
@@ -99,27 +97,25 @@ def _cmd_verify_pop(args):
     reports = [verify_population_contraction(*region_sample(gt, DEFAULT_SPECTRUM["k"], seed),
                                              gt, eta) for seed in seeds]
     passed = sum(report.all_passed for report in reports)
-    print(f"samples with all 8 inequalities passing: {passed}/{args.trials}")
+    yield f"samples with all 8 inequalities passing: {passed}/{args.trials}"
     for checks in zip(*(report.checks for report in reports)):  # one inequality over all samples
         worst = max(chk.lhs - chk.rhs for chk in checks)
-        print(
-            f"  {checks[0].name}: {sum(chk.passed for chk in checks)}/{args.trials} pass, "
-            f"worst lhs-rhs = {worst:.3e} (units of sigma_r: {worst / gt.sigma_r:.3e})"
-        )
+        yield (f"  {checks[0].name}: {sum(chk.passed for chk in checks)}/{args.trials} pass, "
+               f"worst lhs-rhs = {worst:.3e} (units of sigma_r: {worst / gt.sigma_r:.3e})")
 
 
 def _cmd_verify_init(args):
     gt, seeds = _verify_trials(args)
     reports = [check_initialization(planted_init(gt, DEFAULT_SPECTRUM["k"], RHO_MAX, seed), gt,
                                     RHO_MAX) for seed in seeds]
-    print(f"basin assumption holds: {sum(r.assumption_ok for r in reports)}/{args.trials}")
-    print(f"decomposed-norm implication holds: {sum(r.lemma_ok for r in reports)}/{args.trials}")
+    yield f"basin assumption holds: {sum(r.assumption_ok for r in reports)}/{args.trials}"
+    yield f"decomposed-norm implication holds: {sum(r.lemma_ok for r in reports)}/{args.trials}"
 
 
 def _cmd_conc(args):
-    if args.out and args.kind in ("moment", "asq"):
+    if args.out is not None and args.kind in ("moment", "asq"):
         raise InputError(f"conc {args.kind} writes no per-trial CSV; drop --out")
-    if args.out:
+    if args.out is not None:
         check_output_path(args.out)
     conc.check_mc_memory(args.kind, args.d, args.n, args.trials)  # before U is drawn
     if args.kind in ("deviation", "moment"):
@@ -131,31 +127,29 @@ def _cmd_conc(args):
         "moment": lambda: conc.mc_second_moment(u, args.trials, args.seed),
         "asq": lambda: conc.mc_A_squared(args.d, args.trials, args.seed),
     }[args.kind]()
-    if args.out:  # the file comes first, as for every subcommand that writes one
+    if args.out is not None:
         write_mc_csv(report, args.out)
-    _print_json(report.summary())
+    yield _json_text(report.summary())
     if args.kind == "asq":
-        print(f"max |estimate - d I| entry: {abs(report.estimate - report.reference).max():.4f}")
-    if args.out:
-        print(f"wrote {args.out}")
+        yield f"max |estimate - d I| entry: {abs(report.estimate - report.reference).max():.4f}"
+    if args.out is not None:
+        yield f"wrote {args.out}"
 
 
-def _print_json(report):
-    """Print the flat dict ``report`` as strict JSON: a non-finite value prints as null."""
+def _json_text(report):
+    """The flat dict ``report`` as strict JSON: a non-finite value becomes null."""
     report = {key: None if isinstance(v, float) and not math.isfinite(v) else v
               for key, v in report.items()}
-    print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _cmd_phases(args):
     metrics = read_trajectory_csv(args.traj)
-    _print_json(dataclasses.asdict(detect_phases(metrics, eta=args.eta)))
+    yield _json_text(dataclasses.asdict(detect_phases(metrics, eta=args.eta)))
 
 
 def _cmd_figures(args):
-    written = reproduce_figures(args.out, seed=args.seed)
-    for path in written:
-        print(f"wrote {path}")
+    return [f"wrote {path}" for path in reproduce_figures(args.out, seed=args.seed)]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -223,29 +217,27 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    lines, code, message = [], 0, None
     try:
-        args = parser.parse_args(argv)
-        args.func(args)
-        sys.stdout.flush()  # a closed stdout fails here, not in the exit flush
-        return 0
+        args = build_parser().parse_args(argv)
+        lines.extend(args.func(args))  # keeps the lines yielded before an error
     except InputError as exc:  # one line, even when the input holds a newline
-        print("error: " + str(exc).replace("\n", "\\n"), file=sys.stderr)
-        return 1
+        code, message = 1, "error: " + str(exc).replace("\n", "\\n")
     except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        try:
-            sys.stdout.flush()  # the lines before the failure, as on success
-        except BrokenPipeError:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 2
+        code, message = 2, f"numeric failure: {exc}"
+    except OSError as exc:  # raised inside a command, so an output file's: a full disk, a FIFO
+        code, message = 1, f"error: write failed: {exc}"
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()  # a closed stdout fails here, not in the exit flush
     except BrokenPipeError as exc:  # stdout closed early, as by `msense ... | head`
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit flush passes
-        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # an output file that cannot be written, as on a full disk
-        print(f"error: write failed: {exc}", file=sys.stderr)
-        return 1
+        if not code:  # a command's own error is the one to report
+            code, message = 1, f"error: cannot write to stdout: {exc}"
+    if message:
+        print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -66,14 +66,16 @@ def trajectory_rows(traj, timing=False):
 
 def check_output_path(path):
     """Raise InputError unless ``path`` can be written as a file; called
-    before any compute so a bad path fails fast."""
+    before any compute so a bad path fails fast.  A path with no file name
+    ('' or 'dir/') names no file."""
     try:
         os.access(path, os.F_OK)
     except ValueError as exc:  # a NUL byte, or a lone surrogate the file system cannot encode
         raise InputError(f"cannot write output {path!r}: {exc}") from None
     parent = os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path) or not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
-        raise InputError(f"cannot write output {path}: not a file in a writable directory")
+    if (not os.path.basename(path) or os.path.isdir(path)
+            or not (os.path.isdir(parent) and os.access(parent, os.W_OK))):
+        raise InputError(f"cannot write output {path!r}: not a file in a writable directory")
 
 
 def write_trajectory_csv(traj, path, timing=False):

@@ -54,14 +54,7 @@ def choice(name, value, allowed):
 
 
 class NumericError(RuntimeError):
-    """Numeric failure (non-convergence, divergence).
-
-    Carries an optional ``residual`` diagnostic.
-    """
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """Numeric failure (non-convergence, divergence)."""
 
 
 class DivergenceError(NumericError):
@@ -70,6 +63,6 @@ class DivergenceError(NumericError):
     ``trajectory`` holds the partial trajectory recorded up to the abort.
     """
 
-    def __init__(self, message, trajectory=None, residual=None):
-        super().__init__(message, residual=residual)
+    def __init__(self, message, trajectory=None):
+        super().__init__(message)
         self.trajectory = trajectory

@@ -214,7 +214,7 @@ def run_experiment(config, write_output=True, measure_from=0):
     row as the full run would.
     """
     count("measure_from", measure_from, 0, config.iters)
-    if write_output and config.output:
+    if write_output and config.output is not None:
         check_output_path(config.output)
     gt = generate_ground_truth(config.d, config.r, config.ds, config.dt, config.seed)
     population = config.gradient_mode == "population"
@@ -263,14 +263,13 @@ def run_experiment(config, write_output=True, measure_from=0):
             elapsed += [(step + share) * 1000.0 for step in seconds[skip:cut]]
 
     traj = Trajectory(config=config, metrics=metrics, elapsed_ms=elapsed)
-    if write_output and config.output:  # a diverged run keeps its partial trajectory
+    if write_output and config.output is not None:  # a diverged run keeps its partial trajectory
         write_trajectory_csv(traj, config.output)
     if cut is not None:  # the run stopped at this row
         row = rows[cut - 1]
         cause = (f"grad_norm={row.grad_norm:.3e} is not finite" if row.err_spec <= guard
                  else f"err_spec={row.err_spec:.3e} > {guard:.3e}")
-        raise DivergenceError(f"run diverged at t={row.t}: {cause}", trajectory=traj,
-                              residual=float(row.err_spec))
+        raise DivergenceError(f"run diverged at t={row.t}: {cause}", trajectory=traj)
     return traj
 
 
@@ -288,10 +287,8 @@ class CellResult:
 @dataclass(frozen=True)
 class SweepResult:
     param: str
-    values: tuple
     rows: tuple
     slope: float | None  # log-log slope of plateau err_fro^2 vs n
-    intercept: float | None
 
 
 def _cell_config(base, param, value):
@@ -330,21 +327,19 @@ def sweep(base_config, param, values, out=None):
         _cell_config(base_config, param, v)  # validate param and every cell up front
     if any(b <= a for a, b in zip(values, values[1:])):
         raise InputError("sweep values must be strictly increasing")
-    if out:
+    if out is not None:
         check_output_path(out)
     rows = [_run_cell(base_config, param, v) for v in values]
 
-    slope = intercept = None
+    slope = None
     if param == "n" and base_config.sigma > 0:
         positive = [(r.value, r.plateau_err_fro_sq) for r in rows
                     if r.status == "ok" and r.plateau_err_fro_sq > 0]
         if len(positive) >= 2:  # a least-squares line through (log n, log plateau^2)
-            slope, intercept = map(float, np.polyfit(*np.log(positive).T, 1))
+            slope = float(np.polyfit(*np.log(positive).T, 1)[0])
 
-    result = SweepResult(
-        param=param, values=tuple(values), rows=tuple(rows), slope=slope, intercept=intercept
-    )
-    if out:
+    result = SweepResult(param=param, rows=tuple(rows), slope=slope)
+    if out is not None:
         write_sweep_csv(result, out)
     return result
 

@@ -56,7 +56,9 @@ def test_run_malformed_config_exits_1_with_one_line(tmp_path, capsys, monkeypatc
     cases = (("d", "20"), ("iters", 5.5), ("ds", "abc"), ("n", True), ("sigma", float("nan")),
              ("k", 100000000), ("output", str(tmp_path / "missing" / "traj.csv")),
              # Names open() refuses with a ValueError: a NUL byte, a lone surrogate.
-             ("output", str(tmp_path / "x\x00y.csv")), ("output", str(tmp_path / "x\ud800.csv")))
+             ("output", str(tmp_path / "x\x00y.csv")), ("output", str(tmp_path / "x\ud800.csv")),
+             # A path that names no file: a directory yet to be made, or nothing at all.
+             ("output", str(tmp_path / "missing") + os.sep), ("output", ""))
     for field, bad in cases:
         cfg = write_config(tmp_path, **{field: bad})
         assert main(["run", "--config", str(cfg)]) == 1
@@ -699,21 +701,33 @@ class FullDisk(io.StringIO):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
+class ClosedPipe(io.StringIO):
+    """A FIFO whose reader has gone: every write fails with EPIPE."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
 WRITE_FAILURES = {
     "run": "run --config {cfg} --out {tmp}/out.csv",
     "sweep": "sweep --config {cfg} --param n --values 100,200 --out {tmp}/out.csv",
     "conc": "conc noise --d 5 --n 50 --trials 3 --out {tmp}/out.csv",
     "figures": "figures --out {tmp}/figures",
 }
+WRITE_FAILURE_CASES = ([(c, FullDisk, errno.ENOSPC) for c in sorted(WRITE_FAILURES)]
+                       + [(c, ClosedPipe, errno.EPIPE) for c in sorted(WRITE_FAILURES)])
 
 
-@pytest.mark.parametrize("command", sorted(WRITE_FAILURES))
-def test_a_failed_write_gives_one_error_line(tmp_path, monkeypatch, capsys, command):
-    """Every output file is written through csvio; a disk that fills up under it is
-    one error line and exit 1, and nothing claims the file was written."""
+@pytest.mark.parametrize("command, file, code", WRITE_FAILURE_CASES,
+                         ids=[c if f is FullDisk else c + "_closed_pipe"
+                              for c, f, _ in WRITE_FAILURE_CASES])
+def test_a_failed_write_gives_one_error_line(tmp_path, monkeypatch, capsys, command, file, code):
+    """Every output file is written through csvio; a disk that fills up under it, or a
+    FIFO whose reader goes away, is one error line and exit 1, and nothing claims the
+    file was written.  An EPIPE from a file is the file's, not stdout's."""
     cfg = write_config(tmp_path, iters=60)
-    monkeypatch.setattr(msense.csvio, "open", lambda *args, **kwargs: FullDisk(), raising=False)
+    monkeypatch.setattr(msense.csvio, "open", lambda *args, **kwargs: file(), raising=False)
     assert main(WRITE_FAILURES[command].format(cfg=cfg, tmp=tmp_path).split()) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: write failed: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert err == f"error: write failed: [Errno {code}] {os.strerror(code)}\n"

@@ -284,7 +284,7 @@ def test_unwritable_output_fails_before_compute(tmp_path, monkeypatch):
 
     monkeypatch.setattr(msense.harness, "generate_ground_truth", no_compute)
     for out in (tmp_path / "missing" / "out.csv", tmp_path, tmp_path / "x\x00y.csv",
-                tmp_path / "x\ud800.csv"):
+                tmp_path / "x\ud800.csv", str(tmp_path / "missing") + os.sep, ""):
         with pytest.raises(InputError, match="output"):
             run_experiment(small_config(output=str(out)))
         with pytest.raises(InputError, match="output"):

@@ -107,7 +107,6 @@ def test_divergence_in_the_unmeasured_rows_stops_at_the_same_row():
     with pytest.raises(DivergenceError) as part:
         run_experiment(config, measure_from=100)
     assert str(part.value) == str(full.value)  # t=4 and its err_spec
-    assert part.value.residual == full.value.residual
     assert part.value.trajectory.metrics == part.value.trajectory.elapsed_ms == []
 
 
