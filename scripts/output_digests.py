@@ -4,9 +4,12 @@
 
 Each command runs as ``python -m msense.cli`` in one fresh temporary directory
 with OPENBLAS_NUM_THREADS=1.  OUT.json holds each command's argv, exit code,
-stdout and stderr, and the sha256 of every file the commands leave behind.
-Paths are relative to the temporary directory, so two checkouts that produce
-the same bytes give the same JSON.
+stdout and stderr, the sha256 of every file the commands leave behind, and
+the environment signature: Python's version, numpy's version, and the BLAS
+name and version.  Paths are relative to the temporary directory, so two
+checkouts that produce the same bytes on the same environment give the same
+JSON.  tests/data/output_digests.json is this file for the last commit that
+changed an output; tests/test_output_digests.py compares a fresh run with it.
 
 msense is imported from PYTHONPATH when it names one, and from this
 checkout's ``src`` otherwise, so a parent commit without this script is
@@ -19,9 +22,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -39,6 +45,9 @@ COMMANDS = [
     "figures --out figs2020 --seed 2020",
     "figures --out figs11 --seed 11",
     "sweep --config sweep.json --param n --values 100,200,400 --out sweep.csv",
+    # Float and d cells: their seeds hash repr(value).
+    "sweep --config sweep.json --param sigma --values 0.05,0.1,0.2 --out sweep_sigma.csv",
+    "sweep --config sweep.json --param d --values 8,10 --out sweep_d.csv",
     "run --config delta.json --out delta.csv",
     "run --config diverge.json --out diverge.csv",
     "run --config population.json --out population.csv",
@@ -47,6 +56,13 @@ COMMANDS = [
     "conc noise --d 10 --n 500 --trials 20 --seed 3 --out conc.csv",
     "phases --traj figs2020/fig1a.csv --eta 0.1",
 ]
+
+
+def environment():
+    """The signature of what the digests depend on besides msense itself."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return dict(python=platform.python_version(), numpy=np.__version__,
+                blas=f"{blas['name']} {blas['version']}")
 
 
 def main(argv):
@@ -72,7 +88,8 @@ def main(argv):
                 with open(path, "rb") as fh:
                     files[os.path.relpath(path, work)] = hashlib.sha256(fh.read()).hexdigest()
     with open(argv[1], "w") as fh:
-        json.dump(dict(commands=commands, files=files), fh, indent=1, sort_keys=True)
+        json.dump(dict(commands=commands, files=files, environment=environment()), fh,
+                  indent=1, sort_keys=True)
         fh.write("\n")
 
 

@@ -25,12 +25,11 @@ from .problem import (
 )
 from .subspace import (
     Decomposition,
-    DerivedScales,
     InitReport,
     IterateMetrics,
     check_initialization,
     decompose,
-    derived_scales,
+    eps_stat,
     planted_init,
     random_init,
     region_sample,

@@ -50,16 +50,16 @@ def _cmd_run(args):
     out = config.output if args.out is None else args.out
     if out is not None:
         check_output_path(out)
+    error = None
     try:
         traj = run_experiment(config, write_output=False)
-    except DivergenceError as exc:
-        if out is not None:  # keep the rows recorded up to the abort
-            write_trajectory_csv(exc.trajectory, out, timing=args.timing)
-            yield f"wrote {out} ({len(exc.trajectory.metrics)} rows)"
-        raise
+    except DivergenceError as exc:  # the rows recorded up to the abort are written too
+        traj, error = exc.trajectory, exc
     if out is not None:
         write_trajectory_csv(traj, out, timing=args.timing)
         yield f"wrote {out} ({len(traj.metrics)} rows)"
+    if error is not None:
+        raise error
     last = traj.metrics[-1]
     yield (f"final t={last.t} err_fro={last.err_fro:.6e} err_spec={last.err_spec:.6e} "
            f"D={last.D:.6e}")

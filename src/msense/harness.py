@@ -24,8 +24,7 @@ from .linalg import spectral_norms
 from .problem import (DISTRIBUTIONS, MEMORY_MODES, _validate_spectrum, check_build_memory,
                       generate_ground_truth, generate_sensing)
 from .rng import SEED_MAX, stable_hash64
-from .subspace import (RHO_MAX, batch_metrics, derived_scales, planted_init, random_init,
-                       spectral_init)
+from .subspace import RHO_MAX, batch_metrics, eps_stat, planted_init, random_init, spectral_init
 
 INIT_MODES = ("planted", "spectral", "random")
 GRADIENT_MODES = ("sample", "population")
@@ -225,7 +224,7 @@ def run_experiment(config, write_output=True, measure_from=0):
         sensing = generate_sensing(gt, config.n, config.sigma, config.distribution, config.seed)
         model = sensing.model
         f = _initial_factor(config, gt, sensing) if f is None else f
-    scales = derived_scales(gt, None if population else config.n, config.sigma, config.k)
+    floor = eps_stat(gt, None if population else config.n, config.sigma)
     eta = config.eta_value()
 
     def gradient(f):
@@ -253,7 +252,7 @@ def run_experiment(config, write_output=True, measure_from=0):
                        if config.track_delta and t % config.delta_every == 0]
             norms = dict(zip(tracked, spectral_norms([deviation(fs[i]) for i in tracked]).tolist()
                              if tracked else []))
-            rows = batch_metrics(ts[0], fs, gt, scales, grad_norms,
+            rows = batch_metrics(ts[0], fs, gt, floor, grad_norms,
                                  [norms.get(i) for i in range(len(ts))])
             share = (time.perf_counter() - tic) / len(ts)
             cut = next((i for i, row in enumerate(rows, 1)
@@ -292,25 +291,25 @@ class SweepResult:
 
 
 def _cell_config(base, param, value):
-    """The cell's config; its value goes through the same validation as a config file."""
-    return replace(base, **{choice("param", param, SWEEP_PARAMS): value}, output=None)
+    """The cell's config with its derived seed.  The value goes through the same validation
+    as a config file first: stable_hash64 cannot repr an int past 4,300 digits."""
+    config = replace(base, **{choice("param", param, SWEEP_PARAMS): value}, output=None)
+    return replace(config, seed=(base.seed ^ stable_hash64(param, value)) % 2**64)
 
 
-def _run_cell(base, param, value):
-    cell_seed = (base.seed ^ stable_hash64(param, value)) % 2**64
-    config = replace(_cell_config(base, param, value), seed=cell_seed)
+def _run_cell(config, param, value):
     # The cell reads only the plateau window, so only that window is measured.
     window = max(1, math.ceil((config.iters + 1) * PLATEAU_FRACTION))
     try:
         traj = run_experiment(config, write_output=False,
                               measure_from=config.iters + 1 - window)
     except DivergenceError:
-        return CellResult(param, value, cell_seed, None, None, None, "diverged")
+        return CellResult(param, value, config.seed, None, None, None, "diverged")
     plateau = float(np.median(traj.column("err_fro")))
     return CellResult(
         param=param,
         value=value,
-        cell_seed=cell_seed,
+        cell_seed=config.seed,
         plateau_err_fro=plateau,
         plateau_err_fro_sq=plateau**2,
         D_final=float(traj.metrics[-1].D),
@@ -323,13 +322,12 @@ def sweep(base_config, param, values, out=None):
     values = list(values)
     if len(values) < 1:
         raise InputError("sweep needs at least one value")
-    for v in values:
-        _cell_config(base_config, param, v)  # validate param and every cell up front
+    configs = [_cell_config(base_config, param, v) for v in values]  # every cell, up front
     if any(b <= a for a, b in zip(values, values[1:])):
         raise InputError("sweep values must be strictly increasing")
     if out is not None:
         check_output_path(out)
-    rows = [_run_cell(base_config, param, v) for v in values]
+    rows = [_run_cell(c, param, v) for c, v in zip(configs, values)]
 
     slope = None
     if param == "n" and base_config.sigma > 0:
@@ -356,7 +354,7 @@ class PhaseReport:
     head_r2: float | None
     tail_c: float | None  # constant in D ~ c/t (or A ~ c/t when noisy)
     tail_residual: float | None  # relative l2 residual of the c/t fit
-    recursion_pass_rate: float | None  # fraction of steps with A' <= (1 - eta A/2) A
+    recursion_pass_rate: float | None  # fraction of pairs (t, t+1) with A' <= (1 - eta A/2) A
     envelope_pass: bool | None  # A_t <= 4/(eta t + 4/A_0) past burn-in
     eta: float | None
 
@@ -381,8 +379,8 @@ def detect_phases(traj, eta=None):
     stretch, right edge chosen on a coarse grid maximizing R^2.  Tail: c/t
     fit over the final 50% of iterations against D, or A when some row has
     A < D (only a sample-mode run with sigma > 0 has a noise floor).
-    Also reports the pass rate of the one-step floored recursion and whether
-    the 4/(eta t + 4/A_0) envelope holds past the burn-in.
+    Also reports the pass rate of the floored recursion over the rows (t, t+1), None
+    without such a pair, and whether the 4/(eta t + 4/A_0) envelope holds past the burn-in.
     """
     metrics = traj.metrics if hasattr(traj, "metrics") else list(traj)
     if len(metrics) < 50:
@@ -434,8 +432,9 @@ def detect_phases(traj, eta=None):
     recursion_pass_rate = envelope_pass = None
     if eta is not None:
         tol = 1e-12 * max(1.0, a_vals[0])
-        rhs = floored_recursion_bound(a_vals[:-1], eta)
-        recursion_pass_rate = float(np.mean(a_vals[1:] <= rhs + tol))
+        i = np.flatnonzero(t[1:] == t[:-1] + 1)  # one-step pairs, as in sample_contraction
+        rhs = floored_recursion_bound(a_vals[i], eta)
+        recursion_pass_rate = float(np.mean(a_vals[i + 1] <= rhs + tol)) if len(i) else None
         a0 = a_vals[0]
         burn = int(np.ceil(len(metrics) * BURN_IN_FRACTION))
         if a0 <= 0:

@@ -50,7 +50,6 @@ class GroundTruth:
     Xstar: np.ndarray
     sigma1: float
     sigma_r: float
-    sigma_r_plus_1: float
     kappa: float
 
 
@@ -109,7 +108,6 @@ def generate_ground_truth(d, r, ds, dt, seed):
         Xstar=Xstar,
         sigma1=float(ds[0]),
         sigma_r=float(ds[-1]),
-        sigma_r_plus_1=float(np.max(np.abs(dt))) if dt.size else 0.0,
         kappa=float(ds[0] / ds[-1]),
     )
 

@@ -35,24 +35,11 @@ def decompose(f, gt):
     return Decomposition(S=gt.U.T @ f, T=gt.V.T @ f)
 
 
-@dataclass(frozen=True)
-class DerivedScales:
-    """Statistical floor eps_stat = kappa sqrt(d log d / n) sigma and the
-    linear-phase endpoint eps_comp = sqrt(k kappa^2 d log d / n) sigma_r."""
-
-    eps_stat: float
-    eps_comp: float
-
-
-def derived_scales(gt, n, sigma, k):
-    """Scales for a run; population runs (n=None) have both scales zero."""
+def eps_stat(gt, n, sigma):
+    """The statistical floor kappa sqrt(d log d / n) sigma; zero for a population run (n=None)."""
     if n is None:
-        return DerivedScales(0.0, 0.0)
-    rate = np.sqrt(gt.d * np.log(gt.d) / n)
-    return DerivedScales(
-        eps_stat=float(gt.kappa * rate * sigma),
-        eps_comp=float(np.sqrt(k) * gt.kappa * rate * gt.sigma_r),
-    )
+        return 0.0
+    return float(gt.kappa * np.sqrt(gt.d * np.log(gt.d) / n) * sigma)
 
 
 class IterateMetrics(NamedTuple):  # a trajectory CSV row, elapsed_ms aside
@@ -69,9 +56,9 @@ class IterateMetrics(NamedTuple):  # a trajectory CSV row, elapsed_ms aside
     delta_norm: float | None = None  # |Delta|_2, tracked on request
 
 
-def batch_metrics(t0, fs, gt, scales, grad_norms, delta_norms):
+def batch_metrics(t0, fs, gt, floor, grad_norms, delta_norms):
     """IterateMetrics of the consecutive iterates fs[i] = F_{t0+i} of a
-    (B, d, k) stack, given their gradient norms and (possibly None) |Delta|_2.
+    (B, d, k) stack, given the floor eps_stat, their gradient norms and (possibly None) |Delta|_2.
 
     Every metric is one stacked numpy call over the chunk.  In the basis
     [U V], with S = U^T F and T = V^T F, F F^T - X* is the symmetric block
@@ -107,7 +94,7 @@ def batch_metrics(t0, fs, gt, scales, grad_norms, delta_norms):
     err_spec = spectral_norms(blk)
     err_fro = np.sqrt(np.einsum("bij,bij->b", blk, blk))
     d_val = np.maximum(np.maximum(ss_err, tt_norm), st_norm)
-    a_val = np.maximum(d_val - FLOOR_MULTIPLIER * scales.eps_stat, 0.0)
+    a_val = np.maximum(d_val - FLOOR_MULTIPLIER * floor, 0.0)
     cols = (ss_err, st_norm, tt_norm, tt_err, d_val, a_val, err_spec, err_fro,
             np.asarray(grad_norms, dtype=float))
     t = range(int(t0), int(t0) + len(fs))
@@ -203,7 +190,7 @@ class InitReport:
 def check_initialization(f0, gt, rho):
     """Pure measurement of an initialization against the basin conditions."""
     number("rho", rho, 0, strict=True)
-    m = batch_metrics(0, [f0], gt, DerivedScales(0.0, 0.0), [0.0], [None])[0]
+    m = batch_metrics(0, [f0], gt, 0.0, [0.0], [None])[0]
     lhs, ss0, tt0, st0 = m.err_spec, m.ss_err, m.tt_err, m.st_norm
     bound = rho * gt.sigma_r
     premise = lhs <= 0.7 * bound

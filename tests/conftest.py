@@ -65,13 +65,13 @@ def raw_draw_oracle():
     return _whole_block_draw
 
 
-def _one_row_metrics(t, f, gt, scales, grad_norm=0.0, delta_norm=None):
-    return batch_metrics(t, [f], gt, scales, [grad_norm], [delta_norm])[0]
+def _one_row_metrics(t, f, gt, floor, grad_norm=0.0, delta_norm=None):
+    return batch_metrics(t, [f], gt, floor, [grad_norm], [delta_norm])[0]
 
 
 @pytest.fixture(scope="session")
 def one_row_metrics():
-    """``_one_row_metrics(t, f, gt, scales, grad_norm=0.0, delta_norm=None)``: the
+    """``_one_row_metrics(t, f, gt, floor, grad_norm=0.0, delta_norm=None)``: the
     IterateMetrics of one iterate, from a one-row batch_metrics call."""
     return _one_row_metrics
 

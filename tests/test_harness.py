@@ -320,6 +320,12 @@ def test_sweep_values_must_increase():
         sweep(small_config(), "rho", [0.1, 0.2])
 
 
+def test_sweep_checks_a_huge_value_before_hashing_it():
+    """stable_hash64 cannot repr an int past 4,300 digits: the memory check comes first."""
+    with pytest.raises(InputError, match="more than half of physical memory"):
+        sweep(small_config(), "n", [200, 10**5000])
+
+
 def test_sweep_noisy_slope_is_negative():
     cfg = small_config(d=10, r=2, k=3, ds=(1.0, 0.8), sigma=0.1, iters=1500, seed=100)
     result = sweep(cfg, "n", [500, 2000, 8000])
@@ -433,6 +439,17 @@ def test_phases_on_population_run():
     report = detect_phases(traj, eta=cfg.eta_value())
     assert report.recursion_pass_rate == 1.0
     assert report.envelope_pass is True
+
+
+def test_phases_check_the_recursion_on_one_step_pairs_only():
+    """Rows five steps apart are not the one-step recursion: a thinned run has no
+    pair to check, and a gap across which A grows is not a failed step."""
+    cfg = ExperimentConfig(d=10, r=2, k=3, n=400, iters=300, seed=1, ds=(1.0, 0.8), eta=0.5)
+    rows = run_experiment(cfg).metrics
+    assert detect_phases(rows[::5], eta=0.5).recursion_pass_rate is None
+    gapped = [m for m in _synthetic_metrics(d_vals=lambda t: float(t >= 60))
+              if m.t < 60 or m.t % 50 == 0]
+    assert detect_phases(gapped, eta=0.5).recursion_pass_rate == 1.0
 
 
 def _tail_fit(traj, column):

@@ -11,7 +11,7 @@ from msense import (
     ExperimentConfig,
     InitSpec,
     InputError,
-    derived_scales,
+    eps_stat,
     generate_ground_truth,
     generate_sensing,
     population_gradient,
@@ -26,7 +26,7 @@ FIELDS = ("ss_err", "st_norm", "tt_norm", "tt_err", "D", "A", "err_spec", "err_f
           "grad_norm", "delta_norm")
 
 
-def oracle_metrics(t, f, gt, scales, grad_norm, delta_norm=None):
+def oracle_metrics(t, f, gt, floor, grad_norm, delta_norm=None):
     """One iterate's metrics from five separate spectral norms."""
     s, tc = gt.U.T @ f, gt.V.T @ f
     ss_err = spectral_norm(s @ s.T - np.diag(gt.ds))
@@ -37,7 +37,7 @@ def oracle_metrics(t, f, gt, scales, grad_norm, delta_norm=None):
     d_val = max(ss_err, tt_norm, st_norm)
     return IterateMetrics(
         t=t, ss_err=ss_err, st_norm=st_norm, tt_norm=tt_norm, tt_err=tt_err, D=d_val,
-        A=max(d_val - 50.0 * scales.eps_stat, 0.0), err_spec=spectral_norm(m),
+        A=max(d_val - 50.0 * floor, 0.0), err_spec=spectral_norm(m),
         err_fro=float(np.linalg.norm(m)), grad_norm=float(grad_norm), delta_norm=delta_norm,
     )
 
@@ -51,7 +51,7 @@ def oracle_run(config):
     if not population:
         sensing = generate_sensing(gt, config.n, config.sigma, config.distribution, config.seed)
         model = sensing.model
-    scales = derived_scales(gt, None if population else config.n, config.sigma, config.k)
+    floor = eps_stat(gt, None if population else config.n, config.sigma)
     f = _initial_factor(config, gt, sensing)
     rows = []
     for t in range(config.iters + 1):
@@ -62,7 +62,7 @@ def oracle_run(config):
         else:
             grad = model.gradient(f)
             delta = spectral_norm(model.deviation(f, gt.Xstar)) if tracked else None
-        rows.append(oracle_metrics(t, f, gt, scales, np.linalg.norm(grad), delta))
+        rows.append(oracle_metrics(t, f, gt, floor, np.linalg.norm(grad), delta))
         if not rows[-1].err_spec <= DIVERGENCE_FACTOR * gt.sigma1:
             return rows, True
         if t < config.iters:
@@ -103,7 +103,7 @@ PROBLEMS = {
 def test_kernel_matches_oracle_on_random_iterates(name, rng, one_row_metrics):
     p = PROBLEMS[name]
     gt = generate_ground_truth(p["d"], p["r"], p["ds"], p["dt"], seed=11)
-    scales = derived_scales(gt, n=500, sigma=0.2, k=p["k"])
+    floor = eps_stat(gt, n=500, sigma=0.2)
     near = exact_factor(gt, p["k"])
     # Far from, near and very near the exact factor, plus the origin.  With
     # DT* = 0 the exact factor itself has T = 0 up to rounding, and one
@@ -117,12 +117,12 @@ def test_kernel_matches_oracle_on_random_iterates(name, rng, one_row_metrics):
     )
     grad_norms = rng.uniform(0.0, 2.0, size=len(fs))
     delta_norms = [None if i % 2 else float(rng.uniform()) for i in range(len(fs))]
-    rows = batch_metrics(5, fs, gt, scales, grad_norms, delta_norms)
-    want = [oracle_metrics(5 + i, f, gt, scales, g, dn)
+    rows = batch_metrics(5, fs, gt, floor, grad_norms, delta_norms)
+    want = [oracle_metrics(5 + i, f, gt, floor, g, dn)
             for i, (f, g, dn) in enumerate(zip(fs, grad_norms, delta_norms))]
     assert_rows_close(rows, want, gt.sigma1)
     for i, f in enumerate(fs):  # a row does not depend on the rest of its batch
-        assert one_row_metrics(5 + i, f, gt, scales, grad_norms[i], delta_norms[i]) == rows[i]
+        assert one_row_metrics(5 + i, f, gt, floor, grad_norms[i], delta_norms[i]) == rows[i]
 
 
 def test_iterate_metrics_schema_is_locked():
@@ -148,7 +148,7 @@ def spy_on_lapack(monkeypatch, check):
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_kernel_non_finite_row_is_nan_and_isolated(gt20, rng, monkeypatch, one_row_metrics):
-    scales = derived_scales(gt20, n=200, sigma=0.0, k=4)
+    floor = eps_stat(gt20, n=200, sigma=0.0)
     fs = rng.standard_normal((4, 20, 4))
     fs[1, 2, 0] = np.inf
     fs[3, :, 1] += np.inf * gt20.V[:, 0]  # inf along one V-direction only
@@ -159,19 +159,19 @@ def test_kernel_non_finite_row_is_nan_and_isolated(gt20, rng, monkeypatch, one_r
         calls.append(name)
 
     spy_on_lapack(monkeypatch, finite_only)
-    rows = batch_metrics(0, fs, gt20, scales, [1.0] * 4, [None] * 4)
+    rows = batch_metrics(0, fs, gt20, floor, [1.0] * 4, [None] * 4)
     assert set(calls) == {"qr", "eigvalsh"}  # st_norm is an eigvalsh of its r x r Gram
     for i in (1, 3):
         for name in ("ss_err", "st_norm", "tt_norm", "tt_err", "D", "A", "err_spec"):
             assert np.isnan(getattr(rows[i], name)), (i, name)
-    assert rows[0] == one_row_metrics(0, fs[0], gt20, scales, 1.0)
-    assert rows[2] == one_row_metrics(2, fs[2], gt20, scales, 1.0)
+    assert rows[0] == one_row_metrics(0, fs[0], gt20, floor, 1.0)
+    assert rows[2] == one_row_metrics(2, fs[2], gt20, floor, 1.0)
 
 
 def test_kernel_takes_only_a_stack_of_factors(gt20, rng):
-    scales = derived_scales(gt20, n=200, sigma=0.0, k=4)
+    floor = eps_stat(gt20, n=200, sigma=0.0)
     with pytest.raises(InputError, match="factors must be B x 20 x k"):
-        batch_metrics(0, rng.standard_normal((20, 4)), gt20, scales, [1.0], [None])
+        batch_metrics(0, rng.standard_normal((20, 4)), gt20, floor, [1.0], [None])
 
 
 @pytest.mark.parametrize("dt", ["zeros", (0.3, -0.2) + (0.0,) * 15])
@@ -179,7 +179,7 @@ def test_kernel_eigensolves_stay_in_the_small_block(dt, rng, monkeypatch):
     """With DT* = 0 every spectral norm is taken in the (r + k)-dimensional
     block; with DT* != 0 the d x d block is used, and both match the oracle."""
     gt = generate_ground_truth(20, 3, (1.0, 0.9, 0.8), dt, seed=5)
-    scales = derived_scales(gt, n=200, sigma=0.0, k=4)
+    floor = eps_stat(gt, n=200, sigma=0.0)
     fs = rng.standard_normal((6, 20, 4))
     shapes = []
 
@@ -188,11 +188,11 @@ def test_kernel_eigensolves_stay_in_the_small_block(dt, rng, monkeypatch):
             shapes.append(a.shape[-2:])
 
     spy_on_lapack(monkeypatch, record)
-    rows = batch_metrics(0, fs, gt, scales, [1.0] * 6, [None] * 6)
+    rows = batch_metrics(0, fs, gt, floor, [1.0] * 6, [None] * 6)
     monkeypatch.undo()
     largest = max(max(shape) for shape in shapes)
     assert largest == (7 if dt == "zeros" else 20)
-    want = [oracle_metrics(i, f, gt, scales, 1.0) for i, f in enumerate(fs)]
+    want = [oracle_metrics(i, f, gt, floor, 1.0) for i, f in enumerate(fs)]
     assert_rows_close(rows, want, gt.sigma1)
 
 

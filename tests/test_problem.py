@@ -28,7 +28,6 @@ def _matrices(s):
 def test_reference_ground_truth(gt20):
     assert gt20.sigma1 == 1.0
     assert gt20.sigma_r == 0.8
-    assert gt20.sigma_r_plus_1 == 0.0
     assert gt20.kappa == pytest.approx(1.25)
     assert np.linalg.matrix_rank(gt20.Xstar, tol=1e-10) == 3
 
@@ -47,7 +46,6 @@ def test_full_rank_ground_truth_has_empty_v():
     assert gt.V.shape == (3, 0)
     recon = (gt.U * gt.ds) @ gt.U.T
     assert np.linalg.norm(recon - gt.Xstar) < 1e-10
-    assert gt.sigma_r_plus_1 == 0.0
 
 
 def test_ground_truth_determinism():
@@ -69,8 +67,7 @@ def test_spectrum_validation():
     with pytest.raises(InputError, match="descending in absolute value"):
         generate_ground_truth(5, 2, [1.0, 0.5], [0.1, -0.05, 0.2], seed=0)
     # nonzero dt below the gap is accepted
-    gt = generate_ground_truth(4, 2, [1.0, 0.5], [0.1, -0.05], seed=0)
-    assert gt.sigma_r_plus_1 == pytest.approx(0.1)
+    generate_ground_truth(4, 2, [1.0, 0.5], [0.1, -0.05], seed=0)
 
 
 def test_noiseless_observations_exact(gt20):

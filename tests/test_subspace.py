@@ -12,7 +12,7 @@ from msense import (
     InputError,
     check_initialization,
     decompose,
-    derived_scales,
+    eps_stat,
     generate_ground_truth,
     generate_sensing,
     planted_init,
@@ -52,54 +52,51 @@ def test_decompose_exact_factor(gt20):
     assert np.max(np.abs(dec.T)) < 1e-12
 
 
-def test_derived_scales(gt20):
-    scales = derived_scales(gt20, n=200, sigma=0.5, k=4)
+def test_eps_stat(gt20):
     rate = np.sqrt(20 * np.log(20) / 200)
-    assert scales.eps_stat == pytest.approx(1.25 * rate * 0.5)
-    assert scales.eps_comp == pytest.approx(2.0 * 1.25 * rate * 0.8)
-    assert derived_scales(gt20, n=200, sigma=0.0, k=4).eps_stat == 0.0
-    pop = derived_scales(gt20, n=None, sigma=0.5, k=4)
-    assert pop.eps_stat == 0.0 and pop.eps_comp == 0.0
+    assert eps_stat(gt20, n=200, sigma=0.5) == pytest.approx(1.25 * rate * 0.5)
+    assert eps_stat(gt20, n=200, sigma=0.0) == 0.0
+    assert eps_stat(gt20, n=None, sigma=0.5) == 0.0
 
 
 def test_metrics_exact_factor(gt20, one_row_metrics):
-    scales = derived_scales(gt20, n=200, sigma=0.0, k=3)
-    m = one_row_metrics(0, exact_factor(gt20, 3), gt20, scales)
+    floor = eps_stat(gt20, n=200, sigma=0.0)
+    m = one_row_metrics(0, exact_factor(gt20, 3), gt20, floor)
     assert m.D < 1e-12
     assert m.err_spec < 1e-12 and m.err_fro < 1e-12
     assert m.A < 1e-12
 
 
 def test_metrics_zero_factor(gt20, one_row_metrics):
-    scales = derived_scales(gt20, n=200, sigma=0.0, k=4)
-    m = one_row_metrics(0, np.zeros((20, 4)), gt20, scales)
+    floor = eps_stat(gt20, n=200, sigma=0.0)
+    m = one_row_metrics(0, np.zeros((20, 4)), gt20, floor)
     assert m.err_spec == pytest.approx(1.0)  # sigma_1
     assert m.ss_err == pytest.approx(1.0)
     assert m.tt_norm == 0.0 and m.st_norm == 0.0
 
 
 def test_metrics_planted_init_is_in_region(gt20, one_row_metrics):
-    scales = derived_scales(gt20, n=200, sigma=0.0, k=4)
-    m = one_row_metrics(0, planted_init(gt20, 4, 0.07, seed=2), gt20, scales)
+    floor = eps_stat(gt20, n=200, sigma=0.0)
+    m = one_row_metrics(0, planted_init(gt20, 4, 0.07, seed=2), gt20, floor)
     assert m.D <= 0.07 * 0.8
 
 
 def test_metrics_rotation_invariance(gt20, rng, one_row_metrics):
-    scales = derived_scales(gt20, n=200, sigma=0.3, k=4)
+    floor = eps_stat(gt20, n=200, sigma=0.3)
     f = exact_factor(gt20, 4) + 0.1 * rng.standard_normal((20, 4))
     q, r_ = np.linalg.qr(rng.standard_normal((4, 4)))
     rot = q * np.sign(np.diag(r_))
-    a = one_row_metrics(0, f, gt20, scales)
-    b = one_row_metrics(0, f @ rot, gt20, scales)
+    a = one_row_metrics(0, f, gt20, floor)
+    b = one_row_metrics(0, f @ rot, gt20, floor)
     for name in ("ss_err", "st_norm", "tt_norm", "tt_err", "D", "A", "err_spec", "err_fro"):
         assert getattr(a, name) == pytest.approx(getattr(b, name), abs=1e-10)
 
 
 def test_metrics_triangle_inequality(gt20, rng, one_row_metrics):
-    scales = derived_scales(gt20, n=200, sigma=0.0, k=4)
+    floor = eps_stat(gt20, n=200, sigma=0.0)
     for _ in range(20):
         f = exact_factor(gt20, 4) + 0.2 * rng.standard_normal((20, 4))
-        m = one_row_metrics(0, f, gt20, scales)
+        m = one_row_metrics(0, f, gt20, floor)
         assert m.err_spec <= m.ss_err + m.tt_err + 2 * m.st_norm + 1e-10
 
 
@@ -307,7 +304,7 @@ def _sample_run(**overrides):
     return run_experiment(ExperimentConfig(**{**base, **overrides}), write_output=False)
 
 
-def _sample_pair(m_before, m_after, scales, config):
+def _sample_pair(m_before, m_after, floor, config):
     """The finite-sample check of one pair of consecutive rows as first written,
     the oracle for sample_contraction: (held, above_floor, lhs, rhs, status)."""
     sr, eta = config.sigma_r, config.eta_value()
@@ -316,7 +313,7 @@ def _sample_pair(m_before, m_after, scales, config):
     c_d = np.sqrt(d * np.log(d) / n)
     tol = 1e-9 * sr
     held = m_before.delta_norm <= 10.0 * c_kd * m_before.D + 4.0 * c_d * sigma + tol
-    above_floor = m_before.D > 50.0 * scales.eps_stat
+    above_floor = m_before.D > 50.0 * floor
     lhs = (m_after.ss_err, m_after.st_norm, m_after.A)
     rhs = ((1 - 0.7 * eta * sr) * m_before.ss_err + c_kd * m_before.D + 0.4 * c_d * sigma,
            (1 - eta * sr) * m_before.st_norm + c_kd * m_before.D + 0.4 * c_d * sigma,
@@ -331,11 +328,10 @@ def _matches_the_per_pair_oracle(traj):
     every pair whose first row has delta_norm; eps_stat comes from the config."""
     cfg = traj.config
     gt = generate_ground_truth(cfg.d, cfg.r, cfg.ds, cfg.dt, cfg.seed)
-    scales = derived_scales(gt, None if cfg.gradient_mode == "population" else cfg.n,
-                            cfg.sigma, cfg.k)
+    floor = eps_stat(gt, None if cfg.gradient_mode == "population" else cfg.n, cfg.sigma)
     pairs = [(b, a) for b, a in zip(traj.metrics, traj.metrics[1:]) if b.delta_norm is not None]
     held, above_floor, lhs, rhs, status = map(
-        np.array, zip(*(_sample_pair(b, a, scales, cfg) for b, a in pairs)))
+        np.array, zip(*(_sample_pair(b, a, floor, cfg) for b, a in pairs)))
     got = sample_contraction(traj)
     assert got.t.tolist() == [b.t for b, _ in pairs]
     assert got.held.tolist() == held.tolist()
@@ -424,6 +420,6 @@ def test_sample_contraction_fails_or_is_vacuous_when_the_recursion_breaks():
 
 
 def test_one_row_metrics_floor_clamp(gt20, one_row_metrics):
-    scales = derived_scales(gt20, n=200, sigma=1.0, k=4)  # large eps_stat
-    m = one_row_metrics(0, exact_factor(gt20, 4), gt20, scales)
+    floor = eps_stat(gt20, n=200, sigma=1.0)  # large eps_stat
+    m = one_row_metrics(0, exact_factor(gt20, 4), gt20, floor)
     assert m.A == 0.0  # clamped at the statistical floor

@@ -1,6 +1,6 @@
 """Sweep cells measure only their plateau window: run_experiment(measure_from=m)
 against the full run it abbreviates, and _run_cell against the cell formula
-that read the full trajectory."""
+that read the full trajectory, with its own cell seed."""
 
 from dataclasses import replace
 
@@ -10,7 +10,7 @@ import pytest
 from msense import DivergenceError, ExperimentConfig, InputError, run_experiment, sweep
 from msense import harness
 from msense.csvio import trajectory_rows
-from msense.harness import PLATEAU_FRACTION, CellResult, _chunk_rows, _run_cell
+from msense.harness import PLATEAU_FRACTION, CellResult, _cell_config, _chunk_rows, _run_cell
 from msense.problem import QuadraticModel
 from msense.rng import stable_hash64
 
@@ -51,12 +51,12 @@ def test_cells_match_the_full_trajectory_formula():
         base = cell_config(seed=seed, iters=iters, eta=(0.1, 1.0, 5.0)[seed % 3])
         for n in (50, 100, 400):
             want, t = oracle_cell(base, "n", n)
-            assert _run_cell(base, "n", n) == want, (seed, n)
+            assert _run_cell(_cell_config(base, "n", n), "n", n) == want, (seed, n)
             outcomes.append("ok" if t is None else "window" if t >= measure_from else "prefix")
     base = cell_config(sigma=0.1, eta=0.9)
     for n in MIXED_GRID:
         want, _ = oracle_cell(base, "n", n)
-        assert _run_cell(base, "n", n) == want, n
+        assert _run_cell(_cell_config(base, "n", n), "n", n) == want, n
     # Runs that converge, and runs that diverge before and inside the window.
     assert {"ok", "prefix", "window"} <= set(outcomes)
 
@@ -65,8 +65,18 @@ def test_mixed_sweep_csv_matches_the_full_trajectory_formula(tmp_path, monkeypat
     base = cell_config()
     result = sweep(base, "n", MIXED_GRID, out=str(tmp_path / "cells.csv"))
     assert [row.status for row in result.rows] == ["diverged", "ok", "ok", "ok", "ok"]
-    monkeypatch.setattr(harness, "_run_cell", lambda *args: oracle_cell(*args)[0])
+    received = []
+
+    def oracle_run_cell(config, param, value):
+        received.append(config)
+        return oracle_cell(base, param, value)[0]
+
+    monkeypatch.setattr(harness, "_run_cell", oracle_run_cell)
     sweep(base, "n", MIXED_GRID, out=str(tmp_path / "oracle.csv"))
+    # Each cell runs the config it was built with: the oracle's seed formula, no output.
+    assert received == [replace(base, n=n, output=None,
+                                seed=(base.seed ^ stable_hash64("n", n)) % 2**64)
+                        for n in MIXED_GRID]
     assert (tmp_path / "cells.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
