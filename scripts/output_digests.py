@@ -5,11 +5,13 @@
 Each command runs as ``python -m msense.cli`` in one fresh temporary directory
 with OPENBLAS_NUM_THREADS=1.  OUT.json holds each command's argv, exit code,
 stdout and stderr, the sha256 of every file the commands leave behind, and
-the environment signature: Python's version, numpy's version, and the BLAS
-name and version.  Paths are relative to the temporary directory, so two
-checkouts that produce the same bytes on the same environment give the same
-JSON.  tests/data/output_digests.json is this file for the last commit that
-changed an output; tests/test_output_digests.py compares a fresh run with it.
+the environment signature: Python's version, numpy's version, the BLAS name
+and version, the BLAS thread count the commands ran with, and the SIMD
+extensions numpy found on the CPU (the BLAS picks its kernels per CPU family
+too).  Paths are relative to the temporary directory, so two checkouts that
+produce the same bytes on the same environment give the same JSON.
+tests/data/output_digests.json is this file for the last commit that changed
+an output; tests/test_output_digests.py compares a fresh run with it.
 
 msense is imported from PYTHONPATH when it names one, and from this
 checkout's ``src`` otherwise, so a parent commit without this script is
@@ -40,6 +42,8 @@ CONFIGS = {
     # Diverges at t=4: exit 2 and a 5-row partial CSV.
     "diverge.json": dict(SMALL, eta=5.0),
     "population.json": dict(SMALL, eta=0.1, gradient_mode="population", track_delta=True),
+    # p = 561 > 512: two Gram tiles and the strict-lower mirror, drawn in 120-row slices.
+    "wide.json": dict(SMALL, d=33, n=300, iters=30, eta=0.1, distribution="rademacher"),
 }
 COMMANDS = [
     "figures --out figs2020 --seed 2020",
@@ -55,21 +59,30 @@ COMMANDS = [
     "run --config sweep.json --out /dev/full",
     "conc noise --d 10 --n 500 --trials 20 --seed 3 --out conc.csv",
     "phases --traj figs2020/fig1a.csv --eta 0.1",
+    "run --config wide.json --out wide.csv",
+    # Raw draws: the first block of 512 matrices comes in slices of 324 and 188 rows.
+    "conc noise --d 20 --n 600 --trials 2 --seed 3 --out conc20.csv",
+    "conc deviation --d 6 --n 300 --trials 3 --seed 4 --out dev.csv",
+    "conc moment --d 5 --trials 600 --seed 5",
+    "conc asq --d 5 --trials 600 --seed 6",
 ]
+BLAS_THREADS = "1"
 
 
 def environment():
     """The signature of what the digests depend on besides msense itself."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
     return dict(python=platform.python_version(), numpy=np.__version__,
-                blas=f"{blas['name']} {blas['version']}")
+                blas=f"{blas['name']} {blas['version']}", blas_threads=BLAS_THREADS,
+                simd=" ".join(config["SIMD Extensions"]["found"]))
 
 
 def main(argv):
     if len(argv) != 2:
         sys.exit(__doc__)
     paths = [os.path.abspath(p) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=BLAS_THREADS,
                PYTHONPATH=os.pathsep.join(paths + [SRC]))
     with tempfile.TemporaryDirectory() as work:
         for name, config in CONFIGS.items():

@@ -109,8 +109,7 @@ def mc_noise_term(d, sigma, n, trials, seed, distribution="gaussian"):
     choice("distribution", distribution, DISTRIBUTIONS)
     check_mc_memory("noise", d, n, trials)
     number("sigma", sigma, 0, 1e150)  # up to 1e150, d sigma^2 and the noise sums stay finite
-    upper, pos = _svec_indices(d)
-    mirror = upper[pos]
+    mirror = _svec_indices(d)[2]
     vals = np.empty(trials)
     buf = np.empty((min(n, BLOCK), d * d))
     for trial in range(trials):

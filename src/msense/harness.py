@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .csvio import check_output_path, metrics_column, write_sweep_csv, write_trajectory_csv
-from .errors import DivergenceError, InputError, choice, count, number
+from .errors import DivergenceError, InputError, _shown, choice, count, number
 from .gradient import population_gradient, theory_step_size
 from .linalg import spectral_norms
 from .problem import (DISTRIBUTIONS, MEMORY_MODES, _validate_spectrum, check_build_memory,
@@ -285,16 +285,19 @@ class CellResult:
 
 @dataclass(frozen=True)
 class SweepResult:
-    param: str
     rows: tuple
     slope: float | None  # log-log slope of plateau err_fro^2 vs n
 
 
 def _cell_config(base, param, value):
     """The cell's config with its derived seed.  The value goes through the same validation
-    as a config file first: stable_hash64 cannot repr an int past 4,300 digits."""
+    as a config file first, and a value that stable_hash64 cannot repr is an InputError."""
     config = replace(base, **{choice("param", param, SWEEP_PARAMS): value}, output=None)
-    return replace(config, seed=(base.seed ^ stable_hash64(param, value)) % 2**64)
+    try:
+        seed = stable_hash64(param, value)
+    except ValueError:  # an int past 4,300 digits: only a population run leaves n unbounded
+        raise InputError(f"{param}={_shown(value)} cannot be hashed to a cell seed") from None
+    return replace(config, seed=(base.seed ^ seed) % 2**64)
 
 
 def _run_cell(config, param, value):
@@ -336,7 +339,7 @@ def sweep(base_config, param, values, out=None):
         if len(positive) >= 2:  # a least-squares line through (log n, log plateau^2)
             slope = float(np.polyfit(*np.log(positive).T, 1)[0])
 
-    result = SweepResult(param=param, rows=tuple(rows), slope=slope)
+    result = SweepResult(rows=tuple(rows), slope=slope)
     if out is not None:
         write_sweep_csv(result, out)
     return result

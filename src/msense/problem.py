@@ -138,20 +138,20 @@ def check_build_memory(d, n=None):
 
 @functools.lru_cache(maxsize=None)
 def _svec_indices(d):
-    """Row-major flat indices of the upper triangle of a d x d matrix, and
-    each of the d*d entries' position (or its mirror's) in that list.
-
-    Both are cached and read-only.  ``upper[pos]`` is the flat index
-    min(i, j) d + max(i, j) of each (i, j): gathering it from a row-major
-    d x d array mirrors its upper triangle.
+    """Row-major flat indices ``upper`` of the upper triangle of a d x d matrix, each of
+    the d*d entries' position ``pos`` (or its mirror's) in that list, and ``upper``
+    gathered at ``pos``, the flat index min(i, j) d + max(i, j) of each (i, j): gathering
+    that from a row-major d x d array mirrors its upper triangle.  All three are cached
+    and read-only.
     """
     iu, ju = np.triu_indices(d)
     pos = np.empty((d, d), dtype=np.intp)
     pos[iu, ju] = pos[ju, iu] = np.arange(iu.size)
     upper, pos = iu * d + ju, pos.ravel()
-    upper.setflags(write=False)
-    pos.setflags(write=False)
-    return upper, pos
+    mirror = upper[pos]
+    for index in (upper, pos, mirror):
+        index.setflags(write=False)
+    return upper, pos, mirror
 
 
 def _slice_rows(d):
@@ -211,9 +211,7 @@ def _slices(rng, count, d, distribution, raw=False, out=None):
     size = max(hi - lo for lo, hi in pairwise(edges))
     # work[0]: slices when no out; work[-1]: the mirror's scratch. Two arrays faulted in per block.
     work = np.empty(((out is None) + (not raw), size, d * d))
-    if not raw:
-        upper, pos = _svec_indices(d)
-        mirror = upper[pos]
+    mirror = None if raw else _svec_indices(d)[2]
     for lo, hi in pairwise(edges):
         part = work[0, : hi - lo] if out is None else out[lo:hi]
         _fill(rng, part if raw else work[-1, : hi - lo], distribution)
@@ -262,12 +260,12 @@ class QuadraticModel:
 
     def __init__(self, d, h, b):
         self.d, self.h = d, h  # h: (p, p)
-        self._upper, self._mirror = _svec_indices(d)
+        self._upper, self._pos, _ = _svec_indices(d)
         self.bbar = self._sym(b)  # (d, d)
 
     def _sym(self, v):
         """The symmetric d x d matrix whose upper triangle is v."""
-        return v.take(self._mirror).reshape(self.d, self.d)
+        return v.take(self._pos).reshape(self.d, self.d)
 
     def apply(self, m):
         """H(M) for a symmetric M; only M's upper triangle is read."""
@@ -291,7 +289,6 @@ class SensingSet:
 
     n: int
     d: int
-    sigma: float
     distribution: str
     seed: int
     observations: np.ndarray
@@ -323,7 +320,7 @@ def generate_sensing(gt, n, sigma, distribution="gaussian", seed=0):
     choice("distribution", distribution, DISTRIBUTIONS)
     d = gt.d
     check_build_memory(d, n)
-    upper, _ = _svec_indices(d)
+    upper = _svec_indices(d)[0]
     p = upper.size
     y, eps = np.empty(n), np.empty(n)
     h, b = np.zeros((p, p)), np.zeros(p)
@@ -354,7 +351,6 @@ def generate_sensing(gt, n, sigma, distribution="gaussian", seed=0):
     return SensingSet(
         n=n,
         d=d,
-        sigma=float(sigma),
         distribution=distribution,
         seed=int(seed),
         observations=y,

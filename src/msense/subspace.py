@@ -182,7 +182,6 @@ class InitReport:
     ss0: float  # |S0 S0^T - DS*|_2
     tt0: float  # |T0 T0^T - DT*|_2
     st0: float  # |S0 T0^T|_2
-    rho: float
     assumption_ok: bool  # lhs <= rho sigma_r
     lemma_ok: bool  # lhs <= 0.7 rho sigma_r implies max of the three <= rho sigma_r
 
@@ -200,7 +199,6 @@ def check_initialization(f0, gt, rho):
         ss0=ss0,
         tt0=tt0,
         st0=st0,
-        rho=float(rho),
         assumption_ok=lhs <= bound,
         lemma_ok=(not premise) or conclusion,
     )
@@ -244,8 +242,6 @@ class InequalityCheck:
 @dataclass(frozen=True)
 class ContractionReport:
     checks: tuple
-    eta: float
-    tolerance: float
 
     @property
     def all_passed(self):
@@ -310,4 +306,4 @@ def verify_population_contraction(s, t, gt, eta):
         InequalityCheck(name, float(lhs), float(rhs), lhs <= rhs + tol)
         for name, lhs, rhs in raw
     )
-    return ContractionReport(checks=checks, eta=float(eta), tolerance=tol)
+    return ContractionReport(checks=checks)

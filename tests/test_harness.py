@@ -326,6 +326,17 @@ def test_sweep_checks_a_huge_value_before_hashing_it():
         sweep(small_config(), "n", [200, 10**5000])
 
 
+def test_population_sweep_rejects_an_unhashable_value_before_any_cell(monkeypatch):
+    """A population run never reads n, so no memory check bounds it: the hash is what fails."""
+    cells = []
+    monkeypatch.setattr(harness, "_run_cell", lambda *args: cells.append(args))
+    base = small_config(d=10, r=2, k=3, ds=(1.0, 0.8), iters=5, seed=1,
+                        gradient_mode="population")
+    with pytest.raises(InputError, match=r"^n=<int too long to print> cannot be hashed"):
+        sweep(base, "n", [200, 10**5000])
+    assert cells == []
+
+
 def test_sweep_noisy_slope_is_negative():
     cfg = small_config(d=10, r=2, k=3, ds=(1.0, 0.8), sigma=0.1, iters=1500, seed=100)
     result = sweep(cfg, "n", [500, 2000, 8000])

@@ -2,9 +2,10 @@
 digests committed in tests/data/output_digests.json.
 
 A change that means to move an output regenerates that file and says which
-digests moved and why.  On a host whose Python, numpy or BLAS differs from the
-one the file was made on, the bytes may differ for reasons outside msense, so
-the comparison is skipped with both signatures in the reason.
+digests moved and why.  On a host whose Python, numpy, BLAS, BLAS thread count
+or CPU SIMD extensions differ from the ones the file was made on, the bytes may
+differ for reasons outside msense, so the comparison is skipped with both
+signatures in the reason.
 """
 
 import json

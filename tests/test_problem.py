@@ -117,6 +117,18 @@ def test_regenerate_mode_matches_dense(gt20):
     assert np.all(s.epsilon != 0.0)
 
 
+@pytest.mark.parametrize("d", [1, 2, 7])
+def test_svec_indices_mirror_the_upper_triangle(d, rng):
+    upper, pos, mirror = problem._svec_indices(d)
+    assert_array_equal(mirror, upper[pos])
+    for index in (upper, pos, mirror):
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0] = 0
+    a = rng.standard_normal((d, d))
+    assert_array_equal(a.ravel().take(mirror).reshape(d, d), np.triu(a) + np.triu(a, 1).T)
+
+
 @pytest.mark.parametrize("distribution", problem.DISTRIBUTIONS)
 @pytest.mark.parametrize("d", [1, 2, 7, 17, 20, 50])
 def test_draw_matches_triu_transpose_formula(d, distribution, draw_oracle, raw_draw_oracle):

@@ -158,7 +158,6 @@ def test_spectral_init_zero_observations(gt20):
     zero = SensingSet(
         n=16,
         d=20,
-        sigma=0.0,
         distribution="gaussian",
         seed=1,
         observations=np.zeros(16),
