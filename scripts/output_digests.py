@@ -65,6 +65,9 @@ COMMANDS = [
     "conc deviation --d 6 --n 300 --trials 3 --seed 4 --out dev.csv",
     "conc moment --d 5 --trials 600 --seed 5",
     "conc asq --d 5 --trials 600 --seed 6",
+    # One of the four verify pop trials fails an inequality: a failing check's lines are covered.
+    "verify pop --trials 4 --seed 5",
+    "verify init --trials 5 --seed 2",
 ]
 BLAS_THREADS = "1"
 

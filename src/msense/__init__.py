@@ -4,7 +4,6 @@ with over-specified rank."""
 from types import ModuleType as _ModuleType
 
 from .errors import DivergenceError, InputError, NumericError
-from .gradient import loss_value, op_MU, op_MV, population_gradient, theory_step_size
 from .harness import (
     ExperimentConfig,
     InitSpec,
@@ -23,19 +22,10 @@ from .problem import (
     generate_ground_truth,
     generate_sensing,
 )
-from .subspace import (
-    Decomposition,
-    InitReport,
-    IterateMetrics,
-    check_initialization,
-    decompose,
-    eps_stat,
-    planted_init,
-    random_init,
-    region_sample,
-    spectral_init,
-    verify_population_contraction,
-)
+from .subspace import (Decomposition, InitReport, IterateMetrics, check_initialization, decompose,
+                       eps_stat, loss_value, op_MU, op_MV, planted_init, population_gradient,
+                       random_init, region_sample, spectral_init, theory_step_size,
+                       verify_population_contraction)
 
 __version__ = "0.1.0"
 

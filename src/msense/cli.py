@@ -19,7 +19,6 @@ from . import concentration as conc
 from .csvio import check_output_path, read_trajectory_csv, write_mc_csv, write_trajectory_csv
 from .errors import DivergenceError, InputError, NumericError, count
 from .figures import reproduce_figures
-from .gradient import theory_step_size
 from .harness import SWEEP_PARAMS, ExperimentConfig, detect_phases, run_experiment, sweep
 from .problem import generate_ground_truth
 from .rng import stream
@@ -28,6 +27,7 @@ from .subspace import (
     check_initialization,
     planted_init,
     region_sample,
+    theory_step_size,
     verify_population_contraction,
 )
 

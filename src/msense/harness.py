@@ -19,12 +19,12 @@ import numpy as np
 
 from .csvio import check_output_path, metrics_column, write_sweep_csv, write_trajectory_csv
 from .errors import DivergenceError, InputError, _shown, choice, count, number
-from .gradient import population_gradient, theory_step_size
 from .linalg import spectral_norms
 from .problem import (DISTRIBUTIONS, MEMORY_MODES, _validate_spectrum, check_build_memory,
                       generate_ground_truth, generate_sensing)
 from .rng import SEED_MAX, stable_hash64
-from .subspace import RHO_MAX, batch_metrics, eps_stat, planted_init, random_init, spectral_init
+from .subspace import (RHO_MAX, batch_metrics, eps_stat, planted_init, population_gradient,
+                       random_init, spectral_init, theory_step_size)
 
 INIT_MODES = ("planted", "spectral", "random")
 GRADIENT_MODES = ("sample", "population")
@@ -98,6 +98,8 @@ class ExperimentConfig:
             raise InputError(f"track_delta must be true or false, got {self.track_delta!r}")
         if not (self.output is None or isinstance(self.output, (str, os.PathLike))):
             raise InputError(f"output must be a path or null, got {self.output!r}")
+        if not isinstance(self.init, InitSpec):
+            raise InputError(f"init must be an InitSpec, got {self.init!r}")
         for name, allowed in (("gradient_mode", GRADIENT_MODES),
                               ("distribution", DISTRIBUTIONS), ("memory_mode", MEMORY_MODES)):
             choice(name, getattr(self, name), allowed)

@@ -1,6 +1,8 @@
 """The package's public names, pinned: a removal or a new re-export changes
 this list on purpose, never as a side effect."""
 
+import pkgutil
+
 import msense
 
 # No submodule is listed: importing one is not exporting it.
@@ -18,3 +20,12 @@ PUBLIC = [
 def test_public_names_are_pinned():
     assert sorted(msense.__all__) == PUBLIC
 
+
+
+# A module appears or goes on purpose, never as a side effect.
+MODULES = ["cli", "concentration", "csvio", "errors", "figures", "harness", "linalg",
+           "problem", "rng", "subspace", "svgplot"]
+
+
+def test_module_list_is_pinned():
+    assert sorted(m.name for m in pkgutil.iter_modules(msense.__path__)) == MODULES

@@ -9,8 +9,9 @@ import warnings
 import numpy as np
 import pytest
 
-from msense import (InputError, check_initialization, generate_ground_truth, generate_sensing,
-                    planted_init, random_init, spectral_init)
+from msense import (ExperimentConfig, InputError, check_initialization, generate_ground_truth,
+                    generate_sensing, planted_init, random_init, spectral_init,
+                    verify_population_contraction)
 from msense import concentration, problem
 from msense.cli import main
 from msense.concentration import (check_mc_memory, mc_A_squared, mc_noise_term,
@@ -20,6 +21,15 @@ from msense.problem import check_memory
 from msense.rng import stream
 
 NAN, INF = float("nan"), float("inf")
+
+
+def _config(init):
+    return ExperimentConfig(d=10, r=2, k=3, n=100, iters=5, seed=1, ds=(1.0, 0.8), init=init)
+
+
+def _contraction(gt, s_shape, t_shape):
+    return verify_population_contraction(np.zeros(s_shape), np.zeros(t_shape), gt, 1e-3)
+
 
 # (the argument the message starts with, the call); before the two rules each call
 # returned a non-finite or wrong result, or ended in a TypeError traceback.
@@ -41,6 +51,15 @@ LIBRARY_EXAMPLES = {
         "rho", lambda gt, s: check_initialization(planted_init(gt, 4, 0.07, 1), gt, NAN)),
     "planted_init_fractional_k": ("k", lambda gt, s: planted_init(gt, 3.5, 0.07, 1)),
     "spectral_init_fractional_k": ("k", lambda gt, s: spectral_init(s, 2.5)),
+    # An init that is not an InitSpec once ended in an AttributeError on .mode.
+    "config_init_str": ("init", lambda gt, s: _config("planted")),
+    "config_init_none": ("init", lambda gt, s: _config(None)),
+    "config_init_dict": ("init", lambda gt, s: _config({"mode": "planted"})),
+    # A misshapen S or T once ended in numpy's broadcast or matmul ValueError.
+    "contraction_s_rows": ("S", lambda gt, s: _contraction(gt, (2, 4), (17, 4))),
+    "contraction_s_vector": ("S", lambda gt, s: _contraction(gt, (3,), (17, 4))),
+    "contraction_t_rows": ("T", lambda gt, s: _contraction(gt, (3, 4), (16, 4))),
+    "contraction_k_mismatch": ("T", lambda gt, s: _contraction(gt, (3, 4), (17, 5))),
 }
 
 
