@@ -44,6 +44,8 @@ CONFIGS = {
     "population.json": dict(SMALL, eta=0.1, gradient_mode="population", track_delta=True),
     # p = 561 > 512: two Gram tiles and the strict-lower mirror, drawn in 120-row slices.
     "wide.json": dict(SMALL, d=33, n=300, iters=30, eta=0.1, distribution="rademacher"),
+    # Its n=50 cell diverges; the other four converge.
+    "mixed.json": dict(SMALL, n=50, seed=4, eta=0.9),
 }
 COMMANDS = [
     "figures --out figs2020 --seed 2020",
@@ -52,6 +54,8 @@ COMMANDS = [
     # Float and d cells: their seeds hash repr(value).
     "sweep --config sweep.json --param sigma --values 0.05,0.1,0.2 --out sweep_sigma.csv",
     "sweep --config sweep.json --param d --values 8,10 --out sweep_d.csv",
+    "sweep --config mixed.json --param n --values 50,100,200,400,800 --out sweep_mixed.csv",
+    "sweep --config sweep.json --param k --values 2,3,4 --out sweep_k.csv",
     "run --config delta.json --out delta.csv",
     "run --config diverge.json --out diverge.csv",
     "run --config population.json --out population.csv",
