@@ -3,8 +3,9 @@ trajectory-wide statements: convergence phases and finite-sample contraction.
 
 A run builds the ground truth and sensing set from its seed, iterates the
 factored gradient step, and records per-iteration subspace metrics.  Runs
-are deterministic per config; sweeps derive one seed per grid cell and
-run the cells in grid order.
+are deterministic per config; sweeps derive one seed per grid cell.  The
+sample-mode cells of an n or sigma sweep step in lockstep as one stack, bit
+for bit as each would alone; other cells run one at a time in grid order.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import numpy as np
 from .csvio import check_output_path, metrics_column, write_sweep_csv, write_trajectory_csv
 from .errors import DivergenceError, InputError, _shown, choice, count, number
 from .linalg import spectral_norms
-from .problem import (DISTRIBUTIONS, MEMORY_MODES, _validate_spectrum, check_build_memory,
-                      generate_ground_truth, generate_sensing)
+from .problem import (_TILE, DISTRIBUTIONS, MEMORY_MODES, _validate_spectrum, check_build_memory,
+                      check_memory, generate_ground_truth, generate_sensing, sensing_bytes,
+                      stacked_gradient)
 from .rng import SEED_MAX, stable_hash64
 from .subspace import (RHO_MAX, batch_metrics, eps_stat, planted_init, population_gradient,
                        random_init, spectral_init, theory_step_size)
@@ -302,24 +304,99 @@ def _cell_config(base, param, value):
     return replace(config, seed=(base.seed ^ seed) % 2**64)
 
 
-def _run_cell(config, param, value):
-    # The cell reads only the plateau window, so only that window is measured.
-    window = max(1, math.ceil((config.iters + 1) * PLATEAU_FRACTION))
-    try:
-        traj = run_experiment(config, write_output=False,
-                              measure_from=config.iters + 1 - window)
-    except DivergenceError:
+def _window_start(config):
+    """The first row of the cell's plateau window: the cell reads only the window, so only
+    the window is recorded."""
+    return config.iters + 1 - max(1, math.ceil((config.iters + 1) * PLATEAU_FRACTION))
+
+
+def _cell_result(config, param, value, metrics=None):
+    """The cell's row: diverged without its window's metrics, else their plateau and final D."""
+    if metrics is None:
         return CellResult(param, value, config.seed, None, None, None, "diverged")
-    plateau = float(np.median(traj.column("err_fro")))
-    return CellResult(
-        param=param,
-        value=value,
-        cell_seed=config.seed,
-        plateau_err_fro=plateau,
-        plateau_err_fro_sq=plateau**2,
-        D_final=float(traj.metrics[-1].D),
-        status="ok",
-    )
+    plateau = float(np.median(metrics_column(metrics, "err_fro")))
+    return CellResult(param, value, config.seed, plateau, plateau**2, float(metrics[-1].D), "ok")
+
+
+def _run_cell(config, param, value):
+    try:
+        traj = run_experiment(config, write_output=False, measure_from=_window_start(config))
+    except DivergenceError:
+        return _cell_result(config, param, value)
+    return _cell_result(config, param, value, traj.metrics)
+
+
+class _StackedCell:
+    """One cell of a stack.  It takes the rows _steps would yield for its run and keeps the
+    metrics run_experiment(config, measure_from=_window_start(config)) would record, every
+    row decided as run_experiment decides it, up to the row that ends the run."""
+
+    def __init__(self, config, gt):
+        self.config, self.gt, self.floor = config, gt, eps_stat(gt, config.n, config.sigma)
+        self.start, self.guard = _window_start(config), DIVERGENCE_FACTOR * gt.sigma1
+        self.stop_sq = 2.0 * config.k * (self.guard + gt.sigma1)
+        self.safe_sq = self.guard - gt.sigma1
+        self.measuring, self.chunk, self.metrics, self.diverged = False, [], [], False
+
+    def step(self, t, f, grad_sq, f_sq):
+        """Take row t, given |grad_t|_F^2 and |F_t|_F^2; True once the run has ended."""
+        grad_norm = math.sqrt(grad_sq)
+        f_sq = f_sq if grad_norm < math.inf else math.inf
+        self.measuring = self.measuring or not (t < self.start and f_sq <= self.safe_sq)
+        if self.measuring:
+            self.chunk.append((t, f, grad_norm))
+        end = not f_sq <= self.stop_sq or t == self.config.iters
+        if self.chunk and (end or len(self.chunk) == _chunk_rows(self.config.d)):
+            ts, fs, grad_norms = zip(*self.chunk)
+            self.chunk = []
+            # |Delta|_2 is left out: no cell field reads it.
+            rows = batch_metrics(ts[0], fs, self.gt, self.floor, grad_norms, [None] * len(ts))
+            cut = next((i for i, row in enumerate(rows, 1)
+                        if not (row.err_spec <= self.guard and row.grad_norm < math.inf)), None)
+            self.metrics += rows[max(0, self.start - ts[0]):cut]
+            self.diverged = cut is not None
+        return end or self.diverged
+
+
+def _sq_norms(x):
+    """|x_b|_F^2 of each matrix of a stack, by the dot product np.vdot takes."""
+    return np.matmul(x.reshape(len(x), 1, -1), x.reshape(len(x), -1, 1)).ravel()
+
+
+def _stacked_cells(configs, param, values):
+    """The CellResults of sample-mode cells that share d, k, iters and eta, with p = d(d+1)/2
+    <= _TILE, stepped in lockstep as one (B, d, k) stack: every iteration makes one
+    stacked_gradient call and two norm calls for all live cells.  Each cell's ground truth,
+    operator and start are built first; its observations and noise are dropped.  A cell's
+    rows are _steps' rows for its run, bit for bit, and it leaves the stack when its run
+    ends, so its result is _run_cell's."""
+    b, d, k = len(configs), configs[0].d, configs[0].k
+    p = d * (d + 1) // 2
+    check_memory(8 * b * (p * p + d * d) + max(sensing_bytes(d, c.n) for c in configs),
+                 f"the stack of {b} d={d} sweep cells")
+    h, bbar, f, cells = np.empty((b, p, p)), np.empty((b, d, d)), np.empty((b, d, k)), []
+    for i, config in enumerate(configs):
+        gt = generate_ground_truth(config.d, config.r, config.ds, config.dt, config.seed)
+        sensing = generate_sensing(gt, config.n, config.sigma, config.distribution, config.seed)
+        h[i], bbar[i] = sensing.model.h, sensing.model.bbar
+        f[i] = _initial_factor(config, gt, sensing)
+        cells.append(_StackedCell(config, gt))
+        del sensing  # the next cell's build runs without this one's observations
+    live, eta = cells, configs[0].eta_value()
+    with np.errstate(over="ignore", invalid="ignore"):  # as in run_experiment
+        for t in range(configs[0].iters + 1):
+            grad = stacked_gradient(h, bbar, f)
+            ended = [cell.step(t, f_t, g_sq, f_sq) for cell, f_t, g_sq, f_sq
+                     in zip(live, f, _sq_norms(grad).tolist(), _sq_norms(f).tolist())]
+            if any(ended):
+                keep = [i for i, end in enumerate(ended) if not end]
+                if not keep:
+                    break
+                live, h, bbar, f, grad = ([live[i] for i in keep], h[keep], bbar[keep],
+                                          f[keep], grad[keep])
+            f = f - eta * grad
+    return [_cell_result(cell.config, param, value, None if cell.diverged else cell.metrics)
+            for cell, value in zip(cells, values)]
 
 
 def sweep(base_config, param, values, out=None):
@@ -332,7 +409,15 @@ def sweep(base_config, param, values, out=None):
         raise InputError("sweep values must be strictly increasing")
     if out is not None:
         check_output_path(out)
-    rows = [_run_cell(c, param, v) for c, v in zip(configs, values)]
+    # The sample-mode cells of an n or sigma sweep share their shape and step as one stack,
+    # while one Gram tile holds the operator: past it the gemv dominates the step.  A lone
+    # cell steps faster through _steps.
+    base = configs[0]
+    if (param in ("n", "sigma") and base.gradient_mode == "sample" and len(configs) > 1
+            and base.d * (base.d + 1) // 2 <= _TILE):
+        rows = _stacked_cells(configs, param, values)
+    else:
+        rows = [_run_cell(c, param, v) for c, v in zip(configs, values)]
 
     slope = None
     if param == "n" and base_config.sigma > 0:

@@ -279,6 +279,18 @@ class QuadraticModel:
         return self.apply(ffT) - self.bbar - (ffT - xstar)
 
 
+def stacked_gradient(h, bbar, f):
+    """QuadraticModel.gradient of each cell of a stack, bit for bit, in one call per stage for
+    all cells: the (B, p, p) operators ``h``, (B, d, d) data terms ``bbar`` and (B, d, k)
+    factors ``f``.  A batched matmul runs the 2-D one's BLAS routine on each cell (syrk for
+    F F^T, gemv for the operator, gemm for the product with F)."""
+    b, d, _ = f.shape
+    upper, pos, _ = _svec_indices(d)
+    ffT = (f @ f.transpose(0, 2, 1)).reshape(b, d * d)
+    v = np.matmul(h, ffT.take(upper, axis=1)[:, :, None]).reshape(b, -1)
+    return (v.take(pos, axis=1).reshape(b, d, d) - bbar) @ f
+
+
 @dataclass
 class SensingSet:
     """n sensing matrices with observations y_i = <A_i, X*> + eps_i.

@@ -328,13 +328,13 @@ def test_sweep_checks_a_huge_value_before_hashing_it():
 
 def test_population_sweep_rejects_an_unhashable_value_before_any_cell(monkeypatch):
     """A population run never reads n, so no memory check bounds it: the hash is what fails."""
-    cells = []
-    monkeypatch.setattr(harness, "_run_cell", lambda *args: cells.append(args))
+    built = []  # a cell, stacked or not, is built from its ground truth first
+    monkeypatch.setattr(harness, "generate_ground_truth", lambda *args: built.append(args))
     base = small_config(d=10, r=2, k=3, ds=(1.0, 0.8), iters=5, seed=1,
                         gradient_mode="population")
     with pytest.raises(InputError, match=r"^n=<int too long to print> cannot be hashed"):
         sweep(base, "n", [200, 10**5000])
-    assert cells == []
+    assert built == []
 
 
 def test_sweep_noisy_slope_is_negative():

@@ -248,6 +248,17 @@ def test_quadratic_model_matches_streaming_gradient(source, distribution, rng):
         assert_array_equal(got, got.T)
 
 
+@pytest.mark.parametrize("d, k", [(1, 1), (2, 2), (10, 1), (10, 3), (31, 4)])
+def test_stacked_gradient_is_each_models_gradient_bit_for_bit(d, k, rng):
+    """k = 1 makes the product with F a gemv, p = 496 at d = 31 is the largest stacked."""
+    models = [generate_sensing(generate_ground_truth(d, 1, [1.0], "zeros", seed=seed), n=40,
+                               sigma=0.1, seed=seed).model for seed in (1, 2, 3)]
+    f = rng.standard_normal((3, d, k))
+    got = problem.stacked_gradient(np.stack([m.h for m in models]),
+                                   np.stack([m.bbar for m in models]), f)
+    assert_array_equal(got, [m.gradient(f_i) for m, f_i in zip(models, f)], strict=True)
+
+
 def _full_operator(s, source):
     """Oracle: the d^2 x d^2 operator (1/n) sum_i vec(A_i) vec(A_i)^T and
     bbar = (1/n) sum_i y_i A_i, accumulated over every entry of each A_i."""

@@ -1,13 +1,14 @@
 """Sweep cells measure only their plateau window: run_experiment(measure_from=m)
-against the full run it abbreviates, and _run_cell against the cell formula
-that read the full trajectory, with its own cell seed."""
+against the full run it abbreviates, _run_cell against the cell formula that
+read the full trajectory, with its own cell seed, and a stack of cells stepped
+together against _run_cell one cell at a time."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from msense import DivergenceError, ExperimentConfig, InputError, run_experiment, sweep
+from msense import DivergenceError, ExperimentConfig, InitSpec, InputError, run_experiment, sweep
 from msense import harness
 from msense.csvio import trajectory_rows
 from msense.harness import PLATEAU_FRACTION, CellResult, _cell_config, _chunk_rows, _run_cell
@@ -67,17 +68,93 @@ def test_mixed_sweep_csv_matches_the_full_trajectory_formula(tmp_path, monkeypat
     assert [row.status for row in result.rows] == ["diverged", "ok", "ok", "ok", "ok"]
     received = []
 
-    def oracle_run_cell(config, param, value):
-        received.append(config)
-        return oracle_cell(base, param, value)[0]
+    def oracle_stacked_cells(configs, param, values):
+        received.extend(configs)
+        return [oracle_cell(base, param, value)[0] for value in values]
 
-    monkeypatch.setattr(harness, "_run_cell", oracle_run_cell)
+    # The n sweep's cells step as one stack: the oracle stands in for the whole stack.
+    monkeypatch.setattr(harness, "_stacked_cells", oracle_stacked_cells)
     sweep(base, "n", MIXED_GRID, out=str(tmp_path / "oracle.csv"))
     # Each cell runs the config it was built with: the oracle's seed formula, no output.
     assert received == [replace(base, n=n, output=None,
                                 seed=(base.seed ^ stable_hash64("n", n)) % 2**64)
                         for n in MIXED_GRID]
     assert (tmp_path / "cells.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+# Stacks of cells, each against _run_cell one cell at a time: base overrides, param, values.
+STACKS = {
+    "n_gaussian_planted": (dict(eta=0.1), "n", (50, 100, 400)),
+    "sigma_rademacher_spectral_dt": (
+        dict(eta=0.1, distribution="rademacher", init=InitSpec(mode="spectral"),
+             dt=(0.3, -0.2, 0.1, 0.05, -0.05, 0.02, 0.01, 0.0)), "sigma", (0.0, 0.1, 0.3)),
+    "n_random_start": (dict(eta=0.1, init=InitSpec(mode="random", scale=0.1)), "n",
+                       (100, 200, 400)),
+    "n_track_delta": (dict(eta=0.1, track_delta=True, delta_every=3), "n", (100, 200, 400)),
+    # Three cells diverge before the window, one inside it, and one converges.
+    "n_diverge_before_and_inside_the_window": (dict(seed=1, eta=1.0), "n", MIXED_GRID),
+    # Every cell leaves the stack at t=4.
+    "n_all_leave_early": (dict(seed=1, eta=5.0), "n", (50, 100, 400)),
+    # sweep runs a lone cell through _run_cell; the stack of one still matches it.
+    "n_one_cell": (dict(eta=0.1), "n", (400,)),
+    # p = 496 <= 512, and the 41-row window spans two chunks of 34 rows.
+    "n_d31_window_of_two_chunks": (dict(d=31, n=300, iters=400, eta=0.1), "n", (300, 600)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACKS))
+def test_stacked_cells_are_run_cell_bit_for_bit(name, monkeypatch):
+    overrides, param, values = STACKS[name]
+    configs = [_cell_config(cell_config(**overrides), param, v) for v in values]
+    want = [_run_cell(config, param, v) for config, v in zip(configs, values)]
+    cells = []
+
+    class RecordedCell(harness._StackedCell):
+        def __init__(self, *args):
+            super().__init__(*args)
+            cells.append(self)
+
+    monkeypatch.setattr(harness, "_StackedCell", RecordedCell)
+    assert harness._stacked_cells(configs, param, values) == want
+    # Every recorded row too, the gradient norm included: the stack leaves out |Delta|_2 only.
+    for config, cell in zip(configs, cells, strict=True):
+        try:
+            traj = run_experiment(config, measure_from=harness._window_start(config))
+        except DivergenceError as exc:
+            traj = exc.trajectory
+        assert repr(cell.metrics) == repr([row._replace(delta_norm=None) for row in traj.metrics])
+
+
+def test_the_stacks_cover_divergence_before_and_inside_the_window():
+    base = cell_config(seed=1, eta=1.0)
+    start = harness._window_start(base)
+    kinds = []
+    for n in MIXED_GRID:
+        t = oracle_cell(base, "n", n)[1]
+        kinds.append("ok" if t is None else "window" if t >= start else "before")
+    assert kinds == ["before", "before", "before", "window", "ok"]
+    assert {oracle_cell(cell_config(seed=1, eta=5.0), "n", n)[1] for n in (50, 100, 400)} == {4}
+
+
+def no_call(*args):
+    raise AssertionError("called")
+
+
+@pytest.mark.parametrize("overrides, param, values, stacked", [
+    ({}, "n", (100, 200), True),
+    ({}, "sigma", (0.05, 0.1), True),
+    ({}, "n", (100,), False),  # a lone cell steps faster through _steps
+    ({}, "k", (2, 3), False),
+    ({}, "d", (8, 10), False),
+    (dict(gradient_mode="population"), "n", (100, 200), False),
+    (dict(d=32), "n", (100, 200), False),  # p = 528 > 512
+], ids=["n", "sigma", "one_value", "k", "d", "population", "p_past_one_tile"])
+def test_sweep_stacks_only_same_shape_sample_cells(monkeypatch, overrides, param, values,
+                                                     stacked):
+    base = cell_config(eta=0.1, iters=20, **overrides)
+    want = [_run_cell(_cell_config(base, param, v), param, v) for v in values]
+    monkeypatch.setattr(harness, "_run_cell" if stacked else "_stacked_cells", no_call)
+    assert list(sweep(base, param, values).rows) == want
 
 
 def small_config(**overrides):
