@@ -4,13 +4,13 @@ trajectory-wide statements: convergence phases and finite-sample contraction.
 A run builds the ground truth and sensing set from its seed, iterates the
 factored gradient step, and records per-iteration subspace metrics.  Runs
 are deterministic per config; sweeps derive one seed per grid cell.  The
-sample-mode cells of an n or sigma sweep step in lockstep as one stack, bit
-for bit as each would alone; other cells run one at a time in grid order.
+sample-mode cells of an n or sigma sweep step in lockstep as stacks, as many
+cells to a stack as the memory budget holds, bit for bit as each would alone;
+other cells run one at a time in grid order.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import time
@@ -21,8 +21,8 @@ import numpy as np
 from .csvio import check_output_path, metrics_column, write_sweep_csv, write_trajectory_csv
 from .errors import DivergenceError, InputError, _shown, choice, count, number
 from .linalg import spectral_norms
-from .problem import (_TILE, DISTRIBUTIONS, MEMORY_MODES, _validate_spectrum, check_build_memory,
-                      check_memory, generate_ground_truth, generate_sensing, sensing_bytes,
+from .problem import (DISTRIBUTIONS, MEMORY_MODES, _validate_spectrum, check_build_memory,
+                      fits_memory, generate_ground_truth, generate_sensing, sensing_bytes,
                       stacked_gradient)
 from .rng import SEED_MAX, stable_hash64
 from .subspace import (RHO_MAX, batch_metrics, eps_stat, planted_init, population_gradient,
@@ -179,42 +179,87 @@ def _chunk_rows(d):
     return max(1, min(256, 2**15 // (d * d)))
 
 
-def _steps(f, gradient, eta, iters, stop_sq):
+def _steps(f, gradient, eta, iters):
     """Step F from t = 0 to ``iters``, yielding (t, F_t, |grad_t|, |F_t|_F^2,
     seconds) per row; a row's seconds cover its gradient and its step.  The
-    first row past ``stop_sq``, or with a non-finite gradient norm, is
-    yielded and not stepped: it ends the run."""
+    run's _Rows decides which row ends it, and the run stops taking rows there."""
     for t in range(iters + 1):
         tic = time.perf_counter()
         grad, grad_norm = gradient(f)
-        # A non-finite gradient norm counts as an unbounded iterate.
-        f_sq = np.vdot(f, f) if grad_norm < math.inf else math.inf
-        stopped = not f_sq <= stop_sq
-        f_next = f if stopped or t == iters else f - eta * grad
+        f_sq = np.vdot(f, f)
+        f_next = f if t == iters else f - eta * grad
         yield t, f, grad_norm, f_sq, time.perf_counter() - tic
-        if stopped:
-            return
         f = f_next
+
+
+class _Rows:
+    """The row rules of one run, shared by run_experiment and a stack of sweep cells: which of
+    the rows t = 0..iters its stepping yields are measured (one batch_metrics call per chunk
+    of _chunk_rows(d) rows), which are recorded (t >= measure_from), and which ends the run:
+    t = iters, the first row past stop_sq, or the first measured row with err_spec > 1e6
+    sigma_1 or a non-finite value, whose metrics ``diverged`` holds.  ``elapsed`` is each
+    recorded row's step time plus an equal share of its chunk's measuring time, in ms."""
+
+    def __init__(self, config, gt, measure_from, deviation=None):
+        self.config, self.gt, self.start, self.deviation = config, gt, measure_from, deviation
+        self.floor = eps_stat(gt, None if config.gradient_mode == "population" else config.n,
+                              config.sigma)
+        self.guard = DIVERGENCE_FACTOR * gt.sigma1
+        # err_spec >= |F|_F^2 / k - sigma_1, so a row past this bound trips the
+        # guard: the run ends there, long before an iterate could overflow.
+        self.stop_sq = 2.0 * config.k * (self.guard + gt.sigma1)
+        # err_spec <= |F|_F^2 + sigma_1, so a row within this bound cannot trip it.
+        self.safe_sq = self.guard - gt.sigma1
+        self.iters, self.size = config.iters, _chunk_rows(config.d)
+        self.measuring, self.chunk, self.metrics, self.elapsed = False, [], [], []
+        self.diverged = None
+
+    def take(self, t, f, grad_norm, f_sq, seconds=0.0):
+        """Take row t; True once the run has ended."""
+        # A non-finite gradient norm counts as an unbounded iterate.
+        f_sq = f_sq if grad_norm < math.inf else math.inf
+        # Measuring starts at the first row recorded or past safe_sq, and every later row is
+        # measured: the run ends at the row where the full run ends.
+        self.measuring = self.measuring or not (t < self.start and f_sq <= self.safe_sq)
+        if self.measuring:
+            self.chunk.append((t, f, grad_norm, seconds))
+        end = not f_sq <= self.stop_sq or t == self.iters
+        if self.chunk and (end or len(self.chunk) == self.size):
+            self._measure()
+        return end or self.diverged is not None
+
+    def _measure(self):
+        tic = time.perf_counter()
+        ts, fs, grad_norms, seconds = zip(*self.chunk)
+        self.chunk = []
+        every = self.config.delta_every
+        tracked = [i for i, t in enumerate(ts) if self.deviation and t % every == 0]
+        norms = dict(zip(tracked, spectral_norms([self.deviation(fs[i]) for i in tracked]).tolist()
+                         if tracked else []))
+        rows = batch_metrics(ts[0], fs, self.gt, self.floor, grad_norms,
+                             [norms.get(i) for i in range(len(ts))])
+        share = (time.perf_counter() - tic) / len(ts)
+        cut = next((i for i, row in enumerate(rows, 1)
+                    if not (row.err_spec <= self.guard and row.grad_norm < math.inf)), None)
+        skip = max(0, self.start - ts[0])  # measured, but before the recorded rows
+        self.metrics += rows[skip:cut]
+        self.elapsed += [(step + share) * 1000.0 for step in seconds[skip:cut]]
+        if cut is not None:
+            self.diverged = rows[cut - 1]
 
 
 def run_experiment(config, write_output=True, measure_from=0):
     """Run one configured experiment and return its Trajectory.
 
-    ``_steps`` steps the factor; this function measures the rows it yields,
-    t = 0 (the initial factor) to ``iters``, one batch_metrics call per chunk
-    of ``_chunk_rows(d)`` rows.  A row's elapsed_ms is its own step time plus
-    an equal share of its chunk's measuring time (|Delta|_2 when tracked, and
-    the metrics).  Aborts with DivergenceError, carrying the partial
-    trajectory (also written to config.output), at the first row with
-    err_spec > 1e6 sigma_1 or a non-finite value; the message names
-    err_spec, or the gradient norm when only that is non-finite.
+    ``_steps`` steps the factor and a ``_Rows`` measures the rows it yields,
+    t = 0 (the initial factor) to ``iters``, with |Delta|_2 on tracked rows.
+    Aborts with DivergenceError, carrying the partial trajectory (also written
+    to config.output), at the first row with err_spec > 1e6 sigma_1 or a
+    non-finite value; the message names err_spec, or the gradient norm when
+    only that is non-finite.
 
     Rows t < ``measure_from`` are stepped but not recorded: the trajectory
     holds rows measure_from..iters, bit for bit the tail of the full run.
-    A row's err_spec is bounded by |F|_F^2 + sigma_1 (|X*|_2 = sigma_1), so
-    measuring starts at the first row that is recorded or whose bound passes
-    the guard, and every later row is measured: the run aborts at the same
-    row as the full run would.
     """
     count("measure_from", measure_from, 0, config.iters)
     if write_output and config.output is not None:
@@ -228,7 +273,6 @@ def run_experiment(config, write_output=True, measure_from=0):
         sensing = generate_sensing(gt, config.n, config.sigma, config.distribution, config.seed)
         model = sensing.model
         f = _initial_factor(config, gt, sensing) if f is None else f
-    floor = eps_stat(gt, None if population else config.n, config.sigma)
     eta = config.eta_value()
 
     def gradient(f):
@@ -238,38 +282,18 @@ def run_experiment(config, write_output=True, measure_from=0):
     def deviation(f):  # the population operator is exact: Delta = 0
         return np.zeros_like(gt.Xstar) if population else model.deviation(f, gt.Xstar)
 
-    guard = DIVERGENCE_FACTOR * gt.sigma1
-    # err_spec >= |F|_F^2 / k - sigma_1, so a row past this bound trips the
-    # guard: stepping stops there, long before an iterate could overflow.
-    stop_sq = 2.0 * config.k * (guard + gt.sigma1)
-    # err_spec <= |F|_F^2 + sigma_1, so a row within this bound cannot trip it.
-    safe_sq = guard - gt.sigma1
-    metrics, elapsed, cut = [], [], None  # cut: 1 + the index of the chunk's first bad row
-    # Overflow makes a row non-finite, and such a row stops the run below.
+    rows = _Rows(config, gt, measure_from, deviation if config.track_delta else None)
+    # Overflow makes a row non-finite, and such a row ends the run.
     with np.errstate(over="ignore", invalid="ignore"):
-        stepped = itertools.dropwhile(lambda row: row[0] < measure_from and row[3] <= safe_sq,
-                                      _steps(f, gradient, eta, config.iters, stop_sq))
-        while cut is None and (chunk := list(itertools.islice(stepped, _chunk_rows(config.d)))):
-            tic = time.perf_counter()
-            ts, fs, grad_norms, _, seconds = zip(*chunk)
-            tracked = [i for i, t in enumerate(ts)
-                       if config.track_delta and t % config.delta_every == 0]
-            norms = dict(zip(tracked, spectral_norms([deviation(fs[i]) for i in tracked]).tolist()
-                             if tracked else []))
-            rows = batch_metrics(ts[0], fs, gt, floor, grad_norms,
-                                 [norms.get(i) for i in range(len(ts))])
-            share = (time.perf_counter() - tic) / len(ts)
-            cut = next((i for i, row in enumerate(rows, 1)
-                        if not (row.err_spec <= guard and row.grad_norm < math.inf)), None)
-            skip = max(0, measure_from - ts[0])  # measured, but before the recorded rows
-            metrics += rows[skip:cut]
-            elapsed += [(step + share) * 1000.0 for step in seconds[skip:cut]]
+        for row in _steps(f, gradient, eta, config.iters):
+            if rows.take(*row):
+                break
 
-    traj = Trajectory(config=config, metrics=metrics, elapsed_ms=elapsed)
+    traj = Trajectory(config=config, metrics=rows.metrics, elapsed_ms=rows.elapsed)
     if write_output and config.output is not None:  # a diverged run keeps its partial trajectory
         write_trajectory_csv(traj, config.output)
-    if cut is not None:  # the run stopped at this row
-        row = rows[cut - 1]
+    if rows.diverged is not None:  # the run stopped at this row
+        row, guard = rows.diverged, rows.guard
         cause = (f"grad_norm={row.grad_norm:.3e} is not finite" if row.err_spec <= guard
                  else f"err_spec={row.err_spec:.3e} > {guard:.3e}")
         raise DivergenceError(f"run diverged at t={row.t}: {cause}", trajectory=traj)
@@ -326,77 +350,65 @@ def _run_cell(config, param, value):
     return _cell_result(config, param, value, traj.metrics)
 
 
-class _StackedCell:
-    """One cell of a stack.  It takes the rows _steps would yield for its run and keeps the
-    metrics run_experiment(config, measure_from=_window_start(config)) would record, every
-    row decided as run_experiment decides it, up to the row that ends the run."""
-
-    def __init__(self, config, gt):
-        self.config, self.gt, self.floor = config, gt, eps_stat(gt, config.n, config.sigma)
-        self.start, self.guard = _window_start(config), DIVERGENCE_FACTOR * gt.sigma1
-        self.stop_sq = 2.0 * config.k * (self.guard + gt.sigma1)
-        self.safe_sq = self.guard - gt.sigma1
-        self.measuring, self.chunk, self.metrics, self.diverged = False, [], [], False
-
-    def step(self, t, f, grad_sq, f_sq):
-        """Take row t, given |grad_t|_F^2 and |F_t|_F^2; True once the run has ended."""
-        grad_norm = math.sqrt(grad_sq)
-        f_sq = f_sq if grad_norm < math.inf else math.inf
-        self.measuring = self.measuring or not (t < self.start and f_sq <= self.safe_sq)
-        if self.measuring:
-            self.chunk.append((t, f, grad_norm))
-        end = not f_sq <= self.stop_sq or t == self.config.iters
-        if self.chunk and (end or len(self.chunk) == _chunk_rows(self.config.d)):
-            ts, fs, grad_norms = zip(*self.chunk)
-            self.chunk = []
-            # |Delta|_2 is left out: no cell field reads it.
-            rows = batch_metrics(ts[0], fs, self.gt, self.floor, grad_norms, [None] * len(ts))
-            cut = next((i for i, row in enumerate(rows, 1)
-                        if not (row.err_spec <= self.guard and row.grad_norm < math.inf)), None)
-            self.metrics += rows[max(0, self.start - ts[0]):cut]
-            self.diverged = cut is not None
-        return end or self.diverged
-
-
 def _sq_norms(x):
     """|x_b|_F^2 of each matrix of a stack, by the dot product np.vdot takes."""
     return np.matmul(x.reshape(len(x), 1, -1), x.reshape(len(x), -1, 1)).ravel()
 
 
+def _stack_bytes(configs):
+    """Bytes a stack of the cells holds: every operator and data term, 8 B (p^2 + d^2), and
+    the largest cell's sensing build, the stack as its last cell is built."""
+    d = configs[0].d
+    p = d * (d + 1) // 2
+    return 8 * len(configs) * (p * p + d * d) + max(sensing_bytes(d, c.n) for c in configs)
+
+
+def _stacks(configs):
+    """Consecutive runs of cells, in grid order, each as long as its stack fits the memory
+    budget; a cell fits alone, as its config was checked."""
+    lo = 0
+    for hi in range(1, len(configs) + 1):
+        if hi == len(configs) or not fits_memory(_stack_bytes(configs[lo:hi + 1])):
+            yield lo, hi
+            lo = hi
+
+
 def _stacked_cells(configs, param, values):
-    """The CellResults of sample-mode cells that share d, k, iters and eta, with p = d(d+1)/2
-    <= _TILE, stepped in lockstep as one (B, d, k) stack: every iteration makes one
-    stacked_gradient call and two norm calls for all live cells.  Each cell's ground truth,
-    operator and start are built first; its observations and noise are dropped.  A cell's
-    rows are _steps' rows for its run, bit for bit, and it leaves the stack when its run
+    """The CellResults of sample-mode cells that share d, k, iters and eta, stepped in
+    lockstep as one (B, d, k) stack: every iteration makes one stacked_gradient call and
+    two norm calls for all live cells.  Each cell's ground truth, operator and start are
+    built first; its observations and noise are dropped.  A cell's rows are _steps' rows
+    for its run, bit for bit, taken by its own _Rows, and it leaves the stack when its run
     ends, so its result is _run_cell's."""
     b, d, k = len(configs), configs[0].d, configs[0].k
     p = d * (d + 1) // 2
-    check_memory(8 * b * (p * p + d * d) + max(sensing_bytes(d, c.n) for c in configs),
-                 f"the stack of {b} d={d} sweep cells")
-    h, bbar, f, cells = np.empty((b, p, p)), np.empty((b, d, d)), np.empty((b, d, k)), []
+    h, bbar, f, runs = np.empty((b, p, p)), np.empty((b, d, d)), np.empty((b, d, k)), []
     for i, config in enumerate(configs):
         gt = generate_ground_truth(config.d, config.r, config.ds, config.dt, config.seed)
         sensing = generate_sensing(gt, config.n, config.sigma, config.distribution, config.seed)
         h[i], bbar[i] = sensing.model.h, sensing.model.bbar
         f[i] = _initial_factor(config, gt, sensing)
-        cells.append(_StackedCell(config, gt))
+        # |Delta|_2 is left out: no cell field reads it.
+        runs.append(_Rows(config, gt, _window_start(config)))
         del sensing  # the next cell's build runs without this one's observations
-    live, eta = cells, configs[0].eta_value()
+    live, eta = runs, configs[0].eta_value()
     with np.errstate(over="ignore", invalid="ignore"):  # as in run_experiment
         for t in range(configs[0].iters + 1):
             grad = stacked_gradient(h, bbar, f)
-            ended = [cell.step(t, f_t, g_sq, f_sq) for cell, f_t, g_sq, f_sq
+            ended = [run.take(t, f_t, math.sqrt(g_sq), f_sq) for run, f_t, g_sq, f_sq
                      in zip(live, f, _sq_norms(grad).tolist(), _sq_norms(f).tolist())]
             if any(ended):
                 keep = [i for i, end in enumerate(ended) if not end]
                 if not keep:
                     break
-                live, h, bbar, f, grad = ([live[i] for i in keep], h[keep], bbar[keep],
-                                          f[keep], grad[keep])
+                for j, i in enumerate(keep):  # moved down in place: no second copy of h
+                    if j != i:
+                        h[j], bbar[j] = h[i], bbar[i]
+                live, h, bbar = [live[i] for i in keep], h[:len(keep)], bbar[:len(keep)]
+                f, grad = f[keep], grad[keep]
             f = f - eta * grad
-    return [_cell_result(cell.config, param, value, None if cell.diverged else cell.metrics)
-            for cell, value in zip(cells, values)]
+    return [_cell_result(run.config, param, value, None if run.diverged else run.metrics)
+            for run, value in zip(runs, values)]
 
 
 def sweep(base_config, param, values, out=None):
@@ -409,15 +421,14 @@ def sweep(base_config, param, values, out=None):
         raise InputError("sweep values must be strictly increasing")
     if out is not None:
         check_output_path(out)
-    # The sample-mode cells of an n or sigma sweep share their shape and step as one stack,
-    # while one Gram tile holds the operator: past it the gemv dominates the step.  A lone
-    # cell steps faster through _steps.
-    base = configs[0]
-    if (param in ("n", "sigma") and base.gradient_mode == "sample" and len(configs) > 1
-            and base.d * (base.d + 1) // 2 <= _TILE):
-        rows = _stacked_cells(configs, param, values)
-    else:
-        rows = [_run_cell(c, param, v) for c, v in zip(configs, values)]
+    # The sample-mode cells of an n or sigma sweep share their shape and step as stacks,
+    # each as long as the memory budget holds.  A lone cell steps faster through _steps.
+    base, rows = configs[0], []
+    stacks = (_stacks(configs) if param in ("n", "sigma") and base.gradient_mode == "sample"
+              else ((i, i + 1) for i in range(len(configs))))
+    for lo, hi in stacks:
+        rows += (_stacked_cells(configs[lo:hi], param, values[lo:hi]) if hi - lo > 1
+                 else [_run_cell(configs[lo], param, values[lo])])
 
     slope = None
     if param == "n" and base_config.sigma > 0:

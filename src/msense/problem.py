@@ -117,11 +117,16 @@ def _memory_budget():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 
+def fits_memory(nbytes):
+    """Whether ``nbytes`` fit within half of physical memory."""
+    return nbytes <= _memory_budget()
+
+
 def check_memory(nbytes, what):
     """Reject ``what`` with an InputError, before it is allocated, when it
     needs more than half of physical memory."""
-    budget = _memory_budget()
-    if nbytes > budget:  # a count near or past the float range is shown by its bit length
+    if not fits_memory(nbytes):  # a count near or past the float range is shown by its bit length
+        budget = _memory_budget()
         need = (f"{nbytes / 1e9:.2f} GB" if nbytes < 2**1000
                 else f"at least 2**{nbytes.bit_length() - 1} bytes")
         raise InputError(

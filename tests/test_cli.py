@@ -134,21 +134,26 @@ def test_oversized_operator_exits_1_before_compute(tmp_path, capsys, monkeypatch
         assert "physical memory" in err and "Traceback" not in err
 
 
-def test_sweep_stack_past_the_budget_exits_1_before_any_draw(tmp_path, capsys, monkeypatch):
-    """Each cell of the n sweep fits alone; the stack holds three d=20 operators (p = 210)
-    and data terms besides the largest cell's build."""
-    cfg = write_config(tmp_path)
-    argv = ["sweep", "--config", str(cfg), "--param", "n", "--values", "200,400,800"]
-    stack = 3 * 8 * (210 * 210 + 20 * 20) + msense.problem.sensing_bytes(20, 800)
-    monkeypatch.setattr(msense.problem, "_memory_budget", lambda: stack)
-    assert main(argv) == 0
-    capsys.readouterr()
-    monkeypatch.setattr(msense.problem, "_memory_budget", lambda: stack - 1)
-    monkeypatch.setattr(msense.harness, "generate_ground_truth", no_compute)
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: the stack of 3 d=20 sweep cells needs ") and err.count("\n") == 1
-    assert "physical memory" in err
+def test_sweep_stack_past_the_budget_steps_in_smaller_stacks(tmp_path, capsys, monkeypatch):
+    """Each cell of the n sweep fits alone; a stack holds its d=20 operators (p = 210) and
+    data terms besides its largest cell's build.  Past the budget the cells step in shorter
+    stacks, or one at a time, with the same bytes."""
+    cfg, out = write_config(tmp_path), tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", str(cfg), "--param", "n", "--values", "200,400,800",
+            "--out", str(out)]
+    cell, build = 8 * (210 * 210 + 20 * 20), msense.problem.sensing_bytes(20, 800)
+    stacked_cells, stacks = msense.harness._stacked_cells, []
+    monkeypatch.setattr(msense.harness, "_stacked_cells",
+                        lambda configs, *args: stacks.append(len(configs))
+                        or stacked_cells(configs, *args))
+    outputs = []
+    for budget, want in ((3 * cell + build, [3]), (3 * cell + build - 1, [2]), (build, [])):
+        stacks.clear()
+        monkeypatch.setattr(msense.problem, "_memory_budget", lambda budget=budget: budget)
+        assert main(argv) == 0
+        assert stacks == want
+        outputs.append((out.read_bytes(), capsys.readouterr()))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 # A config checks the bytes the library checks: the ground truth in both modes and, in

@@ -248,9 +248,10 @@ def test_quadratic_model_matches_streaming_gradient(source, distribution, rng):
         assert_array_equal(got, got.T)
 
 
-@pytest.mark.parametrize("d, k", [(1, 1), (2, 2), (10, 1), (10, 3), (31, 4)])
+@pytest.mark.parametrize("d, k", [(1, 1), (2, 2), (10, 1), (10, 3), (31, 4), (40, 2)])
 def test_stacked_gradient_is_each_models_gradient_bit_for_bit(d, k, rng):
-    """k = 1 makes the product with F a gemv, p = 496 at d = 31 is the largest stacked."""
+    """k = 1 makes the product with F a gemv; p = 496 at d = 31 fits one Gram tile of the
+    build, p = 820 at d = 40 does not."""
     models = [generate_sensing(generate_ground_truth(d, 1, [1.0], "zeros", seed=seed), n=40,
                                sigma=0.1, seed=seed).model for seed in (1, 2, 3)]
     f = rng.standard_normal((3, d, k))

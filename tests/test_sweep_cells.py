@@ -97,8 +97,10 @@ STACKS = {
     "n_all_leave_early": (dict(seed=1, eta=5.0), "n", (50, 100, 400)),
     # sweep runs a lone cell through _run_cell; the stack of one still matches it.
     "n_one_cell": (dict(eta=0.1), "n", (400,)),
-    # p = 496 <= 512, and the 41-row window spans two chunks of 34 rows.
+    # p = 496, and the 41-row window spans two chunks of 34 rows.
     "n_d31_window_of_two_chunks": (dict(d=31, n=300, iters=400, eta=0.1), "n", (300, 600)),
+    # p = 820: the operator spans two Gram tiles of the build.
+    "n_d40_past_one_gram_tile": (dict(d=40, n=300, iters=60, eta=0.1), "n", (300, 600, 900)),
 }
 
 
@@ -109,13 +111,14 @@ def test_stacked_cells_are_run_cell_bit_for_bit(name, monkeypatch):
     want = [_run_cell(config, param, v) for config, v in zip(configs, values)]
     cells = []
 
-    class RecordedCell(harness._StackedCell):
+    class RecordedRows(harness._Rows):
         def __init__(self, *args):
             super().__init__(*args)
             cells.append(self)
 
-    monkeypatch.setattr(harness, "_StackedCell", RecordedCell)
+    monkeypatch.setattr(harness, "_Rows", RecordedRows)
     assert harness._stacked_cells(configs, param, values) == want
+    monkeypatch.undo()
     # Every recorded row too, the gradient norm included: the stack leaves out |Delta|_2 only.
     for config, cell in zip(configs, cells, strict=True):
         try:
@@ -147,7 +150,7 @@ def no_call(*args):
     ({}, "k", (2, 3), False),
     ({}, "d", (8, 10), False),
     (dict(gradient_mode="population"), "n", (100, 200), False),
-    (dict(d=32), "n", (100, 200), False),  # p = 528 > 512
+    (dict(d=32), "n", (100, 200), True),  # p = 528: two Gram tiles in the build
 ], ids=["n", "sigma", "one_value", "k", "d", "population", "p_past_one_tile"])
 def test_sweep_stacks_only_same_shape_sample_cells(monkeypatch, overrides, param, values,
                                                      stacked):
