@@ -2,8 +2,12 @@
 
     python scripts/output_digests.py OUT.json
 
-Each command runs as ``python -m msense.cli`` in one fresh temporary directory
-with OPENBLAS_NUM_THREADS=1.  OUT.json holds each command's argv, exit code,
+Each command runs through ``msense.cli.main``, with its stdout and stderr
+captured, in one Python process started with OPENBLAS_NUM_THREADS=1 (the script
+restarts itself once to set it) and in one fresh temporary directory.  A
+command's exit code and output are what ``python -m msense.cli`` prints for it:
+each runs with fresh warning filters, and an uncaught exception prints its
+traceback and exits 1.  OUT.json holds each command's argv, exit code,
 stdout and stderr, the sha256 of every file the commands leave behind, and
 the environment signature: Python's version, numpy's version, the BLAS name
 and version, the BLAS thread count the commands ran with, and the SIMD
@@ -21,15 +25,22 @@ parent.json``.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
-import subprocess
 import sys
 import tempfile
+import traceback
+import warnings
 
-import numpy as np
+BLAS_THREADS = "1"
+if os.environ.get("OPENBLAS_NUM_THREADS") != BLAS_THREADS:  # OpenBLAS reads it when it loads
+    os.execve(sys.executable, sys.orig_argv, dict(os.environ, OPENBLAS_NUM_THREADS=BLAS_THREADS))
+
+import numpy as np  # noqa: E402
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -73,7 +84,6 @@ COMMANDS = [
     "verify pop --trials 4 --seed 5",
     "verify init --trials 5 --seed 2",
 ]
-BLAS_THREADS = "1"
 
 
 def environment():
@@ -85,22 +95,38 @@ def environment():
                 simd=" ".join(config["SIMD Extensions"]["found"]))
 
 
+def run(main, command):
+    """The exit code, stdout and stderr of ``main(command.split())``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        try:
+            code = main(command.split())
+        except SystemExit as exc:  # argparse has printed its message
+            code = exc.code
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    return dict(argv=command, exit=code, stdout=out.getvalue(), stderr=err.getvalue())
+
+
 def main(argv):
     if len(argv) != 2:
         sys.exit(__doc__)
     paths = [os.path.abspath(p) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=BLAS_THREADS,
-               PYTHONPATH=os.pathsep.join(paths + [SRC]))
+    sys.path[1:1] = paths + [SRC]  # absolute: the commands run in another directory
+    from msense.cli import main as msense_main
+
+    home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         for name, config in CONFIGS.items():
             with open(os.path.join(work, name), "w") as fh:
                 json.dump(config, fh)
-        commands = []
-        for command in COMMANDS:
-            proc = subprocess.run([sys.executable, "-m", "msense.cli", *command.split()],
-                                  cwd=work, env=env, capture_output=True, text=True)
-            commands.append(dict(argv=command, exit=proc.returncode, stdout=proc.stdout,
-                                 stderr=proc.stderr))
+        os.chdir(work)
+        try:
+            commands = [run(msense_main, command) for command in COMMANDS]
+        finally:
+            os.chdir(home)
         files = {}
         for root, _, names in os.walk(work):
             for name in names:

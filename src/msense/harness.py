@@ -4,9 +4,10 @@ trajectory-wide statements: convergence phases and finite-sample contraction.
 A run builds the ground truth and sensing set from its seed, iterates the
 factored gradient step, and records per-iteration subspace metrics.  Runs
 are deterministic per config; sweeps derive one seed per grid cell.  The
-sample-mode cells of an n or sigma sweep step in lockstep as stacks, as many
-cells to a stack as the memory budget holds, bit for bit as each would alone;
-other cells run one at a time in grid order.
+sample-mode cells of an n or sigma sweep step in lockstep as stacks, bit for bit
+as each would alone: each stack holds as many cells as fit their operators
+within STACK_BYTES and within the memory budget.  Other cells run one at a
+time in grid order.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from . import problem
 from .csvio import check_output_path, metrics_column, write_sweep_csv, write_trajectory_csv
 from .errors import DivergenceError, InputError, _shown, choice, count, number
 from .linalg import spectral_norms
 from .problem import (DISTRIBUTIONS, MEMORY_MODES, _validate_spectrum, check_build_memory,
-                      fits_memory, generate_ground_truth, generate_sensing, sensing_bytes,
-                      stacked_gradient)
+                      generate_ground_truth, generate_sensing, sensing_bytes, stacked_gradient)
 from .rng import SEED_MAX, stable_hash64
 from .subspace import (RHO_MAX, batch_metrics, eps_stat, planted_init, population_gradient,
                        random_init, spectral_init, theory_step_size)
@@ -35,6 +36,9 @@ SWEEP_PARAMS = ("n", "k", "sigma", "d")
 DIVERGENCE_FACTOR = 1e6  # abort when err_spec > 1e6 * sigma_1
 PLATEAU_FRACTION = 0.10  # final fraction of iterations defining the plateau
 BURN_IN_FRACTION = 0.05  # iterations skipped before the envelope check
+# Bytes of operators and data terms in one sweep stack, which every step reads: on a 2-CPU
+# Xeon with 2 MiB of L2 per core, a longer stack stepped slower than its cells one at a time.
+STACK_BYTES = 3 * 2**19
 
 
 # Integer config fields and their smallest values; k is at most d, a seed at most SEED_MAX.
@@ -355,22 +359,14 @@ def _sq_norms(x):
     return np.matmul(x.reshape(len(x), 1, -1), x.reshape(len(x), -1, 1)).ravel()
 
 
-def _stack_bytes(configs):
-    """Bytes a stack of the cells holds: every operator and data term, 8 B (p^2 + d^2), and
-    the largest cell's sensing build, the stack as its last cell is built."""
+def _stack_size(configs):
+    """Cells per stack: each holds its operator and data term, 8 (p^2 + d^2) bytes, and the
+    stack's share is at most STACK_BYTES and at most the memory budget less the largest
+    cell's sensing build.  At least one: a cell fits alone, as its config was checked."""
     d = configs[0].d
     p = d * (d + 1) // 2
-    return 8 * len(configs) * (p * p + d * d) + max(sensing_bytes(d, c.n) for c in configs)
-
-
-def _stacks(configs):
-    """Consecutive runs of cells, in grid order, each as long as its stack fits the memory
-    budget; a cell fits alone, as its config was checked."""
-    lo = 0
-    for hi in range(1, len(configs) + 1):
-        if hi == len(configs) or not fits_memory(_stack_bytes(configs[lo:hi + 1])):
-            yield lo, hi
-            lo = hi
+    room = problem._memory_budget() - max(sensing_bytes(d, c.n) for c in configs)
+    return max(1, min(STACK_BYTES, room) // (8 * (p * p + d * d)))
 
 
 def _stacked_cells(configs, param, values):
@@ -421,14 +417,15 @@ def sweep(base_config, param, values, out=None):
         raise InputError("sweep values must be strictly increasing")
     if out is not None:
         check_output_path(out)
-    # The sample-mode cells of an n or sigma sweep share their shape and step as stacks,
-    # each as long as the memory budget holds.  A lone cell steps faster through _steps.
+    # The sample-mode cells of an n or sigma sweep share their shape and step as stacks of
+    # _stack_size cells.  A lone cell steps faster through _steps.
     base, rows = configs[0], []
-    stacks = (_stacks(configs) if param in ("n", "sigma") and base.gradient_mode == "sample"
-              else ((i, i + 1) for i in range(len(configs))))
-    for lo, hi in stacks:
-        rows += (_stacked_cells(configs[lo:hi], param, values[lo:hi]) if hi - lo > 1
-                 else [_run_cell(configs[lo], param, values[lo])])
+    size = (_stack_size(configs) if param in ("n", "sigma") and base.gradient_mode == "sample"
+            else 1)
+    for lo in range(0, len(configs), size):
+        cells, grid = configs[lo:lo + size], values[lo:lo + size]
+        rows += (_stacked_cells(cells, param, grid) if len(cells) > 1
+                 else [_run_cell(cells[0], param, grid[0])])
 
     slope = None
     if param == "n" and base_config.sigma > 0:

@@ -117,16 +117,11 @@ def _memory_budget():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 
-def fits_memory(nbytes):
-    """Whether ``nbytes`` fit within half of physical memory."""
-    return nbytes <= _memory_budget()
-
-
 def check_memory(nbytes, what):
     """Reject ``what`` with an InputError, before it is allocated, when it
     needs more than half of physical memory."""
-    if not fits_memory(nbytes):  # a count near or past the float range is shown by its bit length
-        budget = _memory_budget()
+    budget = _memory_budget()
+    if not nbytes <= budget:  # a count near or past the float range is shown by its bit length
         need = (f"{nbytes / 1e9:.2f} GB" if nbytes < 2**1000
                 else f"at least 2**{nbytes.bit_length() - 1} bytes")
         raise InputError(
@@ -355,11 +350,13 @@ def generate_sensing(gt, n, sigma, distribution="gaussian", seed=0):
             ys[rows] = a @ xstar
             a.take(upper, axis=1, out=g[rows], mode="clip")
         del a  # a views this block's slice buffer: the next block's is made without it
-        eps[sl] = sigma * stream(seed, "noise", sl.start // BLOCK).standard_normal(len(g))
-        ys += eps[sl]
+        # A huge sigma overflows the noise, and b with it: the run's divergence guard stops it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            eps[sl] = sigma * stream(seed, "noise", sl.start // BLOCK).standard_normal(len(g))
+            ys += eps[sl]
+            b += ys @ g
         for ra, rb, tile in pairs:
             h[ra, rb] += np.matmul(g[:, ra].T, g[:, rb], out=tile)
-        b += ys @ g
     for ra, rb, _ in pairs:
         if ra != rb:
             h[rb, ra] = h[ra, rb].T

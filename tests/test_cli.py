@@ -142,6 +142,7 @@ def test_sweep_stack_past_the_budget_steps_in_smaller_stacks(tmp_path, capsys, m
     argv = ["sweep", "--config", str(cfg), "--param", "n", "--values", "200,400,800",
             "--out", str(out)]
     cell, build = 8 * (210 * 210 + 20 * 20), msense.problem.sensing_bytes(20, 800)
+    monkeypatch.setattr(msense.harness, "STACK_BYTES", 10 * cell)  # only the budget cuts
     stacked_cells, stacks = msense.harness._stacked_cells, []
     monkeypatch.setattr(msense.harness, "_stacked_cells",
                         lambda configs, *args: stacks.append(len(configs))
@@ -207,11 +208,13 @@ def test_library_divergence_writes_the_same_partial_trajectory(tmp_path):
     assert lib_out.read_bytes() == cli_out.read_bytes()
 
 
+# 1e308 overflows the noise, so the build's b is not finite and the gradient is NaN at t=0;
 # 1e200 overflows the gradient norm at t=0 while err_spec is small;
 # 1e140 overflows the gradient and the metrics at t=1.
-@pytest.mark.parametrize("sigma, cause", [(1e200, "t=0: grad_norm=inf is not finite"),
+@pytest.mark.parametrize("sigma, cause", [(1e308, "t=0: grad_norm=nan is not finite"),
+                                          (1e200, "t=0: grad_norm=inf is not finite"),
                                           (1e140, "t=1: err_spec=")],
-                         ids=["sigma_1e200", "sigma_1e140"])
+                         ids=["sigma_1e308", "sigma_1e200", "sigma_1e140"])
 def test_run_huge_sigma_exits_2_with_one_line_and_no_warning(tmp_path, sigma, cause):
     cfg = write_config(tmp_path, d=10, r=2, k=3, n=1000, iters=50, seed=1, sigma=sigma,
                        ds=[1.0, 0.8])
@@ -224,6 +227,18 @@ def test_run_huge_sigma_exits_2_with_one_line_and_no_warning(tmp_path, sigma, ca
     assert proc.stderr.startswith("numeric failure: run diverged at "), proc.stderr
     assert proc.stderr.count("\n") == 1 and cause in proc.stderr, proc.stderr
     assert "Warning" not in proc.stderr
+
+
+def test_sweep_huge_sigma_cell_diverges_without_a_warning(tmp_path):
+    cfg = write_config(tmp_path, d=10, r=2, k=3, n=1000, iters=50, seed=1, ds=[1.0, 0.8])
+    proc = subprocess.run(
+        [sys.executable, "-m", "msense.cli", "sweep", "--config", str(cfg), "--param", "sigma",
+         "--values", "0,1e308"],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[1] == "sigma=1e+308: plateau err_fro=n/a status=diverged"
 
 
 def test_sweep_command(tmp_path, capsys):

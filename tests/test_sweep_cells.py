@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from msense import DivergenceError, ExperimentConfig, InitSpec, InputError, run_experiment, sweep
-from msense import harness
+from msense import harness, problem
 from msense.csvio import trajectory_rows
 from msense.harness import PLATEAU_FRACTION, CellResult, _cell_config, _chunk_rows, _run_cell
 from msense.problem import QuadraticModel
@@ -150,7 +150,8 @@ def no_call(*args):
     ({}, "k", (2, 3), False),
     ({}, "d", (8, 10), False),
     (dict(gradient_mode="population"), "n", (100, 200), False),
-    (dict(d=32), "n", (100, 200), True),  # p = 528: two Gram tiles in the build
+    # p = 528: one operator, 2.2 MB, is past STACK_BYTES, so each cell steps alone.
+    (dict(d=32), "n", (100, 200), False),
 ], ids=["n", "sigma", "one_value", "k", "d", "population", "p_past_one_tile"])
 def test_sweep_stacks_only_same_shape_sample_cells(monkeypatch, overrides, param, values,
                                                      stacked):
@@ -158,6 +159,33 @@ def test_sweep_stacks_only_same_shape_sample_cells(monkeypatch, overrides, param
     want = [_run_cell(_cell_config(base, param, v), param, v) for v in values]
     monkeypatch.setattr(harness, "_run_cell" if stacked else "_stacked_cells", no_call)
     assert list(sweep(base, param, values).rows) == want
+
+
+# Stack lengths under a 1 MiB cap with room in the budget for `room` operators besides the
+# largest build: the cap holds 41 d=10 operators, 2 at d=20 and none at d=25.
+@pytest.mark.parametrize("d, cells, room, want", [
+    (10, 9, 100, [9]),
+    (10, 9, 4, [4, 4, 1]),
+    (20, 5, 100, [2, 2, 1]),
+    (20, 5, 1, [1, 1, 1, 1, 1]),
+    (25, 3, 100, [1, 1, 1]),
+], ids=["d10", "d10_budget", "d20", "d20_budget", "d25"])
+def test_stack_size_is_the_cap_or_the_budget_room(monkeypatch, d, cells, room, want):
+    p = d * (d + 1) // 2
+    values = [100 * (i + 1) for i in range(cells)]
+    budget = problem.sensing_bytes(d, values[-1]) + room * 8 * (p * p + d * d)
+    monkeypatch.setattr(harness, "STACK_BYTES", 2**20)
+    monkeypatch.setattr(problem, "_memory_budget", lambda: budget)
+    chunks = []
+
+    def record(configs, param, values):
+        chunks.append(len(configs))
+        return [harness._cell_result(c, param, v) for c, v in zip(configs, values)]
+
+    monkeypatch.setattr(harness, "_stacked_cells", record)
+    monkeypatch.setattr(harness, "_run_cell", lambda c, param, v: record([c], param, [v])[0])
+    sweep(cell_config(d=d, iters=20), "n", values)
+    assert chunks == want
 
 
 def small_config(**overrides):
