@@ -46,17 +46,9 @@ INT_FIELDS = dict(d=1, r=1, k=1, n=1, iters=1, seed=0, delta_every=1)
 
 
 def worker_count():
-    """The package's thread cap: the CPU count, lowered by the MSENSE_THREADS env var.
-    No command reads it, but perfbench/run.py records it in every run's provenance."""
-    cap = os.environ.get("MSENSE_THREADS")
-    default = os.cpu_count() or 1
-    if cap is None:
-        return default
-    try:
-        cap = int(cap)
-    except ValueError:
-        raise InputError(f"MSENSE_THREADS must be an integer, got {cap!r}") from None
-    return max(1, min(default, cap))
+    """1: every command runs on the calling thread.  perfbench/run.py records it in every
+    run's provenance."""
+    return 1
 
 
 @dataclass(frozen=True)
@@ -299,7 +291,8 @@ def run_experiment(config, write_output=True, measure_from=0):
     if rows.diverged is not None:  # the run stopped at this row
         row, guard = rows.diverged, rows.guard
         cause = (f"grad_norm={row.grad_norm:.3e} is not finite" if row.err_spec <= guard
-                 else f"err_spec={row.err_spec:.3e} > {guard:.3e}")
+                 else f"err_spec={row.err_spec:.3e} > {guard:.3e}" if row.err_spec > guard
+                 else f"err_spec={row.err_spec:.3e} is not finite")
         raise DivergenceError(f"run diverged at t={row.t}: {cause}", trajectory=traj)
     return traj
 

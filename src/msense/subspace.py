@@ -217,9 +217,12 @@ def spectral_init(s, k):
 
     M = (1/n) sum_i y_i A_i is the bbar of the sensing set's QuadraticModel,
     symmetric by construction; F0 keeps the top-k eigenpairs by
-    algebraic value with negative eigenvalues clipped to zero.
+    algebraic value with negative eigenvalues clipped to zero.  An overflowed M gives a
+    non-finite F0, which the run's divergence guard ends at t = 0.
     """
     count("k", k, 1, s.d)
+    if not np.isfinite(s.model.bbar).all():  # eigh does not converge on it
+        return np.full((s.d, k), np.nan)
     return _top_factor(*np.linalg.eigh(s.model.bbar), k)
 
 

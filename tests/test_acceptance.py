@@ -8,7 +8,6 @@ the measured evidence.  See README.md for the analysis.
 """
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -18,6 +17,7 @@ import pytest
 
 from msense import (
     ExperimentConfig,
+    harness,
     check_initialization,
     detect_phases,
     generate_ground_truth,
@@ -288,7 +288,7 @@ def test_criterion_9_gradient_correctness():
     _report(9, "gradient correctness", ok, detail)
 
 
-def test_criterion_10_determinism(tmp_path):
+def test_criterion_10_determinism(tmp_path, monkeypatch):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({
         "d": 20, "r": 3, "k": 4, "n": 200, "iters": 120, "seed": SEED,
@@ -307,21 +307,23 @@ def test_criterion_10_determinism(tmp_path):
         outs.append(out.read_bytes())
     run_identical = outs[0] == outs[1]
 
+    # The one schedule a sweep chooses is its stack length: the three d=20 cells step as one
+    # stack, and with no stack bytes each steps alone through _run_cell.
     sweep_cfg = _base_config(iters=100, sigma=0.2)
-    sweep_bytes = []
-    for threads in ("1", str(os.cpu_count() or 4)):
-        os.environ["MSENSE_THREADS"] = threads
-        try:
-            path = tmp_path / f"sweep_{threads}.csv"
-            sweep(sweep_cfg, "n", [100, 200, 300], out=str(path))
-            sweep_bytes.append(path.read_bytes())
-        finally:
-            os.environ.pop("MSENSE_THREADS", None)
-    sweep_identical = sweep_bytes[0] == sweep_bytes[1]
+    stacked_cells, stacks, sweeps = harness._stacked_cells, [], []
+    monkeypatch.setattr(harness, "_stacked_cells", lambda configs, *args: stacks.append(
+        len(configs)) or stacked_cells(configs, *args))
+    for stack_bytes in (harness.STACK_BYTES, 0):
+        monkeypatch.setattr(harness, "STACK_BYTES", stack_bytes)
+        path = tmp_path / f"sweep_{stack_bytes}.csv"
+        rows = sweep(sweep_cfg, "n", [100, 200, 300], out=str(path)).rows
+        sweeps.append((path.read_bytes(), rows))
+    assert stacks == [3], stacks
+    sweep_identical = sweeps[0] == sweeps[1]
     ok = run_identical and sweep_identical
     detail = (
         f"repeat runs byte-identical: {run_identical}; "
-        f"sweep at 1 vs max threads byte-identical: {sweep_identical}"
+        f"sweep as one 3-cell stack vs 3 lone cells byte-identical: {sweep_identical}"
     )
     assert ok, _report(10, "determinism", ok, detail)
     _report(10, "determinism", ok, detail)

@@ -59,6 +59,9 @@ def configs(draw):
 @example(data=dict(d=2, r=1, k=1, n=10**12, iters=2, seed=1, ds=[1.0], memory_mode="regenerate"))
 @example(data=dict(d=20, r=3, k=10**8, n=5, iters=2, seed=1, ds=[1.0, 0.9, 0.8]))
 @example(data=dict(d=2, r=1, k=1, n=5, iters=2, seed=1, ds=[1.0], sigma=10**400))  # past float
+# An overflowed data term, on which eigh of the spectral start does not converge.
+@example(data=dict(d=10, r=2, k=3, n=400, iters=2, seed=1, ds=[1.0, 0.9], sigma=1e308,
+                   init={"mode": "spectral"}))
 # Sizes whose memory check counts bytes past the float range.
 @example(data=dict(d=4, r=1, k=1, n=10**3999, iters=2, seed=1, ds=[1.0]))
 @example(data=dict(d=10**400, r=1, k=1, n=5, iters=2, seed=1, ds=[1.0]))

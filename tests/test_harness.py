@@ -188,18 +188,6 @@ def test_measuring_from_the_first_unsafe_row_keeps_the_tail(monkeypatch):
         assert list(trajectory_rows(part)) == rows[:1] + rows[m + 1:], m
 
 
-def test_worker_count_caps_msense_threads(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.delenv("MSENSE_THREADS", raising=False)
-    assert harness.worker_count() == 4
-    for value, want in (("1", 1), ("3", 3), ("64", 4), ("0", 1), ("-3", 1)):
-        monkeypatch.setenv("MSENSE_THREADS", value)
-        assert harness.worker_count() == want, value
-    monkeypatch.setenv("MSENSE_THREADS", "abc")
-    with pytest.raises(InputError, match="MSENSE_THREADS must be an integer"):
-        harness.worker_count()
-
-
 def test_run_determinism_bitwise():
     a = run_experiment(small_config(iters=40, sigma=0.3))
     b = run_experiment(small_config(iters=40, sigma=0.3))
@@ -371,22 +359,12 @@ def test_sweep_diverged_cell_continues():
     assert result.rows[0].plateau_err_fro is None
 
 
-def test_sweep_thread_invariance(tmp_path, monkeypatch):
-    cfg = small_config(iters=100, sigma=0.2)
-    monkeypatch.setenv("MSENSE_THREADS", "1")
-    r1 = sweep(cfg, "n", [100, 200, 300], out=str(tmp_path / "s1.csv"))
-    monkeypatch.setenv("MSENSE_THREADS", "8")
-    r2 = sweep(cfg, "n", [100, 200, 300], out=str(tmp_path / "s2.csv"))
-    assert (tmp_path / "s1.csv").read_bytes() == (tmp_path / "s2.csv").read_bytes()
-    assert r1.rows == r2.rows
-
-
 def test_sweep_and_figures_start_no_thread(tmp_path, monkeypatch):
     def no_thread(self):
         raise AssertionError("started a thread")
 
     monkeypatch.setattr(threading.Thread, "start", no_thread)
-    monkeypatch.setenv("MSENSE_THREADS", "8")
+    assert harness.worker_count() == 1
     result = sweep(small_config(iters=40, sigma=0.2), "n", [100, 200, 300])
     assert [row.status for row in result.rows] == ["ok"] * 3
     assert len(reproduce_figures(tmp_path / "figs")) == 12

@@ -161,6 +161,20 @@ def test_sweep_stacks_only_same_shape_sample_cells(monkeypatch, overrides, param
     assert list(sweep(base, param, values).rows) == want
 
 
+def test_a_spectral_start_on_an_overflowed_data_term_diverges_at_t0(monkeypatch):
+    """sigma = 1e308 overflows M, so the spectral start is not finite: its run diverges at
+    t = 0, and so does its cell, in a stack (a sigma sweep) or alone (a k sweep)."""
+    base = cell_config(n=400, eta=0.1, init=InitSpec(mode="spectral"))
+    with pytest.raises(DivergenceError, match="at t=0: err_spec=nan is not finite$"):
+        run_experiment(replace(base, sigma=1e308))
+    monkeypatch.setattr(harness, "_run_cell", no_call)
+    assert [row.status for row in sweep(base, "sigma", (0.0, 1e308)).rows] == ["ok", "diverged"]
+    monkeypatch.undo()
+    monkeypatch.setattr(harness, "_stacked_cells", no_call)
+    assert [row.status for row in sweep(replace(base, sigma=1e308), "k", (2, 3)).rows] == [
+        "diverged", "diverged"]
+
+
 # Stack lengths under a 1 MiB cap with room in the budget for `room` operators besides the
 # largest build: the cap holds 41 d=10 operators, 2 at d=20 and none at d=25.
 @pytest.mark.parametrize("d, cells, room, want", [
