@@ -10,6 +10,7 @@ summary statistics.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,17 +25,62 @@ KINDS = ("noise", "deviation", "moment", "asq")  # the Monte Carlo runs, one per
 
 def check_mc_memory(kind, d, n, trials):
     """Reject, before any allocation, a Monte Carlo run of an unknown ``kind`` or with a size
-    below 1, or whose draws, four d x d accumulators, two per-matrix vectors and either one
-    value per trial (noise, deviation: n draws a trial) or one block-sized temporary (moment,
-    asq: one draw a trial, and ``n`` is not read) exceed the budget."""
+    below 1, or whose memory exceeds the budget: one value per trial (noise, deviation: n draws
+    a trial) and, for each thread of _in_order (two when there are two items or more), its
+    draws, four d x d accumulators, two per-matrix vectors, one block-sized temporary (moment,
+    asq: one draw a trial, a block of BLOCK draws an item, and ``n`` is not read) and the
+    per-block square sums a deviation trial holds until they are added in order."""
     moment = choice("kind", kind, KINDS) in ("moment", "asq")
     sizes = dict(d=d, trials=trials) if moment else dict(d=d, n=n, trials=trials)
     for name, size in sizes.items():
         count(name, size, 1)
     rows, temporaries, values = (trials, 1, 0) if moment else (n, 0, trials)
     m = min(rows, BLOCK)
-    nbytes = 8 * (d * d * (4 + temporaries * m) + 2 * m + values) + block_bytes(d, rows)
-    check_memory(nbytes, f"the d={_shown(d)} Monte Carlo draws")
+    sums = -(-n // BLOCK) if kind == "deviation" else 0
+    threads = min(-(-trials // BLOCK) if moment else trials, 2)
+    per_thread = 8 * (d * d * (4 + temporaries * m + sums) + 2 * m) + block_bytes(d, rows)
+    check_memory(threads * per_thread + 8 * values, f"the d={_shown(d)} Monte Carlo draws")
+
+
+def _in_order(fn, fold, items, shape):
+    """fold(i, fn(i, buf)) for i = 0 .. items - 1.  The calling thread and, for two items or
+    more, one worker thread each take the lowest index not yet taken, and ``buf`` is the
+    np.empty(shape) that thread owns.  The folds run one at a time in index order, so every
+    cross-item sum adds what the serial loop adds.  After a failure no thread takes another
+    index, and the lowest-index exception is raised once the worker has ended."""
+    turn, failed, taken, folded = threading.Condition(), {}, iter(range(items)), 0
+    bufs = [np.empty(shape) for _ in range(min(items, 2))]
+
+    def work(slot):
+        nonlocal folded
+        with turn:
+            i = next(taken, items)
+        try:
+            while i < items:
+                result = fn(i, bufs[slot])
+                with turn:
+                    turn.wait_for(lambda: folded == i or failed)
+                    if failed:
+                        return
+                    fold(i, result)
+                    del result  # this thread's next item is made without this one beside it
+                    folded, i = folded + 1, next(taken, items)
+                    turn.notify_all()
+        except BaseException as exc:  # raised on the calling thread once both threads stop
+            with turn:
+                failed[i] = exc
+                turn.notify_all()
+
+    worker = threading.Thread(target=work, args=(1,))
+    if items > 1:
+        worker.start()
+    try:
+        work(0)
+    finally:
+        if items > 1:
+            worker.join()
+    if failed:
+        raise failed[min(failed)]
 
 
 def _mean_stderr(acc, acc_sq, count):
@@ -50,14 +96,17 @@ def _mc_matrix_moment(stat, kind, d, trials, seed, distribution):
     standard error; block j of BLOCK draws comes from the stream (seed, "mc_" + kind, j).
     ``stat`` maps an (m, d, d) block, which it may overwrite, to a new array."""
     check_mc_memory(kind, d, None, trials)
-    acc, acc_sq = np.zeros((d, d)), np.zeros((d, d))
-    buf = np.empty((min(trials, BLOCK), d * d))
-    for _, _, a in draw_blocks(seed, f"mc_{kind}", trials, d, distribution, out=buf):
+    acc = np.zeros((2, d, d))  # the sums of x and of x**2
+
+    def block(j, buf):  # block j of draw_blocks(seed, "mc_" + kind, trials, ...), drawn alone
+        (_, _, a), = draw_blocks(seed, f"mc_{kind}", min(BLOCK, trials - j * BLOCK), d,
+                                 distribution, j, out=buf)
         x = stat(a)
-        acc += x.sum(axis=0)
-        acc_sq += np.square(x, out=x).sum(axis=0)
-        del x  # the next block's statistic is made without this one beside it
-    return _mean_stderr(acc, acc_sq, trials)
+        return np.stack((x.sum(axis=0), np.square(x, out=x).sum(axis=0)))
+
+    _in_order(block, lambda j, sums: np.add(acc, sums, out=acc), -(-trials // BLOCK),
+              (min(trials, BLOCK), d * d))
+    return _mean_stderr(*acc, trials)
 
 
 @dataclass(frozen=True)
@@ -111,14 +160,16 @@ def mc_noise_term(d, sigma, n, trials, seed, distribution="gaussian"):
     number("sigma", sigma, 0, 1e150)  # up to 1e150, d sigma^2 and the noise sums stay finite
     mirror = _svec_indices(d)[2]
     vals = np.empty(trials)
-    buf = np.empty((min(n, BLOCK), d * d))
-    for trial in range(trials):
+
+    def trial_norm(trial, buf):
         # sum_i eps_i A_i is linear in the upper triangles of the raw draws,
         # so the sum is mirrored once per trial, not every A_i.
         acc = np.zeros(d * d)
         for _, rng, g in draw_blocks(seed, "mc_noise", n, d, distribution, trial, True, buf):
             acc += sigma * rng.standard_normal(len(g)) @ g
-        vals[trial] = spectral_norm(acc.take(mirror).reshape(d, d) / n)
+        return spectral_norm(acc.take(mirror).reshape(d, d) / n)
+
+    _in_order(trial_norm, vals.__setitem__, trials, (min(n, BLOCK), d * d))
     return MCReport(
         statistic="noise_term_spectral_norm",
         trials=trials,
@@ -147,16 +198,24 @@ def mc_sensing_deviation(u, n, trials, seed, distribution="gaussian"):
     check_mc_memory("deviation", d, n, trials)
     vals = np.empty(trials)
     acc_mean, acc_sq = np.zeros((d, d)), np.zeros((d, d))
-    buf = np.empty((min(n, BLOCK), d * d))
-    for trial in range(trials):
-        acc = np.zeros((d, d))
-        for _, _, a in draw_blocks(seed, "mc_deviation", n, d, distribution, trial, out=buf):
+
+    def trial_sums(trial, buf):
+        """The trial's sum of <A_i, U> A_i, its square sums (one per block) and its norm."""
+        acc, squares = np.zeros((d, d)), np.empty((-(-n // BLOCK), d, d))
+        for s, _, a in draw_blocks(seed, "mc_deviation", n, d, distribution, trial, out=buf):
             term = a.reshape(len(a), -1)  # <A_i, U> A_i, formed in the block
             term *= (term @ u.ravel())[:, None]
             acc += term.sum(axis=0).reshape(d, d)
-            acc_sq += np.square(term, out=term).sum(axis=0).reshape(d, d)
-        acc_mean += acc
-        vals[trial] = spectral_norm(acc / n - u)
+            squares[s.start // BLOCK] = np.square(term, out=term).sum(axis=0).reshape(d, d)
+        return acc, squares, spectral_norm(acc / n - u)
+
+    def fold(trial, sums):
+        acc, squares, vals[trial] = sums
+        for square in squares:
+            np.add(acc_sq, square, out=acc_sq)
+        np.add(acc_mean, acc, out=acc_mean)
+
+    _in_order(trial_sums, fold, trials, (min(n, BLOCK), d * d))
     mean_matrix, mean_stderr = _mean_stderr(acc_mean, acc_sq, trials * n)
     report = MCReport(
         statistic="sensing_deviation_spectral_norm",

@@ -46,8 +46,8 @@ INT_FIELDS = dict(d=1, r=1, k=1, n=1, iters=1, seed=0, delta_every=1)
 
 
 def worker_count():
-    """1: every command runs on the calling thread.  perfbench/run.py records it in every
-    run's provenance."""
+    """1: runs, sweeps and figures run on the calling thread.  perfbench/run.py records it in
+    every run's provenance."""
     return 1
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ import pytest
 import msense.cli
 import msense.concentration
 import msense.csvio
+import msense.errors
 import msense.harness
 import msense.problem
 import msense.figures
@@ -381,6 +383,23 @@ def test_conc_rejects_d_below_one_with_one_line(capsys):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_conc_failed_trial_gives_one_error_line_and_leaves_no_thread(capsys, monkeypatch):
+    """A trial that fails on either of conc's two threads ends the command with its own error
+    line, after both threads have stopped."""
+    real = msense.concentration.draw_blocks
+
+    def draw_blocks(seed, purpose, n, d, distribution, trial=None, *args, **kwargs):
+        if trial == 1:
+            raise msense.errors.InputError("trial 1 failed")
+        return real(seed, purpose, n, d, distribution, trial, *args, **kwargs)
+
+    monkeypatch.setattr(msense.concentration, "draw_blocks", draw_blocks)
+    threads = threading.active_count()
+    assert main(["conc", "noise", "--d", "4", "--n", "50", "--trials", "3"]) == 1
+    assert capsys.readouterr().err == "error: trial 1 failed\n"
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("argv", ["noise --n 0", "deviation --trials 0", "asq --d 0",

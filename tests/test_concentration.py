@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -81,28 +86,33 @@ def _forbid_draws(monkeypatch):
     monkeypatch.setattr(concentration, "draw_blocks", no_draw)
 
 
-def _mc_bytes(d, rows, temporaries, trials=0):
-    """check_mc_memory's bytes, written out: the draws, four d x d
-    accumulators, two vectors of one per matrix, ``temporaries``
-    block-sized arrays and one value per trial of ``trials``."""
+def _mc_bytes(d, rows, temporaries, trials=0, threads=1, sums=0):
+    """check_mc_memory's bytes, written out: one value per trial of ``trials``
+    and, for each of ``threads``, the draws, four d x d accumulators, two
+    vectors of one per matrix, ``temporaries`` block-sized arrays and ``sums``
+    per-block d x d square sums."""
     m = min(rows, problem.BLOCK)
-    return 8 * (d * d * (4 + temporaries * m) + 2 * m + trials) + problem.block_bytes(d, rows)
+    return (threads * (8 * (d * d * (4 + temporaries * m + sums) + 2 * m)
+                       + problem.block_bytes(d, rows)) + 8 * trials)
 
 
 def test_monte_carlo_memory_checked_before_any_draw(monkeypatch):
     _forbid_draws(monkeypatch)
     d, n = 10, 100
+    big = problem.BLOCK + 1  # two blocks: two threads
     for run, need in ((lambda: mc_noise_term(d=d, sigma=1.0, n=n, trials=3, seed=1),
-                       _mc_bytes(d, n, 0, 3)),
+                       _mc_bytes(d, n, 0, 3, 2)),
                       (lambda: mc_sensing_deviation(np.eye(d), n=n, trials=3, seed=1),
-                       _mc_bytes(d, n, 0, 3)),
+                       _mc_bytes(d, n, 0, 3, 2, 1)),
                       (lambda: mc_second_moment(np.eye(d), trials=n, seed=1), _mc_bytes(d, n, 1)),
-                      (lambda: mc_A_squared(d, trials=n, seed=1), _mc_bytes(d, n, 1))):
+                      (lambda: mc_A_squared(d, trials=n, seed=1), _mc_bytes(d, n, 1)),
+                      (lambda: mc_A_squared(d, trials=big, seed=1),
+                       _mc_bytes(d, big, 1, threads=2))):
         monkeypatch.setattr(problem, "_memory_budget", lambda: need - 1)
         with pytest.raises(InputError, match="Monte Carlo draws needs"):
             run()
     monkeypatch.undo()  # draws are allowed again, at exactly the budget
-    monkeypatch.setattr(problem, "_memory_budget", lambda: _mc_bytes(d, n, 0, 3))
+    monkeypatch.setattr(problem, "_memory_budget", lambda: _mc_bytes(d, n, 0, 3, 2))
     assert mc_noise_term(d=d, sigma=1.0, n=n, trials=3, seed=1).trials == 3
     # Blocks hold at most BLOCK draws, whatever n is.
     monkeypatch.setattr(problem, "_memory_budget", lambda: _mc_bytes(d, problem.BLOCK, 0, 1))
@@ -129,6 +139,22 @@ def test_monte_carlo_memory_check_covers_the_traced_peak(kind, distribution, mon
     tracemalloc.start()
     try:
         run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(checked) == 1 and peak <= checked[0]
+
+
+def test_deviation_memory_check_covers_the_square_sums_of_many_blocks(monkeypatch):
+    """Each thread holds the per-block square sums of one trial at a time, in one array: with
+    400 blocks a trial and twice as many trials as threads, the traced peak stays within the
+    checked bytes."""
+    mc_sensing_deviation(np.eye(2), 400 * problem.BLOCK, 4, 1)
+    checked = []
+    monkeypatch.setattr(concentration, "check_memory", lambda nbytes, what: checked.append(nbytes))
+    tracemalloc.start()
+    try:
+        mc_sensing_deviation(np.eye(2), 400 * problem.BLOCK, 4, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -277,3 +303,175 @@ def test_report_serialization(tmp_path, rng):
     assert len(lines) == 6
     parsed = [float(ln.split(",")[1]) for ln in lines[1:]]
     assert_allclose(parsed, rep.values, rtol=0)
+
+
+# --- two threads against the serial loops ------------------------------------
+
+
+def _serial_noise(d, sigma, n, trials, seed, distribution):
+    """mc_noise_term's values from its loop on one thread, as first written."""
+    mirror = problem._svec_indices(d)[2]
+    vals = np.empty(trials)
+    buf = np.empty((min(n, problem.BLOCK), d * d))
+    for trial in range(trials):
+        acc = np.zeros(d * d)
+        for _, rng_, g in problem.draw_blocks(seed, "mc_noise", n, d, distribution, trial, True,
+                                              buf):
+            acc += sigma * rng_.standard_normal(len(g)) @ g
+        vals[trial] = spectral_norm(acc.take(mirror).reshape(d, d) / n)
+    return vals
+
+
+def _serial_deviation(u, n, trials, seed, distribution):
+    """mc_sensing_deviation's values, mean_matrix and mean_stderr from its loop on one thread."""
+    d = u.shape[0]
+    vals = np.empty(trials)
+    acc_mean, acc_sq = np.zeros((d, d)), np.zeros((d, d))
+    buf = np.empty((min(n, problem.BLOCK), d * d))
+    for trial in range(trials):
+        acc = np.zeros((d, d))
+        for _, _, a in problem.draw_blocks(seed, "mc_deviation", n, d, distribution, trial,
+                                           out=buf):
+            term = a.reshape(len(a), -1)
+            term *= (term @ u.ravel())[:, None]
+            acc += term.sum(axis=0).reshape(d, d)
+            acc_sq += np.square(term, out=term).sum(axis=0).reshape(d, d)
+        acc_mean += acc
+        vals[trial] = spectral_norm(acc / n - u)
+    return (vals, *concentration._mean_stderr(acc_mean, acc_sq, trials * n))
+
+
+def _serial_moment(stat, kind, d, trials, seed, distribution):
+    """_mc_matrix_moment's estimate and stderr from its loop on one thread."""
+    acc, acc_sq = np.zeros((d, d)), np.zeros((d, d))
+    buf = np.empty((min(trials, problem.BLOCK), d * d))
+    for _, _, a in problem.draw_blocks(seed, f"mc_{kind}", trials, d, distribution, out=buf):
+        x = stat(a)
+        acc += x.sum(axis=0)
+        acc_sq += np.square(x, out=x).sum(axis=0)
+    return concentration._mean_stderr(acc, acc_sq, trials)
+
+
+def _oracle_mismatches():
+    """The cases, over both distributions and 1, 2, 3 and 5 items (trials, or blocks of
+    BLOCK draws for moment and asq), where an mc_* output differs from its serial loop."""
+    d, n = 6, problem.BLOCK + 188  # two blocks a trial, the last partial
+    u = _sym(np.random.default_rng(5), d)
+
+    def centered_square(a):
+        a *= np.einsum("nij,ij->n", a, u)[:, None, None]
+        a -= u
+        return np.einsum("nij,njk->nik", a, a)
+
+    def square(a):
+        return np.einsum("nij,njk->nik", a, a)
+
+    bad = []
+    for distribution in problem.DISTRIBUTIONS:
+        for trials in (1, 2, 3, 5):
+            case = f"{distribution} trials={trials}"
+            got = mc_noise_term(d, 0.7, n, trials, 8, distribution).values
+            if not np.array_equal(got, _serial_noise(d, 0.7, n, trials, 8, distribution)):
+                bad.append(f"noise {case}")
+            dev = mc_sensing_deviation(u, n, trials, 8, distribution)
+            got = (dev.report.values, dev.mean_matrix, dev.mean_stderr)
+            if not all(map(np.array_equal, got, _serial_deviation(u, n, trials, 8,
+                                                                  distribution))):
+                bad.append(f"deviation {case}")
+        for trials in (1, 513, 1100, 4 * problem.BLOCK + 1):  # 1, 2, 3 and 5 blocks
+            case = f"{distribution} trials={trials}"
+            for kind, stat, rep in (
+                    ("moment", centered_square, mc_second_moment(u, trials, 9, distribution)),
+                    ("asq", square, mc_A_squared(d, trials, 9, distribution))):
+                want = _serial_moment(stat, kind, d, trials, 9, distribution)
+                if not all(map(np.array_equal, (rep.estimate, rep.stderr), want)):
+                    bad.append(f"{kind} {case}")
+    return bad
+
+
+def test_monte_carlo_matches_its_serial_loops():
+    assert _oracle_mismatches() == []
+
+
+def test_monte_carlo_matches_its_serial_loops_with_two_blas_threads():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+    proc = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+def _fail_items(monkeypatch, bad, error=RuntimeError):
+    """Make draw_blocks raise ``error`` for the trials (blocks, for moment and asq) in ``bad``;
+    returns the list of the items that reached it."""
+    real, reached = concentration.draw_blocks, []
+
+    def draw_blocks(seed, purpose, n, d, distribution, trial=None, *args, **kwargs):
+        reached.append(trial)
+        if trial in bad:
+            raise error(f"item {trial} failed")
+        return real(seed, purpose, n, d, distribution, trial, *args, **kwargs)
+
+    monkeypatch.setattr(concentration, "draw_blocks", draw_blocks)
+    return reached
+
+
+@pytest.mark.parametrize("run", [
+    lambda: mc_noise_term(4, 1.0, 50, 3, 1),
+    lambda: mc_sensing_deviation(np.eye(4), 50, 3, 1),
+    lambda: mc_second_moment(np.eye(4), 2 * problem.BLOCK + 1, 1),
+    lambda: mc_A_squared(4, 2 * problem.BLOCK + 1, 1),
+], ids=["noise", "deviation", "moment", "asq"])
+def test_a_failed_item_stops_both_threads_and_is_raised(run, monkeypatch):
+    """An error at item 1 of 3 reaches the caller, and no thread outlives the call."""
+    threads = threading.active_count()
+    reached = _fail_items(monkeypatch, {1})
+    with pytest.raises(RuntimeError, match="item 1 failed"):
+        run()
+    assert threading.active_count() == threads
+    assert 1 in reached and len(reached) <= 3
+
+
+def test_the_lowest_failed_item_is_raised(monkeypatch):
+    reached = _fail_items(monkeypatch, {1, 2, 3})
+    for _ in range(20):
+        with pytest.raises(RuntimeError, match="item 1 failed"):
+            mc_noise_term(4, 1.0, 50, 8, 1)
+    assert max(reached) <= 3
+
+
+def test_one_item_starts_no_thread(monkeypatch):
+    def no_thread(self):
+        raise AssertionError("started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    assert mc_noise_term(4, 1.0, 50, 1, 1).trials == 1
+    assert mc_sensing_deviation(np.eye(4), 50, 1, 1).report.trials == 1
+    assert mc_second_moment(np.eye(4), problem.BLOCK, 1).trials == problem.BLOCK
+    assert mc_A_squared(4, problem.BLOCK, 1).trials == problem.BLOCK
+
+
+def test_in_order_folds_in_index_order_under_fast_thread_switches():
+    """With a switch interval of 1 us and items of uneven length, every item is folded once,
+    in index order, and no two threads ever share a buffer."""
+    folds, busy = [], {}
+
+    def item(i, buf):
+        lock = busy.setdefault(id(buf), threading.Lock())
+        assert lock.acquire(blocking=False), "two threads shared a buffer"
+        try:
+            return i, sum(range(997 * (i % 7)))
+        finally:
+            lock.release()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        concentration._in_order(item, lambda i, result: folds.append((i, result[0])), 300, 1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert folds == [(i, i) for i in range(300)] and len(busy) <= 2
+
+
+if __name__ == "__main__":  # the child of test_monte_carlo_matches_its_serial_loops_with_two_blas_threads
+    print(json.dumps(_oracle_mismatches()))
