@@ -10,7 +10,6 @@ summary statistics.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +25,11 @@ KINDS = ("noise", "deviation", "moment", "asq")  # the Monte Carlo runs, one per
 def check_mc_memory(kind, d, n, trials):
     """Reject, before any allocation, a Monte Carlo run of an unknown ``kind`` or with a size
     below 1, or whose memory exceeds the budget: one value per trial (noise, deviation: n draws
-    a trial) and, for each thread of _in_order (two when there are two items or more), its
-    draws, four d x d accumulators, two per-matrix vectors, one block-sized temporary (moment,
-    asq: one draw a trial, a block of BLOCK draws an item, and ``n`` is not read) and the
-    per-block square sums a deviation trial holds until they are added in order."""
+    a trial) and, for each of _in_order's threads (item i on the calling thread, item i + 1 on
+    one worker; one thread for one item), its draws, four d x d accumulators, two per-matrix
+    vectors, one block-sized temporary (moment, asq: one draw a trial, a block of BLOCK draws an
+    item, and ``n`` is not read) and the per-block square sums a deviation trial holds until
+    they are added in order."""
     moment = choice("kind", kind, KINDS) in ("moment", "asq")
     sizes = dict(d=d, trials=trials) if moment else dict(d=d, n=n, trials=trials)
     for name, size in sizes.items():
@@ -43,44 +43,19 @@ def check_mc_memory(kind, d, n, trials):
 
 
 def _in_order(fn, fold, items, shape):
-    """fold(i, fn(i, buf)) for i = 0 .. items - 1.  The calling thread and, for two items or
-    more, one worker thread each take the lowest index not yet taken, and ``buf`` is the
-    np.empty(shape) that thread owns.  The folds run one at a time in index order, so every
-    cross-item sum adds what the serial loop adds.  After a failure no thread takes another
-    index, and the lowest-index exception is raised once the worker has ended."""
-    turn, failed, taken, folded = threading.Condition(), {}, iter(range(items)), 0
+    """fold(i, fn(i, buf)) for i = 0 .. items - 1, in index order, so every cross-item sum adds
+    what the serial loop adds.  Item i runs on the calling thread while item i + 1 runs on one
+    worker thread, each with its own ``buf = np.empty(shape)``, so each thread holds one result.
+    A failed item raises once the worker has ended, after every lower item has been folded."""
+    from concurrent.futures import ThreadPoolExecutor
+
     bufs = [np.empty(shape) for _ in range(min(items, 2))]
-
-    def work(slot):
-        nonlocal folded
-        with turn:
-            i = next(taken, items)
-        try:
-            while i < items:
-                result = fn(i, bufs[slot])
-                with turn:
-                    turn.wait_for(lambda: folded == i or failed)
-                    if failed:
-                        return
-                    fold(i, result)
-                    del result  # this thread's next item is made without this one beside it
-                    folded, i = folded + 1, next(taken, items)
-                    turn.notify_all()
-        except BaseException as exc:  # raised on the calling thread once both threads stop
-            with turn:
-                failed[i] = exc
-                turn.notify_all()
-
-    worker = threading.Thread(target=work, args=(1,))
-    if items > 1:
-        worker.start()
-    try:
-        work(0)
-    finally:
-        if items > 1:
-            worker.join()
-    if failed:
-        raise failed[min(failed)]
+    with ThreadPoolExecutor(1) as worker:  # one item submits nothing and starts no thread
+        for i in range(0, items, 2):
+            ahead = worker.submit(fn, i + 1, bufs[1]) if i + 1 < items else None
+            fold(i, fn(i, bufs[0]))
+            if ahead is not None:
+                fold(i + 1, ahead.result())
 
 
 def _mean_stderr(acc, acc_sq, count):

@@ -425,7 +425,9 @@ def sweep(base_config, param, values, out=None):
         positive = [(r.value, r.plateau_err_fro_sq) for r in rows
                     if r.status == "ok" and r.plateau_err_fro_sq > 0]
         if len(positive) >= 2:  # a least-squares line through (log n, log plateau^2)
-            slope = float(np.polyfit(*np.log(positive).T, 1)[0])
+            # np.log where n fits a float: math.log's last bit differs at n=9170, for one
+            log_n = [np.log(float(n)) if n < 2**1000 else math.log(n) for n, _ in positive]
+            slope = float(np.polyfit(log_n, np.log([p for _, p in positive]), 1)[0])
 
     result = SweepResult(rows=tuple(rows), slope=slope)
     if out is not None:

@@ -416,20 +416,28 @@ def _fail_items(monkeypatch, bad, error=RuntimeError):
     return reached
 
 
-@pytest.mark.parametrize("run", [
-    lambda: mc_noise_term(4, 1.0, 50, 3, 1),
-    lambda: mc_sensing_deviation(np.eye(4), 50, 3, 1),
-    lambda: mc_second_moment(np.eye(4), 2 * problem.BLOCK + 1, 1),
-    lambda: mc_A_squared(4, 2 * problem.BLOCK + 1, 1),
-], ids=["noise", "deviation", "moment", "asq"])
-def test_a_failed_item_stops_both_threads_and_is_raised(run, monkeypatch):
-    """An error at item 1 of 3 reaches the caller, and no thread outlives the call."""
+RUNS_OF_THREE_ITEMS = {
+    "noise": lambda: mc_noise_term(4, 1.0, 50, 3, 1),
+    "deviation": lambda: mc_sensing_deviation(np.eye(4), 50, 3, 1),
+    "moment": lambda: mc_second_moment(np.eye(4), 2 * problem.BLOCK + 1, 1),
+    "asq": lambda: mc_A_squared(4, 2 * problem.BLOCK + 1, 1),
+}
+
+
+@pytest.mark.parametrize("run, bad, most", [
+    pytest.param(run, bad, most, id=kind if bad == 1 else f"{kind}-item{bad}")
+    for kind, run in RUNS_OF_THREE_ITEMS.items()
+    for bad, most in ((0, {0, 1}), (1, {0, 1, 2}), (2, {0, 1, 2}))])
+def test_a_failed_item_stops_both_threads_and_is_raised(run, bad, most, monkeypatch):
+    """An error at item ``bad`` of 3 reaches the caller, no item past ``most`` is begun, and no
+    thread outlives the call.  Item 0 fails on the calling thread while the worker runs item 1;
+    item 2 runs alone."""
     threads = threading.active_count()
-    reached = _fail_items(monkeypatch, {1})
-    with pytest.raises(RuntimeError, match="item 1 failed"):
+    reached = _fail_items(monkeypatch, {bad})
+    with pytest.raises(RuntimeError, match=f"item {bad} failed"):
         run()
     assert threading.active_count() == threads
-    assert 1 in reached and len(reached) <= 3
+    assert bad in reached and set(reached) <= most
 
 
 def test_the_lowest_failed_item_is_raised(monkeypatch):
@@ -449,6 +457,14 @@ def test_one_item_starts_no_thread(monkeypatch):
     assert mc_sensing_deviation(np.eye(4), 50, 1, 1).report.trials == 1
     assert mc_second_moment(np.eye(4), problem.BLOCK, 1).trials == problem.BLOCK
     assert mc_A_squared(4, problem.BLOCK, 1).trials == problem.BLOCK
+
+
+def test_import_msense_loads_no_thread_pool():
+    """_in_order imports concurrent.futures when it runs, so importing msense does not."""
+    code = "import msense, sys; assert 'concurrent.futures' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_in_order_folds_in_index_order_under_fast_thread_switches():

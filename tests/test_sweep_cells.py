@@ -3,6 +3,7 @@ against the full run it abbreviates, _run_cell against the cell formula that
 read the full trajectory, with its own cell seed, and a stack of cells stepped
 together against _run_cell one cell at a time."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from msense import DivergenceError, ExperimentConfig, InitSpec, InputError, run_experiment, sweep
 from msense import harness, problem
+from msense.cli import main
 from msense.csvio import trajectory_rows
 from msense.harness import PLATEAU_FRACTION, CellResult, _cell_config, _chunk_rows, _run_cell
 from msense.problem import QuadraticModel
@@ -295,3 +297,16 @@ def test_non_finite_gradient_in_the_unmeasured_rows_diverges(monkeypatch):
 def test_measure_from_must_be_a_row_of_the_run(bad):
     with pytest.raises(InputError, match="measure_from"):
         run_experiment(small_config(), measure_from=bad)
+
+
+def test_a_population_n_sweep_past_two_to_the_64_fits_its_slope(tmp_path, capsys):
+    """n = 2**64 does not fit a numpy integer and 10**400 does not fit a float; the slope
+    still takes their logs and the CSV is written."""
+    cfg, out = tmp_path / "base.json", tmp_path / "s.csv"
+    cfg.write_text(json.dumps({"d": 4, "r": 1, "k": 2, "n": 10, "iters": 20, "seed": 1,
+                               "ds": [1.0], "sigma": 0.1, "gradient_mode": "population"}))
+    argv = ["sweep", "--config", str(cfg), "--param", "n", "--values",
+            f"10,{2**64},{10**400}", "--out", str(out)]
+    assert main(argv) == 0
+    assert "log-log slope of plateau err_fro^2 vs n: " in capsys.readouterr().out
+    assert out.read_text().count("\n") == 4
