@@ -429,15 +429,15 @@ RUNS_OF_THREE_ITEMS = {
     for kind, run in RUNS_OF_THREE_ITEMS.items()
     for bad, most in ((0, {0, 1}), (1, {0, 1, 2}), (2, {0, 1, 2}))])
 def test_a_failed_item_stops_both_threads_and_is_raised(run, bad, most, monkeypatch):
-    """An error at item ``bad`` of 3 reaches the caller, no item past ``most`` is begun, and no
-    thread outlives the call.  Item 0 fails on the calling thread while the worker runs item 1;
-    item 2 runs alone."""
+    """An error at item ``bad`` of 3 reaches the caller, no item outside ``most`` is begun, no
+    item is begun twice, and no thread outlives the call.  Item 0 fails on the calling thread
+    while the worker runs item 1; item 2 runs alone."""
     threads = threading.active_count()
     reached = _fail_items(monkeypatch, {bad})
     with pytest.raises(RuntimeError, match=f"item {bad} failed"):
         run()
     assert threading.active_count() == threads
-    assert bad in reached and set(reached) <= most
+    assert bad in reached and set(reached) <= most and len(reached) == len(set(reached))
 
 
 def test_the_lowest_failed_item_is_raised(monkeypatch):
