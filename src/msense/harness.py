@@ -160,12 +160,19 @@ class Trajectory:
         return metrics_column(self.metrics, name)
 
 
-def _initial_factor(config, gt, sensing):
-    if config.init.mode == "planted":
-        return planted_init(gt, config.k, config.init.rho, config.seed)
-    if config.init.mode == "spectral":
-        return spectral_init(sensing, config.k)
-    return random_init(config.d, config.k, config.init.scale, config.seed)
+def _start(config):
+    """(gt, model, F0) of a run or a sweep cell, model None in population mode.  A planted or
+    random start comes before the sensing build, so it fails first; a spectral start reads the
+    sensing set, of which only the model is kept: the observations and noise are freed."""
+    gt = generate_ground_truth(config.d, config.r, config.ds, config.dt, config.seed)
+    init = config.init
+    f = (planted_init(gt, config.k, init.rho, config.seed) if init.mode == "planted"
+         else random_init(config.d, config.k, init.scale, config.seed) if init.mode == "random"
+         else None)
+    if config.gradient_mode == "population":
+        return gt, None, f
+    sensing = generate_sensing(gt, config.n, config.sigma, config.distribution, config.seed)
+    return gt, sensing.model, spectral_init(sensing, config.k) if f is None else f
 
 
 def _chunk_rows(d):
@@ -260,16 +267,8 @@ def run_experiment(config, write_output=True, measure_from=0):
     count("measure_from", measure_from, 0, config.iters)
     if write_output and config.output is not None:
         check_output_path(config.output)
-    gt = generate_ground_truth(config.d, config.r, config.ds, config.dt, config.seed)
-    population = config.gradient_mode == "population"
-    sensing = model = None
-    # Only a spectral start reads the sensing set: any other start comes first.
-    f = None if config.init.mode == "spectral" else _initial_factor(config, gt, sensing)
-    if not population:
-        sensing = generate_sensing(gt, config.n, config.sigma, config.distribution, config.seed)
-        model = sensing.model
-        f = _initial_factor(config, gt, sensing) if f is None else f
-    eta = config.eta_value()
+    gt, model, f = _start(config)
+    population, eta = model is None, config.eta_value()
 
     def gradient(f):
         grad = population_gradient(f, gt) if population else model.gradient(f)
@@ -365,21 +364,16 @@ def _stack_size(configs):
 def _stacked_cells(configs, param, values):
     """The CellResults of sample-mode cells that share d, k, iters and eta, stepped in
     lockstep as one (B, d, k) stack: every iteration makes one stacked_gradient call and
-    two norm calls for all live cells.  Each cell's ground truth, operator and start are
-    built first; its observations and noise are dropped.  A cell's rows are _steps' rows
-    for its run, bit for bit, taken by its own _Rows, and it leaves the stack when its run
-    ends, so its result is _run_cell's."""
+    two norm calls for all live cells.  Each cell is started first, by _start as a run is.
+    Its rows are _steps' rows for its run, bit for bit, taken by its own _Rows, and it leaves
+    the stack when its run ends, so its result is _run_cell's."""
     b, d, k = len(configs), configs[0].d, configs[0].k
     p = d * (d + 1) // 2
     h, bbar, f, runs = np.empty((b, p, p)), np.empty((b, d, d)), np.empty((b, d, k)), []
     for i, config in enumerate(configs):
-        gt = generate_ground_truth(config.d, config.r, config.ds, config.dt, config.seed)
-        sensing = generate_sensing(gt, config.n, config.sigma, config.distribution, config.seed)
-        h[i], bbar[i] = sensing.model.h, sensing.model.bbar
-        f[i] = _initial_factor(config, gt, sensing)
-        # |Delta|_2 is left out: no cell field reads it.
-        runs.append(_Rows(config, gt, _window_start(config)))
-        del sensing  # the next cell's build runs without this one's observations
+        gt, model, f[i] = _start(config)
+        h[i], bbar[i] = model.h, model.bbar
+        runs.append(_Rows(config, gt, _window_start(config)))  # no |Delta|_2: no field reads it
     live, eta = runs, configs[0].eta_value()
     with np.errstate(over="ignore", invalid="ignore"):  # as in run_experiment
         for t in range(configs[0].iters + 1):
@@ -402,7 +396,7 @@ def _stacked_cells(configs, param, values):
 
 def sweep(base_config, param, values, out=None):
     """One run per grid value with derived cell seeds, in grid order."""
-    values = list(values)
+    values = [v.item() if isinstance(v, np.generic) else v for v in values]  # seeds hash repr
     if len(values) < 1:
         raise InputError("sweep needs at least one value")
     configs = [_cell_config(base_config, param, v) for v in values]  # every cell, up front

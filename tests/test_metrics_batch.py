@@ -14,12 +14,15 @@ from msense import (
     eps_stat,
     generate_ground_truth,
     generate_sensing,
+    planted_init,
     population_gradient,
+    random_init,
     run_experiment,
+    spectral_init,
     spectral_norm,
 )
 from msense.csvio import TRAJECTORY_HEADER, trajectory_rows
-from msense.harness import DIVERGENCE_FACTOR, _chunk_rows, _initial_factor
+from msense.harness import DIVERGENCE_FACTOR, _chunk_rows
 from msense.subspace import IterateMetrics, batch_metrics, exact_factor
 
 FIELDS = ("ss_err", "st_norm", "tt_norm", "tt_err", "D", "A", "err_spec", "err_fro",
@@ -52,7 +55,13 @@ def oracle_run(config):
         sensing = generate_sensing(gt, config.n, config.sigma, config.distribution, config.seed)
         model = sensing.model
     floor = eps_stat(gt, None if population else config.n, config.sigma)
-    f = _initial_factor(config, gt, sensing)
+    init = config.init
+    if init.mode == "planted":
+        f = planted_init(gt, config.k, init.rho, config.seed)
+    elif init.mode == "spectral":
+        f = spectral_init(sensing, config.k)
+    else:
+        f = random_init(config.d, config.k, init.scale, config.seed)
     rows = []
     for t in range(config.iters + 1):
         tracked = config.track_delta and t % config.delta_every == 0

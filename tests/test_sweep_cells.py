@@ -163,6 +163,30 @@ def test_sweep_stacks_only_same_shape_sample_cells(monkeypatch, overrides, param
     assert list(sweep(base, param, values).rows) == want
 
 
+@pytest.mark.parametrize("param, values", [("n", (1000, 2000)), ("k", (4, 5))],
+                         ids=["stacked", "lone"])
+def test_a_planted_start_with_no_room_fails_before_any_sensing_build(monkeypatch, param,
+                                                                      values):
+    """|DT*|_2 = 0.5 leaves the planted construction no room: the first cell fails at its
+    start, before its sensing set is built, in a stack (an n sweep) as alone (a k sweep)."""
+    builds, build = [], harness.generate_sensing
+    monkeypatch.setattr(harness, "generate_sensing", lambda *a: builds.append(a) or build(*a))
+    base = small_config(dt=(0.5, 0.4) + (0.0,) * 15, n=2000)
+    with pytest.raises(InputError, match="no room for the planted construction"):
+        sweep(base, param, values)
+    assert builds == []
+
+
+@pytest.mark.parametrize("param, values", [("n", [100, 200]), ("sigma", [0.05, 0.1])])
+def test_numpy_grid_values_sweep_as_their_python_values(tmp_path, param, values):
+    """A cell seed hashes the value's repr, which numpy 2 writes as np.int64(100): numpy
+    values sweep, and are written, as the Python values they hold."""
+    base = cell_config(eta=0.1, iters=20)
+    want = sweep(base, param, values, out=str(tmp_path / "list.csv"))
+    assert sweep(base, param, np.array(values), out=str(tmp_path / "array.csv")) == want
+    assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+
+
 def test_a_spectral_start_on_an_overflowed_data_term_diverges_at_t0(monkeypatch):
     """sigma = 1e308 overflows M, so the spectral start is not finite: its run diverges at
     t = 0, and so does its cell, in a stack (a sigma sweep) or alone (a k sweep)."""
