@@ -66,6 +66,9 @@ COMMANDS = [
     "sweep --config sweep.json --param sigma --values 0.05,0.1,0.2 --out sweep_sigma.csv",
     "sweep --config sweep.json --param d --values 8,10 --out sweep_d.csv",
     "sweep --config mixed.json --param n --values 50,100,200,400,800 --out sweep_mixed.csv",
+    # Sensing builds of 2, 3 and 5 blocks, the last of 52 rows: block j + 1 is drawn on a
+    # worker thread while block j is drawn.
+    "sweep --config sweep.json --param n --values 700,1300,2100 --out sweep_blocks.csv",
     "sweep --config sweep.json --param k --values 2,3,4 --out sweep_k.csv",
     "run --config delta.json --out delta.csv",
     "run --config diverge.json --out diverge.csv",

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import InputError, _shown, choice, count, number
 from .linalg import as_symmetric, spectral_norm
-from .problem import (BLOCK, DISTRIBUTIONS, _svec_indices, block_bytes, check_memory,
-                      draw_blocks)
+from .problem import (BLOCK, DISTRIBUTIONS, _in_order, _svec_indices, block_bytes,
+                      check_memory, draw_blocks)
 
 KINDS = ("noise", "deviation", "moment", "asq")  # the Monte Carlo runs, one per mc_* function
 
@@ -40,22 +40,6 @@ def check_mc_memory(kind, d, n, trials):
     threads = min(-(-trials // BLOCK) if moment else trials, 2)
     per_thread = 8 * (d * d * (4 + temporaries * m + sums) + 2 * m) + block_bytes(d, rows)
     check_memory(threads * per_thread + 8 * values, f"the d={_shown(d)} Monte Carlo draws")
-
-
-def _in_order(fn, fold, items, shape):
-    """fold(i, fn(i, buf)) for i = 0 .. items - 1, in index order, so every cross-item sum adds
-    what the serial loop adds.  Item i runs on the calling thread while item i + 1 runs on one
-    worker thread, each with its own ``buf = np.empty(shape)``, so each thread holds one result.
-    A failed item raises once the worker has ended, after every lower item has been folded."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    bufs = [np.empty(shape) for _ in range(min(items, 2))]
-    with ThreadPoolExecutor(1) as worker:  # one item submits nothing and starts no thread
-        for i in range(0, items, 2):
-            ahead = worker.submit(fn, i + 1, bufs[1]) if i + 1 < items else None
-            fold(i, fn(i, bufs[0]))
-            if ahead is not None:
-                fold(i + 1, ahead.result())
 
 
 def _mean_stderr(acc, acc_sq, count):

@@ -1,14 +1,14 @@
 """Ground-truth construction and sub-Gaussian sensing ensembles.
 
-The observation model is y_i = <A_i, X*> + eps_i with <A, X> = sum_ij A_ij X_ij.
-Each A_i is symmetric: upper-triangle and diagonal entries are drawn i.i.d.
-with unit variance from the chosen distribution and mirrored below the
-diagonal.  Everything is generated in fixed-size blocks from per-block
-Philox streams, so any block can be regenerated bit for bit from
-(seed, block index).  The sensing operator (QuadraticModel) is a p x p
-matrix over the p = d(d+1)/2 upper-triangle coordinates of symmetric
-matrices, built in the same pass that draws the observations; no sensing
-matrix is kept.
+The observation model is y_i = <A_i, X*> + eps_i with <A, X> = sum_ij A_ij X_ij.  Each A_i is
+symmetric: upper-triangle and diagonal entries are drawn i.i.d. with unit variance from the
+chosen distribution and mirrored below the diagonal.  Everything is generated in fixed-size
+blocks from per-block Philox streams, so any block can be regenerated bit for bit from (seed,
+block index).  The sensing operator (QuadraticModel) is a p x p matrix over the p = d(d+1)/2
+upper-triangle coordinates of symmetric matrices, built in the same pass that draws the
+observations; no sensing matrix is kept.  As no block reads another's stream, the build draws
+two blocks at a time on two threads when _paired, and _in_order adds them to the operator in
+index order, so the build has the bytes of one thread.
 """
 
 from __future__ import annotations
@@ -171,23 +171,29 @@ def _tiles(p):
 
 
 def block_bytes(d, n, sliced=False):
-    """Bytes draw_blocks holds: a block of at most BLOCK of the n matrices (with ``sliced``, one
-    slice in its place), two draw slices (one being mirrored, one of Rademacher integers), the
-    cached indices, the ufunc buffer casting the integers and 8 KiB of Python objects."""
+    """Bytes a thread's draw of a block holds: a block of at most BLOCK of the n matrices (with
+    ``sliced``, one slice in its place), two draw slices (one being mirrored, one of Rademacher
+    integers), the cached indices, the ufunc buffer casting the integers and 8 KiB of objects."""
     s = max(hi - lo for m in (min(n, BLOCK), (n - 1) % BLOCK + 1)
             for lo, hi in pairwise(_slice_edges(d, m)))
     rows = (s if sliced else min(n, BLOCK)) + 2 * s + 2
     return 8 * (rows * d * d + d * (d + 1) // 2 + np.getbufsize()) + 2**13
 
 
+def _paired(d, n):
+    """Whether generate_sensing draws block j + 1 on a worker while block j is drawn: from two
+    blocks, while a block's upper triangles fit in one draw slice (d <= 22), a small extra."""
+    return n > BLOCK and min(n, BLOCK) * d * (d + 1) // 2 <= _SLICE
+
+
 def sensing_bytes(d, n):
     """Bytes generate_sensing allocates for a d x d, n-sample build: the n observations and
     their noise, the p x p operator and the p-vector b, one Gram tile of at most _TILE x _TILE,
-    the gathered (block, p) upper triangles and the sliced draws' block_bytes.  Only the
-    observations and noise grow with n past one block of BLOCK matrices."""
+    and per drawing thread the gathered (block, p) upper triangles and block_bytes(d, n, True);
+    a second thread when _paired, with 1 MiB for the thread pool modules it first imports."""
     p = d * (d + 1) // 2
-    return (8 * (2 * n + p * p + p + min(p, _TILE) ** 2 + min(n, BLOCK) * p)
-            + block_bytes(d, n, True))
+    thread = 8 * min(n, BLOCK) * p + block_bytes(d, n, True)
+    return 8 * (2 * n + p * p + p + min(p, _TILE) ** 2) + thread + _paired(d, n) * (thread + 2**20)
 
 
 def _fill(rng, out, distribution):
@@ -228,19 +234,38 @@ def _draw(rng, count, d, distribution, raw=False, out=None):
     return out if raw else out.reshape(count, d, d)
 
 
-def draw_blocks(seed, purpose, n, d, distribution, trial=None, raw=False, out=None, sliced=False):
+def draw_blocks(seed, purpose, n, d, distribution, trial=None, raw=False, out=None):
     """Yield (slice, rng, block) over n sensing matrices in index order, in
     blocks of at most BLOCK that _draw writes into ``out`` (reused by every
     block) when one is given.  Block j comes from the stream (seed, purpose, j);
     with a ``trial``, every block comes from the one stream (seed, purpose,
-    trial), and the caller may draw from ``rng`` between blocks.  With ``sliced``
-    a block is its _slices generator, undrawn, for a caller that reduces slices."""
-    draw = _slices if sliced else _draw
+    trial), and the caller may draw from ``rng`` between blocks."""
     rng = None if trial is None else stream(seed, purpose, trial)
     for lo in range(0, n, BLOCK):
         hi = min(lo + BLOCK, n)
         rng = stream(seed, purpose, lo // BLOCK) if trial is None else rng
-        yield slice(lo, hi), rng, draw(rng, hi - lo, d, distribution, raw, out)
+        yield slice(lo, hi), rng, _draw(rng, hi - lo, d, distribution, raw, out)
+
+
+def _in_order(fn, fold, items, shape, paired=True):
+    """fold(i, fn(i, buf)) for i = 0 .. items - 1, in index order, so every cross-item sum adds
+    what the serial loop adds.  When ``paired``, item i runs on the calling thread while item
+    i + 1 runs on one worker thread, each with its own ``buf = np.empty(shape)``; one item, or
+    not ``paired``, runs on the calling thread alone and imports no thread pool.  A failed item
+    raises once the worker has ended, after every lower item has been folded."""
+    bufs = [np.empty(shape) for _ in range(1 + (paired and items > 1))]
+    if len(bufs) == 1:
+        for i in range(items):
+            fold(i, fn(i, bufs[0]))
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1) as worker:
+        for i in range(0, items, 2):
+            ahead = worker.submit(fn, i + 1, bufs[1]) if i + 1 < items else None
+            fold(i, fn(i, bufs[0]))
+            if ahead is not None:
+                fold(i + 1, ahead.result())
 
 
 class QuadraticModel:
@@ -316,16 +341,15 @@ class SensingSet:
 def generate_sensing(gt, n, sigma, distribution="gaussian", seed=0):
     """Draw a SensingSet against a GroundTruth; reproducible from seed.
 
-    One pass over the blocks draws each A_i once, forms its observations
-    and accumulates the QuadraticModel in place.  Each mirrored draw slice
-    gives its rows of y = A vec(X*) and its upper triangles to the block's
-    (m, p) array g, so no block of mirrored matrices is held.  The block's
-    Gram g^T g is added tile by tile to the upper-triangle tiles of the
-    operator, through one reused buffer of at most _TILE x _TILE, and the
-    strict-lower tiles are mirrored once at the end.  For p <= _TILE that is
-    one np.matmul(g.T, g) per block.  g is reused too, or the allocator would
-    return and fault in its pages on every block.  sensing_bytes(d, n)
-    counts what the build allocates.
+    One pass over the blocks draws each A_i once, forms its observations and accumulates the
+    QuadraticModel in place.  Each mirrored draw slice gives its rows of y = A vec(X*) and its
+    upper triangles to the block's (m, p) array g, so no block of mirrored matrices is held.
+    The block's Gram g^T g is added tile by tile to the upper-triangle tiles of the operator,
+    through one reused buffer of at most _TILE x _TILE, and the strict-lower tiles are mirrored
+    once at the end.  For p <= _TILE that is one np.matmul(g.T, g) per block.  When
+    _paired(d, n), _in_order draws block j + 1 on a worker, into its own g, while block j is
+    drawn; blocks are added to b and the operator in index order on the calling thread.
+    sensing_bytes(d, n) counts what the build allocates.
     """
     count("n", n, 1)
     number("sigma", sigma, 0)
@@ -334,7 +358,7 @@ def generate_sensing(gt, n, sigma, distribution="gaussian", seed=0):
     check_build_memory(d, n)
     upper = _svec_indices(d)[0]
     p = upper.size
-    y, eps = np.empty(n), np.empty(n)
+    xstar, y, eps = gt.Xstar.ravel(), np.empty(n), np.empty(n)
     h, b = np.zeros((p, p)), np.zeros(p)
     tiles = _tiles(p)
     buf = np.empty(max(t.stop - t.start for t in tiles) ** 2)
@@ -343,20 +367,27 @@ def generate_sensing(gt, n, sigma, distribution="gaussian", seed=0):
         for rb in tiles[i:]:
             shape = (ra.stop - ra.start, rb.stop - rb.start)
             pairs.append((ra, rb, buf[: shape[0] * shape[1]].reshape(shape)))
-    xstar, g_buf = gt.Xstar.ravel(), np.empty((min(n, BLOCK), p))
-    for sl, _, parts in draw_blocks(seed, "sensing", n, d, distribution, sliced=True):
-        ys, g = y[sl], g_buf[: sl.stop - sl.start]
-        for rows, a in parts:  # the upper triangle of a mirrored slice is its draws'
-            ys[rows] = a @ xstar
+
+    def draw(j, g):  # block j's rows of y and eps, and its upper triangles in g; either thread
+        sl = slice(j * BLOCK, min(j * BLOCK + BLOCK, n))
+        ys, g = y[sl], g[: sl.stop - sl.start]
+        for rows, a in _slices(stream(seed, "sensing", j), len(g), d, distribution):
+            ys[rows] = a @ xstar  # the upper triangle of a mirrored slice is its draws'
             a.take(upper, axis=1, out=g[rows], mode="clip")
-        del a  # a views this block's slice buffer: the next block's is made without it
         # A huge sigma overflows the noise, and b with it: the run's divergence guard stops it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            eps[sl] = sigma * stream(seed, "noise", sl.start // BLOCK).standard_normal(len(g))
+        with np.errstate(over="ignore", invalid="ignore"):  # a thread's own: errstate is per thread
+            eps[sl] = sigma * stream(seed, "noise", j).standard_normal(len(g))
             ys += eps[sl]
-            b += ys @ g
+        return ys, g
+
+    def fold(j, block):  # on the calling thread, in index order
+        ys, g = block
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add(b, ys @ g, out=b)
         for ra, rb, tile in pairs:
             h[ra, rb] += np.matmul(g[:, ra].T, g[:, rb], out=tile)
+
+    _in_order(draw, fold, -(-n // BLOCK), (min(n, BLOCK), p), _paired(d, n))
     for ra, rb, _ in pairs:
         if ra != rb:
             h[rb, ra] = h[ra, rb].T

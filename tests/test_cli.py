@@ -212,13 +212,16 @@ def test_library_divergence_writes_the_same_partial_trajectory(tmp_path):
 
 # 1e308 overflows the noise, so the build's b is not finite and the gradient is NaN at t=0;
 # 1e200 overflows the gradient norm at t=0 while err_spec is small;
-# 1e140 overflows the gradient and the metrics at t=1.
-@pytest.mark.parametrize("sigma, cause", [(1e308, "t=0: grad_norm=nan is not finite"),
-                                          (1e200, "t=0: grad_norm=inf is not finite"),
-                                          (1e140, "t=1: err_spec=")],
-                         ids=["sigma_1e308", "sigma_1e200", "sigma_1e140"])
-def test_run_huge_sigma_exits_2_with_one_line_and_no_warning(tmp_path, sigma, cause):
-    cfg = write_config(tmp_path, d=10, r=2, k=3, n=1000, iters=50, seed=1, sigma=sigma,
+# 1e140 overflows the gradient and the metrics at t=1.  n=1537 is four blocks, the second and
+# the fourth drawn on the build's worker thread.
+@pytest.mark.parametrize("sigma, cause, n", [
+    pytest.param(sigma, cause, n, id=f"sigma_{sigma:.0e}".replace("+", "") + f"-n{n}" * (n > 1000))
+    for sigma, cause in [(1e308, "t=0: grad_norm=nan is not finite"),
+                         (1e200, "t=0: grad_norm=inf is not finite"),
+                         (1e140, "t=1: err_spec=")]
+    for n in (1000, 3 * 512 + 1)])
+def test_run_huge_sigma_exits_2_with_one_line_and_no_warning(tmp_path, sigma, cause, n):
+    cfg = write_config(tmp_path, d=10, r=2, k=3, n=n, iters=50, seed=1, sigma=sigma,
                        ds=[1.0, 0.8])
     proc = subprocess.run(
         [sys.executable, "-m", "msense.cli", "run", "--config", str(cfg)],

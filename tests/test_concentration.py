@@ -449,6 +449,8 @@ def test_the_lowest_failed_item_is_raised(monkeypatch):
 
 
 def test_one_item_starts_no_thread(monkeypatch):
+    """One Monte Carlo item or one sensing block runs on the calling thread; so does a build
+    that _paired leaves unpaired, at d=50 over two blocks."""
     def no_thread(self):
         raise AssertionError("started a thread")
 
@@ -457,11 +459,19 @@ def test_one_item_starts_no_thread(monkeypatch):
     assert mc_sensing_deviation(np.eye(4), 50, 1, 1).report.trials == 1
     assert mc_second_moment(np.eye(4), problem.BLOCK, 1).trials == problem.BLOCK
     assert mc_A_squared(4, problem.BLOCK, 1).trials == problem.BLOCK
+    for d, n in ((4, problem.BLOCK), (50, problem.BLOCK + 1)):
+        gt = problem.generate_ground_truth(d, 1, [1.0], "zeros", seed=1)
+        assert problem.generate_sensing(gt, n, 0.1, seed=2).n == n
 
 
 def test_import_msense_loads_no_thread_pool():
-    """_in_order imports concurrent.futures when it runs, so importing msense does not."""
-    code = "import msense, sys; assert 'concurrent.futures' not in sys.modules"
+    """_in_order imports concurrent.futures when it pairs items, so importing msense does not,
+    nor does a one-block build or a two-block build at d=50, which _paired leaves unpaired."""
+    code = """if True:
+        import msense, sys
+        for d, n in ((4, 512), (50, 513)):
+            msense.generate_sensing(msense.generate_ground_truth(d, 1, [1.0], "zeros", 1), n, 0.1)
+        assert 'concurrent.futures' not in sys.modules"""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -483,7 +493,7 @@ def test_in_order_folds_in_index_order_under_fast_thread_switches():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        concentration._in_order(item, lambda i, result: folds.append((i, result[0])), 300, 1)
+        problem._in_order(item, lambda i, result: folds.append((i, result[0])), 300, 1)
     finally:
         sys.setswitchinterval(interval)
     assert folds == [(i, i) for i in range(300)] and len(busy) <= 2

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -400,19 +401,28 @@ def _whole_block_build(d, n, distribution):
     return y, eps, h, bbar
 
 
+# The ORACLE_CASES of two blocks or more with p <= 256, whose builds _paired pairs, and n=32000.
+PAIRED_CASES = [(1, 515), (5, 513), (16, 514), (17, 1024), (20, 516), (20, 839), (10, 32000)]
+
+
 def _build_digests(kind):
-    """{case: sha256 of y, epsilon, h and bbar} over ORACLE_CASES and both
-    distributions, from the "whole"-block oracle or the "streamed" build."""
+    """{case: sha256 of y, epsilon, h and bbar} over both distributions: over ORACLE_CASES
+    from the "whole"-block oracle or the "streamed" build, and over PAIRED_CASES from the
+    "paired" build or a "serial" one, which draws and folds every block on the calling thread."""
     digests = {}
-    for d, n in ORACLE_CASES:
-        for distribution in problem.DISTRIBUTIONS:
-            if kind == "whole":
-                arrays = _whole_block_build(d, n, distribution)
-            else:
-                s = generate_sensing(_oracle_truth(d), n, 0.3, distribution, seed=62)
-                arrays = (s.observations, s.epsilon, s.model.h, s.model.bbar)
-            digests[f"d={d} n={n} {distribution}"] = [
-                hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest() for x in arrays]
+    with pytest.MonkeyPatch.context() as patch:
+        if kind == "serial":
+            patch.setattr(problem, "_paired", lambda d, n: False)
+        for d, n in PAIRED_CASES if kind in ("paired", "serial") else ORACLE_CASES:
+            for distribution in problem.DISTRIBUTIONS:
+                if kind == "whole":
+                    arrays = _whole_block_build(d, n, distribution)
+                else:
+                    s = generate_sensing(_oracle_truth(d), n, 0.3, distribution, seed=62)
+                    arrays = (s.observations, s.epsilon, s.model.h, s.model.bbar)
+                digests[f"d={d} n={n} {distribution}"] = [
+                    hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()
+                    for x in arrays]
     return digests
 
 
@@ -435,6 +445,38 @@ def test_streamed_build_matches_the_whole_block_build():
     two = _digests_at(2, "streamed")["streamed"]
     assert {case: v[0] for case, v in two.items()} == {
         case: v[0] for case, v in one["streamed"].items()}
+
+
+def test_paired_build_matches_its_serial_fold_with_two_blas_threads():
+    """With two BLAS threads, the build that draws block j + 1 on a worker while block j is
+    drawn gives the bytes of y, epsilon, h and bbar of the same blocks drawn and folded on the
+    calling thread."""
+    assert all(problem._paired(d, n) for d, n in PAIRED_CASES)
+    two = _digests_at(2, "paired", "serial")
+    assert two["paired"] == two["serial"]
+
+
+@pytest.mark.parametrize("bad, most", [(0, {0, 1}), (1, {0, 1}), (2, {0, 1, 2})])
+def test_a_failed_block_stops_the_build_and_is_raised(bad, most, monkeypatch):
+    """An error drawing block ``bad`` of 3 reaches the caller, no block outside ``most`` is
+    begun, no block is begun twice, and no thread outlives the build.  Block 0 fails on the
+    calling thread while the worker draws block 1; block 2 is drawn alone."""
+    real, reached = problem.stream, []
+
+    def failing(seed, purpose, index=0):
+        if purpose == "sensing":
+            reached.append(index)
+            if index == bad:
+                raise RuntimeError(f"block {index} failed")
+        return real(seed, purpose, index)
+
+    gt = generate_ground_truth(4, 1, [1.0], "zeros", seed=1)
+    threads = threading.active_count()
+    monkeypatch.setattr(problem, "stream", failing)
+    with pytest.raises(RuntimeError, match=f"block {bad} failed"):
+        generate_sensing(gt, 2 * problem.BLOCK + 1, 0.1, seed=2)
+    assert threading.active_count() == threads
+    assert bad in reached and set(reached) <= most and len(reached) == len(set(reached))
 
 
 # d=17, 20 and 50 slice by 452, 324 and 52 matrices; each n ends on a block
@@ -466,14 +508,14 @@ def test_sensing_bytes_hold_no_block_of_mirrored_matrices():
 
 def test_operator_memory_checked_before_build(gt20, monkeypatch):
     p, build = 20 * 21 // 2, problem.sensing_bytes(20, 10)
-    draw_blocks = problem.draw_blocks
+    real_stream = problem.stream
     calls = []
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         calls.append(args)
-        return draw_blocks(*args, **kwargs)
+        return real_stream(*args)
 
-    monkeypatch.setattr(problem, "draw_blocks", counting)
+    monkeypatch.setattr(problem, "stream", counting)
     monkeypatch.setattr(problem, "_memory_budget", lambda: build - 1)
     with pytest.raises(InputError, match="sensing build needs"):
         generate_sensing(gt20, n=10, sigma=0.0, seed=3)
@@ -485,8 +527,9 @@ def test_operator_memory_checked_before_build(gt20, monkeypatch):
 def test_config_memory_check_counts_the_operator_in_both_modes(monkeypatch):
     base = dict(d=20, r=3, k=4, n=problem.BLOCK, iters=5, seed=1)
     build = problem.sensing_bytes(20, problem.BLOCK)
-    # Past one block only the observations and their noise grow, by 16 bytes a sample.
-    assert problem.sensing_bytes(20, 10**9) == build + 16 * (10**9 - problem.BLOCK)
+    # Past two blocks only the observations and their noise grow, by 16 bytes a sample.
+    paired = problem.sensing_bytes(20, 2 * problem.BLOCK)
+    assert problem.sensing_bytes(20, 10**9) == paired + 16 * (10**9 - 2 * problem.BLOCK)
     monkeypatch.setattr(problem, "_memory_budget", lambda: build)
     for memory_mode in problem.MEMORY_MODES:  # no mode stores the matrices
         ExperimentConfig(**base, memory_mode=memory_mode)
@@ -565,5 +608,5 @@ def test_parameter_validation(gt20):
         ExperimentConfig(d=20, r=3, k=4, n=5, iters=1, seed=1, memory_mode="mmap")
 
 
-if __name__ == "__main__":  # the child of test_streamed_build_matches_the_whole_block_build
+if __name__ == "__main__":  # the child of _digests_at
     print(json.dumps({kind: _build_digests(kind) for kind in sys.argv[1:]}))
